@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import SeededRng, as_matrix, derive_seed, require_finite
+from .numeric import SeededRng, derive_seed
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,6 @@ class FrozenBlock:
 
     weight: np.ndarray
     gain: float
-
-    def apply(self, feats: np.ndarray) -> np.ndarray:
-        return feats + self.gain * np.tanh(feats @ self.weight)
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,3 @@ def build_buffer(feature_dim: int, buffer_size: int, seed: int) -> BufferExpansi
     rng = SeededRng(derive_seed(seed, "buffer"))
     return BufferExpansion(projection=rng.standard_normal(feature_dim, buffer_size))
 
-
-def expand(buffer: BufferExpansion, feats: np.ndarray) -> np.ndarray:
-    """Rectified random expansion: max(0, feats @ projection)."""
-    f = as_matrix(feats, "features")
-    if f.shape[1] != buffer.projection.shape[0]:
-        raise ValueError(
-            f"feature width {f.shape[1]} does not match buffer input width {buffer.projection.shape[0]}"
-        )
-    return require_finite(np.maximum(f @ buffer.projection, 0.0), "buffer expansion")

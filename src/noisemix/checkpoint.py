@@ -142,13 +142,6 @@ def save_checkpoint(
     write_container(path, sections)
 
 
-def load_meta(path: str | Path) -> dict:
-    sections = read_container(path)
-    if "meta" not in sections:
-        raise CheckpointError("checkpoint has no meta section")
-    return json.loads(sections["meta"].decode("utf-8"))
-
-
 def load_history(path: str | Path) -> list:
     """Per-session reports recorded in the checkpoint (may be empty)."""
     from .report import report_from_dict
@@ -166,6 +159,8 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     its frozen parameters has to match the stored one.
     """
     sections = read_container(path)
+    if "meta" not in sections:
+        raise CheckpointError("checkpoint has no meta section")
     meta = json.loads(sections["meta"].decode("utf-8"))
     if meta["frozen_hash"] != model.frozen_param_hash():
         raise CheckpointError("frozen parameter hash mismatch; model/config drifted")

@@ -145,6 +145,19 @@ def run_training(
     return summary
 
 
+def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
+    """Every session of the configured stream on a fresh model, no artifacts."""
+    stream = build_stream(cfg)
+    model = build_run_model(cfg, stream.feature_dim)
+    tcfg = train_config(cfg)
+    reports = []
+    for t in range(1, stream.num_tasks + 1):
+        session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
+        # looked up in this module at call time, so a replaced run_session is used
+        reports.append(run_session(model, stream, tcfg, session_rng))
+    return stream, summarize(reports, config_hash(cfg))
+
+
 def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
     v = copy.deepcopy(cfg)
     if variant == "baseline":
@@ -186,15 +199,8 @@ def run_ablation(
         for seed in seeds:
             vcfg = _variant_config(cfg, variant)
             vcfg.data.class_seed = seed
-            stream = build_stream(vcfg)
+            stream, summary = _run_stream(vcfg)
             stream_hashes[seed].add(stream.content_hash())
-            model = build_run_model(vcfg, stream.feature_dim)
-            tcfg = train_config(vcfg)
-            reports = []
-            for t in range(1, stream.num_tasks + 1):
-                session_rng = SeededRng(derive_seed(vcfg.train.seed, "session", t))
-                reports.append(run_session(model, stream, tcfg, session_rng))
-            summary = summarize(reports, config_hash(vcfg))
             avg_accs.append(summary.average_accuracy)
             last_accs.append(summary.last_accuracy)
         rows.append(
@@ -256,14 +262,7 @@ def run_sweep(
         raw = str(int(value)) if parameter in ("buffer_size", "d2") else str(value)
         set_key(vcfg, key, raw)
         vcfg.validate()
-        stream = build_stream(vcfg)
-        model = build_run_model(vcfg, stream.feature_dim)
-        tcfg = train_config(vcfg)
-        reports = []
-        for t in range(1, stream.num_tasks + 1):
-            session_rng = SeededRng(derive_seed(vcfg.train.seed, "session", t))
-            reports.append(run_session(model, stream, tcfg, session_rng))
-        summary = summarize(reports, config_hash(vcfg))
+        _, summary = _run_stream(vcfg)
         rows.append(
             {
                 "parameter": parameter,

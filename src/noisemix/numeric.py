@@ -177,17 +177,16 @@ class SeededRng:
         return int(self.next_uint64(1)[0] % np.uint64(upper))
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        """Fisher-Yates permutation of range(n).
+
+        Swap i (from n-1 down to 1) takes one :meth:`integer` draw on
+        [0, i]; all n-1 words are drawn at once, in that order.
+        """
+        picks = self.next_uint64(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
-
-
-def sample_standard_normal(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
-    """Matrix of i.i.d. N(0,1) entries drawn from the given stream."""
-    return rng.standard_normal(rows, cols)
+        return np.array(perm, dtype=np.int_)
 
 
 def finite_difference_gradient(

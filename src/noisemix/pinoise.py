@@ -2,8 +2,14 @@
 
 Each task owns one generator per layer: two affine maps in a narrow latent
 space that produce the mean and scale of a reparameterized Gaussian
-perturbation. Generators freeze when their task's session ends; a per-layer
-weight vector mixes the noises of every task seen so far.
+perturbation. Generators freeze when their task's session ends.
+
+A mixing strategy is a pair of per-task coefficient vectors ``(c_mean,
+c_scale)`` (:func:`mixture_coefficients`). All tasks at a layer share one
+draw and every map is affine, so the mixture is itself one affine generator
+whose parameters are the coefficient-weighted sums of the tasks' parameters
+(:func:`mixed_generator`). Per input row, the forward and backward pass of a
+layer then cost the same for any number of tasks.
 """
 
 from __future__ import annotations
@@ -52,11 +58,11 @@ class NoiseGenerator:
     def scale_of(self, h: np.ndarray) -> np.ndarray:
         return h @ self.scale_weight + self.scale_bias
 
+    def params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.mean_weight, self.mean_bias, self.scale_weight, self.scale_bias
+
     def param_bytes(self) -> bytes:
-        return b"".join(
-            np.ascontiguousarray(a, dtype=np.float64).tobytes()
-            for a in (self.mean_weight, self.mean_bias, self.scale_weight, self.scale_bias)
-        )
+        return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in self.params())
 
 
 def new_generator(latent_dim: int, task_index: int, rng: SeededRng, init_scale: float = 0.0001) -> NoiseGenerator:
@@ -108,59 +114,60 @@ def build_layer(feature_dim: int, latent_dim: int, layer_index: int, rng: Seeded
     return PiNoiseLayer(down_proj=down, up_proj=up, layer_index=layer_index)
 
 
-def generate_noise(gen: NoiseGenerator, h: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
-    """Reparameterized noise ``epsilon * scale(h) + mean(h)``.
-
-    ``h`` is the down-projected layer feature; ``epsilon`` is sampled by the
-    caller so determinism stays under the caller's control.
-    """
-    h = as_matrix(h, "latent features")
-    eps = as_matrix(epsilon, "epsilon")
-    d2 = gen.mean_weight.shape[0]
-    if h.shape[1] != d2 or eps.shape != h.shape:
-        raise ValueError(f"latent width mismatch: h {h.shape}, epsilon {eps.shape}, generator {d2}")
-    return eps * gen.scale_of(h) + gen.mean_of(h)
-
-
-def mix(
+def mixture_coefficients(
     strategy: MixtureStrategy,
-    noises: list[np.ndarray],
-    weights: np.ndarray | None = None,
-    rng: SeededRng | None = None,
+    k: int,
+    mix_weights: np.ndarray | None = None,
     pick: int | None = None,
-) -> np.ndarray:
-    """Combine the per-task noises at one layer into a single matrix.
+    rng: SeededRng | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-task weights ``(c_mean, c_scale)`` of a layer's ``k`` generators.
 
-    learned-omega takes the weight-vector combination; average (and the
-    mean-only / scale-only variants, whose zeroing happens when the noises
-    are generated) take the plain mean; last-task keeps only the newest
-    noise; random-task keeps one uniformly chosen noise (index from ``pick``
-    or drawn from ``rng``).
+    learned-omega uses the mix weights for both maps, average 1/k for both,
+    mu-only 1/k for the mean and 0 for the scale, sigma-only the reverse;
+    last-task and random-task use one one-hot vector for both (random-task
+    takes ``pick``, or draws it from ``rng``).
     """
-    if not noises:
-        raise ValueError("cannot mix an empty noise list")
-    shape = noises[0].shape
-    for n in noises[1:]:
-        if n.shape != shape:
-            raise ValueError("all noises must share one shape")
+    if k < 1:
+        raise ValueError("a mixture needs at least one generator")
     if strategy is MixtureStrategy.LEARNED_OMEGA:
-        if weights is None or len(weights) != len(noises):
-            raise ValueError("learned-omega needs one weight per noise")
-        out = np.zeros(shape)
-        for w, n in zip(weights, noises):
-            out += w * n
-        return out
-    if strategy in (MixtureStrategy.AVERAGE, MixtureStrategy.MU_ONLY, MixtureStrategy.SIGMA_ONLY):
-        return sum(noises) / len(noises)
+        if mix_weights is None or len(mix_weights) != k:
+            raise ValueError("learned-omega needs one weight per generator")
+        omega = np.array(mix_weights, dtype=np.float64)
+        return omega, omega
+    uniform, off = np.full(k, 1.0 / k), np.zeros(k)
+    if strategy is MixtureStrategy.AVERAGE:
+        return uniform, uniform
+    if strategy is MixtureStrategy.MU_ONLY:
+        return uniform, off
+    if strategy is MixtureStrategy.SIGMA_ONLY:
+        return off, uniform
     if strategy is MixtureStrategy.LAST_TASK:
-        return noises[-1]
-    if strategy is MixtureStrategy.RANDOM_TASK:
-        if pick is None:
-            if rng is None:
-                raise ValueError("random-task needs a pick index or an rng")
-            pick = rng.integer(len(noises))
-        return noises[pick]
-    raise ValueError(f"unhandled strategy {strategy}")
+        pick = k - 1
+    elif strategy is not MixtureStrategy.RANDOM_TASK:
+        raise ValueError(f"unhandled strategy {strategy}")
+    elif pick is None:
+        if rng is None:
+            raise ValueError("random-task needs a pick index or an rng")
+        pick = rng.integer(k)
+    one_hot = np.zeros(k)
+    one_hot[pick] = 1.0
+    return one_hot, one_hot
+
+
+def mixed_generator(
+    generators: list[NoiseGenerator], c_mean: np.ndarray, c_scale: np.ndarray
+) -> NoiseGenerator:
+    """The single affine generator equal to the coefficient-weighted mixture.
+
+    Every task at a layer shares one draw, so ``sum_i c_i (eps * scale_i(h)
+    + mean_i(h))`` is ``eps * scale(h) + mean(h)`` of the weighted sums.
+    """
+    params = [np.stack(group) for group in zip(*(g.params() for g in generators))]
+    coeffs = (c_mean, c_mean, c_scale, c_scale)
+    return NoiseGenerator(
+        *(np.tensordot(c, p, axes=1) for c, p in zip(coeffs, params)), task_index=0, frozen=True
+    )
 
 
 @dataclass
@@ -169,10 +176,9 @@ class LayerCache:
 
     h: np.ndarray
     epsilon: np.ndarray | None
-    means: list[np.ndarray]
-    scales: list[np.ndarray]
-    noises: list[np.ndarray]
-    pick: int | None
+    generator: NoiseGenerator  # the effective (mixed) generator
+    c_mean: np.ndarray
+    c_scale: np.ndarray
 
 
 def run_layer(
@@ -190,47 +196,14 @@ def run_layer(
     evaluation and classifier updates.
     """
     h = feats @ layer.down_proj
-    means, scales, noises = [], [], []
-    for gen in layer.generators:
-        mu = gen.mean_of(h)
-        sig = gen.scale_of(h) if (epsilon is not None or collect) else None
-        if strategy is MixtureStrategy.MU_ONLY:
-            noise = mu
-        elif strategy is MixtureStrategy.SIGMA_ONLY:
-            noise = epsilon * sig if epsilon is not None else np.zeros_like(mu)
-        else:
-            noise = epsilon * sig + mu if epsilon is not None else mu
-        means.append(mu)
-        scales.append(sig)
-        noises.append(noise)
-    if strategy is MixtureStrategy.RANDOM_TASK and pick is None:
-        if rng is None:
-            raise ValueError("random-task needs a pick index or an rng")
-        pick = rng.integer(len(layer.generators))
-    mixed = mix(strategy, noises, layer.mix_weights, pick=pick)
-    out = feats + mixed @ layer.up_proj
-    cache = LayerCache(h=h, epsilon=epsilon, means=means, scales=scales, noises=noises, pick=pick) if collect else None
+    c_mean, c_scale = mixture_coefficients(strategy, len(layer.generators), layer.mix_weights, pick, rng)
+    gen = mixed_generator(layer.generators, c_mean, c_scale)
+    noise = gen.mean_of(h)
+    if epsilon is not None:
+        noise = epsilon * gen.scale_of(h) + noise
+    out = feats + noise @ layer.up_proj
+    cache = LayerCache(h, epsilon, gen, c_mean, c_scale) if collect else None
     return out, cache
-
-
-def apply_layer(
-    layer: PiNoiseLayer,
-    feats: np.ndarray,
-    strategy: MixtureStrategy,
-    rng: SeededRng | None = None,
-    eval_mode: bool = False,
-    epsilon: np.ndarray | None = None,
-) -> np.ndarray:
-    """Noise-adjusted layer output; identity when no generators exist yet."""
-    feats = as_matrix(feats, "layer features")
-    if not layer.generators:
-        return feats
-    if epsilon is None and not eval_mode:
-        if rng is None:
-            raise ValueError("sampling mode needs an rng")
-        epsilon = rng.standard_normal(feats.shape[0], layer.latent_dim)
-    out, _ = run_layer(layer, feats, strategy, epsilon, rng=rng)
-    return out
 
 
 def compute_prototype(layer: PiNoiseLayer, feature_batches) -> np.ndarray:

@@ -223,49 +223,23 @@ def backward(
         d_r = d_cur
         if cache is not None:
             layer = model.layers[l]
-            count = len(layer.generators)
-            d_mixed = d_cur @ layer.up_proj.T
-            strategy = model.strategy
-            if strategy is MixtureStrategy.LEARNED_OMEGA:
-                omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
-                if omega_key in grads:
-                    grads[omega_key] += np.array(
-                        [float(np.sum(d_mixed * noise)) for noise in cache.noises]
-                    )
-                contribs = [(i, layer.mix_weights[i] * d_mixed) for i in range(count)]
-            elif strategy in (
-                MixtureStrategy.AVERAGE,
-                MixtureStrategy.MU_ONLY,
-                MixtureStrategy.SIGMA_ONLY,
-            ):
-                share = d_mixed / count
-                contribs = [(i, share) for i in range(count)]
-            elif strategy is MixtureStrategy.LAST_TASK:
-                contribs = [(count - 1, d_mixed)]
-            else:  # RANDOM_TASK
-                contribs = [(cache.pick, d_mixed)]
-            d_h = np.zeros_like(cache.h)
-            for i, d_noise in contribs:
-                gen = layer.generators[i]
-                if strategy is MixtureStrategy.MU_ONLY:
-                    d_mu, d_sig = d_noise, None
-                elif strategy is MixtureStrategy.SIGMA_ONLY:
-                    d_mu = None
-                    d_sig = d_noise * cache.epsilon if cache.epsilon is not None else None
-                else:
-                    d_mu = d_noise
-                    d_sig = d_noise * cache.epsilon if cache.epsilon is not None else None
-                if d_mu is not None:
-                    d_h += d_mu @ gen.mean_weight.T
-                if d_sig is not None:
-                    d_h += d_sig @ gen.scale_weight.T
-                if i == count - 1 and f"gen{l}.mean_w" in grads:
-                    if d_mu is not None:
-                        grads[f"gen{l}.mean_w"] += cache.h.T @ d_mu
-                        grads[f"gen{l}.mean_b"] += d_mu.sum(axis=0)
-                    if d_sig is not None:
-                        grads[f"gen{l}.scale_w"] += cache.h.T @ d_sig
-                        grads[f"gen{l}.scale_b"] += d_sig.sum(axis=0)
+            d_mean = d_cur @ layer.up_proj.T
+            d_scale = d_mean * cache.epsilon if cache.epsilon is not None else np.zeros_like(d_mean)
+            gen = cache.generator
+            d_h = d_mean @ gen.mean_weight.T + d_scale @ gen.scale_weight.T
+            # gradients of the effective generator's four parameters; task i
+            # receives them scaled by its coefficient on that map
+            d_gen = (cache.h.T @ d_mean, d_mean.sum(axis=0), cache.h.T @ d_scale, d_scale.sum(axis=0))
+            if f"gen{l}.mean_w" in grads:
+                coeffs = (cache.c_mean[-1], cache.c_mean[-1], cache.c_scale[-1], cache.c_scale[-1])
+                for name, c, d in zip(("mean_w", "mean_b", "scale_w", "scale_b"), coeffs, d_gen):
+                    grads[f"gen{l}.{name}"] += c * d
+            # omega is trainable only under learned-omega, where it is both c_mean and c_scale
+            omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
+            if omega_key in grads:
+                grads[omega_key] += np.array(
+                    [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in layer.generators]
+                )
             d_r = d_r + d_h @ layer.down_proj.T
         u = tape.block_tanh[l]
         block = model.backbone.blocks[l]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from noisemix.backbone import build_backbone, build_buffer, BufferExpansion, expand
-from noisemix.model import build_model, forward_pass
+from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
+from noisemix.classifier import RidgeClassifier
+from noisemix.model import ContinualModel, build_model, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
 from noisemix.pinoise import init_mix_weights, new_generator
 
@@ -130,26 +131,42 @@ class TestStochasticEval:
 
 
 class TestExpand:
+    """The rectified buffer expansion at the end of the forward pass."""
+
+    def passthrough_model(self, projection):
+        # identity adapter and a gain-0 block: the backbone output is the input
+        width = projection.shape[0]
+        backbone = Backbone(
+            adapter=np.eye(width),
+            blocks=(FrozenBlock(weight=np.zeros((width, width)), gain=0.0),),
+        )
+        return ContinualModel(
+            backbone=backbone,
+            buffer=BufferExpansion(projection=projection),
+            layers=None,
+            classifier=RidgeClassifier(projection.shape[1], 1.0),
+        )
+
     def test_zero_input_zero_output(self):
-        buf = build_buffer(4, 8, 1)
-        assert np.array_equal(expand(buf, np.zeros((3, 4))), np.zeros((3, 8)))
+        model = small_model()
+        z, _, _ = forward_pass(model, np.zeros((3, 12)))
+        assert np.array_equal(z, np.zeros((3, 48)))
 
     def test_identity_padded_passthrough(self):
-        proj = np.hstack([np.eye(3), np.zeros((3, 5))])
-        buf = BufferExpansion(projection=proj)
+        model = self.passthrough_model(np.hstack([np.eye(3), np.zeros((3, 5))]))
         feats = np.abs(SeededRng(4).standard_normal(6, 3))
-        out = expand(buf, feats)
+        out = model.features(feats)
         assert np.array_equal(out[:, :3], feats)
         assert np.array_equal(out[:, 3:], np.zeros((6, 5)))
 
     def test_rectifier_zeroes_about_half(self):
-        buf = build_buffer(16, 256, 9)
+        model = self.passthrough_model(build_buffer(16, 256, 9).projection)
         feats = SeededRng(10).standard_normal(64, 16)
-        out = expand(buf, feats)
+        out = model.features(feats)
         frac_zero = float(np.mean(out == 0.0))
         assert 0.4 < frac_zero < 0.6
 
     def test_width_mismatch(self):
-        buf = build_buffer(4, 8, 1)
+        model = small_model()
         with pytest.raises(ValueError, match="width"):
-            expand(buf, np.zeros((3, 5)))
+            model.features(np.zeros((3, 5)))

@@ -6,7 +6,6 @@ from noisemix.checkpoint import (
     CheckpointError,
     load_history,
     load_into,
-    load_meta,
     read_container,
     save_checkpoint,
     write_container,
@@ -137,14 +136,26 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="frozen"):
             load_into(other, path)
 
-    def test_meta_readable_without_model(self, tmp_path):
+    def test_load_into_returns_meta(self, tmp_path):
         cfg = small_cfg()
-        _, model, _ = trained_model(cfg)
+        stream, model, _ = trained_model(cfg)
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "abc", cfg.train.seed, 3)
-        meta = load_meta(path)
+        meta = load_into(build_run_model(cfg, stream.feature_dim), path)
+        assert meta["config_hash"] == "abc"
         assert meta["sessions_completed"] == 2
         assert meta["rng"]["train_seed"] == cfg.train.seed
+
+    def test_missing_meta_rejected(self, tmp_path):
+        cfg = small_cfg()
+        stream, model, _ = trained_model(cfg)
+        path = tmp_path / "model.nmcp"
+        save_checkpoint(path, model, "abc", cfg.train.seed, 3)
+        sections = read_container(path)
+        del sections["meta"]
+        write_container(path, sections)
+        with pytest.raises(CheckpointError, match="meta"):
+            load_into(build_run_model(cfg, stream.feature_dim), path)
 
     def test_baseline_checkpoint_round_trip(self, tmp_path):
         cfg = small_cfg()

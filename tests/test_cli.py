@@ -1,6 +1,10 @@
 import pytest
 
+from noisemix import cli
 from noisemix.cli import main
+from noisemix.pinoise import MixtureStrategy
+
+MIXTURE_STRATEGIES = [m.value for m in MixtureStrategy]
 
 FAST = [
     "--set", "data.samples_per_class=20",
@@ -115,6 +119,16 @@ class TestTrain:
         assert rc == 2
         assert "numerical" in capsys.readouterr().err.lower()
 
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "run_training", exhausted)
+        rc = run_cli("train", *FAST, "--out", str(tmp_path / "oom"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["out of memory: Unable to allocate 2.00 GiB for an array"]
+
 
 class TestEval:
     def test_eval_finished_run(self, tmp_path, capsys):
@@ -193,6 +207,11 @@ class TestGradcheckAndSnapshot:
         out = capsys.readouterr().out
         assert "gradcheck: PASS" in out
         assert "max_rel" in out
+
+    @pytest.mark.parametrize("strategy", MIXTURE_STRATEGIES)
+    def test_gradcheck_passes_for_every_strategy(self, strategy, capsys):
+        assert run_cli("gradcheck", "--set", f"pinoise.strategy={strategy}") == 0
+        assert "gradcheck: PASS" in capsys.readouterr().out
 
     def test_gradcheck_corruption_fails(self, capsys):
         rc = run_cli("gradcheck", "--corrupt", "aux")

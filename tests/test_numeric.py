@@ -134,6 +134,21 @@ class TestSeededRng:
         perm = SeededRng(seed).permutation(n)
         assert sorted(perm.tolist()) == list(range(n))
 
+    @pytest.mark.parametrize("seed", [0, 1993, 2**63 + 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000, 40000])
+    def test_permutation_matches_fisher_yates_loop(self, n, seed):
+        # reference: one integer() draw per swap, i from n-1 down to 1
+        reference = SeededRng(seed)
+        expected = np.arange(n)
+        for i in range(n - 1, 0, -1):
+            j = reference.integer(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        rng = SeededRng(seed)
+        perm = rng.permutation(n)
+        assert perm.dtype == expected.dtype
+        assert np.array_equal(perm, expected)
+        assert rng.state == reference.state
+
     def test_split_streams_are_independent_of_consumption(self):
         r = SeededRng(77)
         child_before = r.split("x").standard_normal(3)

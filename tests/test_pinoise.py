@@ -3,19 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
     MixtureStrategy,
     NoiseGenerator,
-    apply_layer,
+    PiNoiseLayer,
     build_layer,
     compute_prototype,
-    generate_noise,
     init_mix_weights,
-    mix,
+    mixture_coefficients,
     new_generator,
     prototype_similarities,
+    run_layer,
 )
+
+STRATEGIES = list(MixtureStrategy)
 
 
 def make_gen(d2, seed=1, scale=1.0, task=1):
@@ -29,18 +32,72 @@ def make_gen(d2, seed=1, scale=1.0, task=1):
     )
 
 
+def make_layer(d1=6, d2=3, gens=0, seed=5, scale=1.0):
+    layer = build_layer(d1, d2, 0, SeededRng(seed))
+    for t in range(gens):
+        layer.generators.append(make_gen(d2, seed=10 + t, scale=scale, task=t + 1))
+        layer.prototypes.append(SeededRng(20 + t).standard_normal(d2))
+    if gens:
+        layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
+    return layer
+
+
+def layer_of(generators, weights=None, d1=6, seed=5):
+    layer = build_layer(d1, generators[0].mean_weight.shape[0], 0, SeededRng(seed))
+    layer.generators = list(generators)
+    layer.mix_weights = None if weights is None else np.asarray(weights, dtype=float)
+    return layer
+
+
+def single_generator_path(layer, gen, feats, eps):
+    """One generator's noise ``eps * scale(h) + mean(h)`` added to the features."""
+    h = feats @ layer.down_proj
+    noise = h @ gen.mean_weight + gen.mean_bias
+    if eps is not None:
+        noise = eps * (h @ gen.scale_weight + gen.scale_bias) + noise
+    return feats + noise @ layer.up_proj
+
+
+def per_task_reference(layer, feats, strategy, eps, pick):
+    """Every task's noise generated on its own, then mixed by the strategy."""
+    h = feats @ layer.down_proj
+    noises = []
+    for gen in layer.generators:
+        mu = h @ gen.mean_weight + gen.mean_bias
+        sig = h @ gen.scale_weight + gen.scale_bias
+        if strategy is MixtureStrategy.MU_ONLY:
+            noises.append(mu)
+        elif strategy is MixtureStrategy.SIGMA_ONLY:
+            noises.append(eps * sig if eps is not None else np.zeros_like(mu))
+        else:
+            noises.append(eps * sig + mu if eps is not None else mu)
+    if strategy is MixtureStrategy.LEARNED_OMEGA:
+        mixed = sum(w * n for w, n in zip(layer.mix_weights, noises))
+    elif strategy is MixtureStrategy.LAST_TASK:
+        mixed = noises[-1]
+    elif strategy is MixtureStrategy.RANDOM_TASK:
+        mixed = noises[pick]
+    else:
+        mixed = sum(noises) / len(noises)
+    return feats + mixed @ layer.up_proj
+
+
 class TestGenerateNoise:
     def test_zero_generator_silent_for_any_draw(self):
-        gen = make_gen(4, scale=0.0)
-        h = SeededRng(2).standard_normal(5, 4)
-        eps = SeededRng(3).standard_normal(5, 4)
-        assert np.array_equal(generate_noise(gen, h, eps), np.zeros((5, 4)))
+        layer = make_layer(gens=1, scale=0.0)
+        feats = SeededRng(2).standard_normal(5, 6)
+        eps = SeededRng(3).standard_normal(5, 3)
+        for strategy in STRATEGIES:
+            out, _ = run_layer(layer, feats, strategy, eps, pick=0)
+            assert np.array_equal(out, feats), strategy
 
     def test_zero_draw_returns_mean_path(self):
-        gen = make_gen(4)
-        h = SeededRng(2).standard_normal(5, 4)
-        out = generate_noise(gen, h, np.zeros((5, 4)))
-        assert np.array_equal(out, gen.mean_of(h))
+        layer = make_layer(gens=2)
+        feats = SeededRng(2).standard_normal(5, 6)
+        for strategy in STRATEGIES:
+            drawn, _ = run_layer(layer, feats, strategy, np.zeros((5, 3)), pick=1)
+            mean_path, _ = run_layer(layer, feats, strategy, None, pick=1)
+            assert np.array_equal(drawn, mean_path), strategy
 
     def test_scalar_case(self):
         gen = NoiseGenerator(
@@ -50,100 +107,182 @@ class TestGenerateNoise:
             scale_bias=np.array([2.0]),
             task_index=1,
         )
-        out = generate_noise(gen, np.zeros((1, 1)), np.array([[0.5]]))
+        layer = PiNoiseLayer(down_proj=np.ones((1, 1)), up_proj=np.ones((1, 1)), layer_index=0)
+        layer.generators.append(gen)
+        layer.mix_weights = np.array([1.0])
+        out, _ = run_layer(layer, np.zeros((1, 1)), MixtureStrategy.LEARNED_OMEGA, np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(2.0)
 
     def test_width_mismatch(self):
-        gen = make_gen(4)
+        layer = make_layer(gens=1)
         with pytest.raises(ValueError):
-            generate_noise(gen, np.zeros((2, 3)), np.zeros((2, 3)))
+            run_layer(layer, np.zeros((2, 5)), MixtureStrategy.LEARNED_OMEGA, None)
+        with pytest.raises(ValueError):
+            run_layer(layer, np.zeros((2, 6)), MixtureStrategy.LEARNED_OMEGA, np.zeros((2, 2)))
 
 
 class TestMix:
     def test_single_noise_unit_weight(self):
-        n = SeededRng(1).standard_normal(3, 2)
-        assert np.array_equal(mix(MixtureStrategy.LEARNED_OMEGA, [n], np.array([1.0])), n)
+        gen = make_gen(3)
+        layer = layer_of([gen], weights=[1.0])
+        feats = SeededRng(1).standard_normal(4, 6)
+        eps = SeededRng(2).standard_normal(4, 3)
+        out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
+        assert np.array_equal(out, single_generator_path(layer, gen, feats, eps))
 
     def test_identical_noises_affine_combination(self):
-        n = SeededRng(1).standard_normal(3, 2)
-        out = mix(MixtureStrategy.LEARNED_OMEGA, [n.copy(), n.copy()], np.array([0.3, 0.7]))
-        np.testing.assert_allclose(out, n, rtol=1e-15)
+        gen = make_gen(3)
+        layer = layer_of([gen, make_gen(3)], weights=[0.3, 0.7])
+        layer.generators[1] = gen
+        feats = SeededRng(1).standard_normal(4, 6)
+        eps = SeededRng(2).standard_normal(4, 3)
+        out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
+        np.testing.assert_allclose(out, single_generator_path(layer, gen, feats, eps), rtol=1e-14)
 
     def test_average_cancellation(self):
-        n = SeededRng(1).standard_normal(3, 2)
-        out = mix(MixtureStrategy.AVERAGE, [n, -n])
-        assert np.array_equal(out, np.zeros((3, 2)))
+        gen = make_gen(3)
+        negated = NoiseGenerator(*(-p for p in gen.params()), task_index=2)
+        layer = layer_of([gen, negated])
+        feats = SeededRng(1).standard_normal(4, 6)
+        eps = SeededRng(2).standard_normal(4, 3)
+        out, _ = run_layer(layer, feats, MixtureStrategy.AVERAGE, eps)
+        assert np.array_equal(out, feats)
 
     def test_last_and_random(self):
-        a, b = np.ones((2, 2)), 2 * np.ones((2, 2))
-        assert np.array_equal(mix(MixtureStrategy.LAST_TASK, [a, b]), b)
-        assert np.array_equal(mix(MixtureStrategy.RANDOM_TASK, [a, b], pick=0), a)
-        picked = mix(MixtureStrategy.RANDOM_TASK, [a, b], rng=SeededRng(3))
-        assert np.array_equal(picked, a) or np.array_equal(picked, b)
+        layer = make_layer(gens=3)
+        feats = SeededRng(1).standard_normal(4, 6)
+        eps = SeededRng(2).standard_normal(4, 3)
+        singles = [single_generator_path(layer, g, feats, eps) for g in layer.generators]
+        last, _ = run_layer(layer, feats, MixtureStrategy.LAST_TASK, eps)
+        assert np.array_equal(last, singles[-1])
+        for pick in range(3):
+            picked, _ = run_layer(layer, feats, MixtureStrategy.RANDOM_TASK, eps, pick=pick)
+            assert np.array_equal(picked, singles[pick])
+        # without a pick, one integer is drawn from the rng
+        rng, twin = SeededRng(3), SeededRng(3)
+        drawn, _ = run_layer(layer, feats, MixtureStrategy.RANDOM_TASK, eps, rng=rng)
+        assert np.array_equal(drawn, singles[twin.integer(3)])
+        assert rng.state == twin.state
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            mix(MixtureStrategy.AVERAGE, [])
+            mixture_coefficients(MixtureStrategy.AVERAGE, 0)
+        layer = make_layer(gens=2)
+        layer.mix_weights = np.array([1.0])
         with pytest.raises(ValueError):
-            mix(MixtureStrategy.AVERAGE, [np.ones((2, 2)), np.ones((3, 2))])
+            run_layer(layer, np.zeros((2, 6)), MixtureStrategy.LEARNED_OMEGA, None)
         with pytest.raises(ValueError):
-            mix(MixtureStrategy.LEARNED_OMEGA, [np.ones((2, 2))], np.array([0.5, 0.5]))
+            run_layer(layer, np.zeros((2, 6)), MixtureStrategy.RANDOM_TASK, None)
+        mismatched = make_layer(gens=1)
+        mismatched.generators.append(make_gen(4))
+        with pytest.raises(ValueError):
+            run_layer(mismatched, np.zeros((2, 6)), MixtureStrategy.AVERAGE, None)
 
     @given(st.floats(min_value=-5, max_value=5))
     @settings(max_examples=25)
     def test_learned_mix_is_linear(self, a):
-        n1 = SeededRng(1).standard_normal(3, 2)
-        n2 = SeededRng(2).standard_normal(3, 2)
-        w = np.array([0.4, 0.6])
-        scaled = mix(MixtureStrategy.LEARNED_OMEGA, [a * n1, a * n2], w)
-        base = mix(MixtureStrategy.LEARNED_OMEGA, [n1, n2], w)
-        np.testing.assert_allclose(scaled, a * base, rtol=1e-12, atol=1e-12)
+        layer = make_layer(gens=2)
+        layer.mix_weights = np.array([0.4, 0.6])
+        scaled = layer_of(
+            [NoiseGenerator(*(a * p for p in g.params()), task_index=1) for g in layer.generators],
+            weights=layer.mix_weights,
+        )
+        feats = SeededRng(1).standard_normal(3, 6)
+        eps = SeededRng(2).standard_normal(3, 3)
+        base, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
+        out, _ = run_layer(scaled, feats, MixtureStrategy.LEARNED_OMEGA, eps)
+        np.testing.assert_allclose(out - feats, a * (base - feats), rtol=1e-12, atol=1e-12)
 
 
 class TestApplyLayer:
-    def make_layer(self, d1=6, d2=3, gens=0, seed=5, scale=1.0):
-        layer = build_layer(d1, d2, 0, SeededRng(seed))
-        for t in range(gens):
-            layer.generators.append(make_gen(d2, seed=10 + t, scale=scale, task=t + 1))
-            layer.prototypes.append(SeededRng(20 + t).standard_normal(d2))
-        if gens:
-            layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
-        return layer
-
     def test_no_generators_is_identity(self):
-        layer = self.make_layer(gens=0)
-        feats = SeededRng(1).standard_normal(4, 6)
-        out = apply_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eval_mode=True)
-        assert np.array_equal(out, feats)
+        def model(with_noise):
+            return build_model(12, 24, 3, 0.5, 48, 6, 10.0, seed=3, with_noise=with_noise)
+
+        x = SeededRng(1).standard_normal(4, 12)
+        z_noise, pre_noise, tape = forward_pass(model(True), x, collect=True)
+        z_plain, pre_plain, _ = forward_pass(model(False), x)
+        assert np.array_equal(z_noise, z_plain)
+        assert all(np.array_equal(a, b) for a, b in zip(pre_noise, pre_plain))
+        assert tape.layer_caches == [None, None, None]
 
     def test_zero_generators_are_identity(self):
-        layer = self.make_layer(gens=2, scale=0.0)
+        layer = make_layer(gens=2, scale=0.0)
         feats = SeededRng(1).standard_normal(4, 6)
-        out = apply_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eval_mode=True)
-        assert np.array_equal(out, feats)
+        eps = SeededRng(2).standard_normal(4, 3)
+        for strategy in STRATEGIES:
+            for draw in (None, eps):
+                out, _ = run_layer(layer, feats, strategy, draw, pick=0)
+                assert np.array_equal(out, feats), strategy
 
     def test_eval_mode_is_deterministic(self):
-        layer = self.make_layer(gens=2)
+        layer = make_layer(gens=2)
         feats = SeededRng(1).standard_normal(4, 6)
-        a = apply_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eval_mode=True)
-        b = apply_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eval_mode=True)
+        a, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, None)
+        b, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, None)
         assert np.array_equal(a, b)
 
     def test_single_task_learned_equals_single_generator_path(self):
-        layer = self.make_layer(gens=1)
+        layer = make_layer(gens=1)
         layer.mix_weights = np.array([1.0])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
-        out = apply_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, epsilon=eps)
-        gen = layer.generators[0]
-        h = feats @ layer.down_proj
-        expected = feats + generate_noise(gen, h, eps) @ layer.up_proj
-        np.testing.assert_allclose(out, expected, rtol=1e-15)
+        out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
+        assert np.array_equal(out, single_generator_path(layer, layer.generators[0], feats, eps))
 
     def test_sampling_needs_rng(self):
-        layer = self.make_layer(gens=1)
-        with pytest.raises(ValueError):
-            apply_layer(layer, np.zeros((2, 6)), MixtureStrategy.LEARNED_OMEGA)
+        model = build_model(12, 24, 3, 0.5, 48, 6, 10.0, seed=3)
+        for layer in model.layers:
+            layer.generators.append(make_gen(6))
+            layer.mix_weights = np.array([1.0])
+        with pytest.raises(ValueError, match="rng"):
+            model.features(np.zeros((2, 12)), eval_mode=False)
+
+
+class TestMixtureCoefficients:
+    OMEGA = np.array([0.1, 0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "strategy, c_mean, c_scale",
+        [
+            (MixtureStrategy.LEARNED_OMEGA, OMEGA, OMEGA),
+            (MixtureStrategy.AVERAGE, [0.25] * 4, [0.25] * 4),
+            (MixtureStrategy.MU_ONLY, [0.25] * 4, [0.0] * 4),
+            (MixtureStrategy.SIGMA_ONLY, [0.0] * 4, [0.25] * 4),
+            (MixtureStrategy.LAST_TASK, [0, 0, 0, 1.0], [0, 0, 0, 1.0]),
+            (MixtureStrategy.RANDOM_TASK, [0, 1.0, 0, 0], [0, 1.0, 0, 0]),
+        ],
+    )
+    def test_each_strategy_is_a_coefficient_pair(self, strategy, c_mean, c_scale):
+        got_mean, got_scale = mixture_coefficients(strategy, 4, self.OMEGA, pick=1)
+        assert np.array_equal(got_mean, c_mean)
+        assert np.array_equal(got_scale, c_scale)
+
+    def test_learned_weights_are_copied(self):
+        omega = self.OMEGA.copy()
+        c_mean, _ = mixture_coefficients(MixtureStrategy.LEARNED_OMEGA, 4, omega)
+        omega[0] = 9.0
+        assert c_mean[0] == 0.1
+
+
+class TestRunLayerStrategies:
+    @pytest.mark.parametrize("with_draw", [True, False])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_per_task_reference(self, strategy, with_draw):
+        layer = make_layer(gens=4)
+        feats = SeededRng(1).standard_normal(7, 6)
+        eps = SeededRng(2).standard_normal(7, 3) if with_draw else None
+        out, cache = run_layer(layer, feats, strategy, eps, pick=2, collect=True)
+        expected = per_task_reference(layer, feats, strategy, eps, pick=2)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        c_mean, c_scale = mixture_coefficients(strategy, 4, layer.mix_weights, pick=2)
+        assert np.array_equal(cache.c_mean, c_mean) and np.array_equal(cache.c_scale, c_scale)
+
+    def test_sigma_only_mean_path_is_identity(self):
+        layer = make_layer(gens=3)
+        feats = SeededRng(1).standard_normal(4, 6)
+        out, _ = run_layer(layer, feats, MixtureStrategy.SIGMA_ONLY, None)
+        assert np.array_equal(out, feats)
 
 
 class TestPrototypes:
