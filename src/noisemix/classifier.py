@@ -50,14 +50,12 @@ class RidgeClassifier:
 
     def one_hot(self, labels) -> np.ndarray:
         """Targets over all classes seen so far, one row per label."""
-        index = {c: j for j, c in enumerate(self.classes_seen)}
-        y = np.zeros((len(labels), self.num_classes))
-        for i, lab in enumerate(labels):
-            j = index.get(int(lab))
-            if j is None:
-                raise ValueError(f"label {lab} not among registered classes")
-            y[i, j] = 1.0
-        return y
+        labels = np.asarray(labels).reshape(-1)
+        hits = labels[:, None] == np.asarray(self.classes_seen, dtype=np.int64)
+        unknown = ~hits.any(axis=1)
+        if unknown.any():
+            raise ValueError(f"label {labels[unknown][0]} not among registered classes")
+        return hits.astype(np.float64)
 
     def update(self, feats: np.ndarray, targets: np.ndarray) -> None:
         """Fold one batch into the running ridge solution.

@@ -1,7 +1,9 @@
 """Incremental task streams: synthetic cluster data and embedding-file ingestion.
 
-A stream is a fixed sequence of tasks with pairwise disjoint class sets.
-Streams are immutable after construction and fully determined by their seed.
+A stream is a fixed sequence of tasks with pairwise disjoint class sets. Each
+split of a task is one read-only record array of ``record_dtype(d)`` rows, an
+int64 label followed by d float64 features, packed. Streams are immutable
+after construction and fully determined by their seed.
 """
 
 from __future__ import annotations
@@ -20,26 +22,31 @@ TRAIN_FRACTION = 0.8
 OVERLAP_OFFSET_FRACTION = 0.15
 
 
-@dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    label: int
+def record_dtype(dim: int) -> np.dtype:
+    """One row of a split: its label, then its ``dim`` features, packed."""
+    return np.dtype([("label", "<i8"), ("features", "<f8", (dim,))])
 
 
-@dataclass(frozen=True)
+def _frozen(rows: np.ndarray) -> np.recarray:
+    split = rows.view(np.recarray)
+    split.flags.writeable = False
+    return split
+
+
+@dataclass(frozen=True, eq=False)
 class TaskDataset:
     """One session's data: disjoint-class train and test splits."""
 
     task_index: int  # 1-based
-    train: tuple[Sample, ...]
-    test: tuple[Sample, ...]
+    train: np.recarray
+    test: np.recarray
     class_set: tuple[int, ...]
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.train)
+        return self.train.features.copy(), self.train.label.copy()
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _to_arrays(self.test)
+        return self.test.features.copy(), self.test.label.copy()
 
 
 @dataclass(frozen=True)
@@ -58,24 +65,16 @@ class TaskStream:
 
     @property
     def feature_dim(self) -> int:
-        return self.tasks[0].train[0].features.shape[0]
+        return self.tasks[0].train.features.shape[1]
 
     def content_hash(self) -> str:
-        """SHA-256 over every sample and the class order; identifies the stream."""
+        """SHA-256 over the class order, then each split's packed rows; identifies the stream."""
         h = hashlib.sha256()
         h.update(np.asarray(self.class_order, dtype=np.int64).tobytes())
         for task in self.tasks:
-            for split in (task.train, task.test):
-                for s in split:
-                    h.update(np.int64(s.label).tobytes())
-                    h.update(np.ascontiguousarray(s.features, dtype=np.float64).tobytes())
+            h.update(task.train.tobytes())
+            h.update(task.test.tobytes())
         return h.hexdigest()
-
-
-def _to_arrays(samples: tuple[Sample, ...]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.features for s in samples]).astype(np.float64)
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
 
 
 def shuffle_class_order(num_classes: int, seed: int) -> tuple[int, ...]:
@@ -139,15 +138,12 @@ def make_synthetic_stream(
     n_train = int(TRAIN_FRACTION * samples_per_class)
     tasks = []
     for t, classes in enumerate(task_classes, start=1):
-        train: list[Sample] = []
-        test: list[Sample] = []
-        for c in classes:
-            rng_c = master.split("samples", c)
-            draws = means[c] + rng_c.standard_normal(samples_per_class, dim)
-            for i in range(samples_per_class):
-                sample = Sample(features=draws[i], label=c)
-                (train if i < n_train else test).append(sample)
-        tasks.append(TaskDataset(task_index=t, train=tuple(train), test=tuple(test), class_set=classes))
+        rows = np.empty((len(classes), samples_per_class), dtype=record_dtype(dim))
+        rows["label"] = np.asarray(classes)[:, None]
+        for k, c in enumerate(classes):
+            rows["features"][k] = means[c] + master.split("samples", c).standard_normal(samples_per_class, dim)
+        train, test = rows[:, :n_train].ravel(), rows[:, n_train:].ravel()
+        tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=classes))
     return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
 
 
@@ -199,61 +195,55 @@ def load_embedding_stream(path: str | Path, num_tasks: int, seed: int) -> TaskSt
     """Build a stream from a CSV of precomputed feature embeddings.
 
     Expected format: header ``label,f0,f1,...,f{d-1}``, then one row per
-    sample with an integer label followed by d decimal reals. Labels must be
-    the contiguous range 0..C-1. Classes are shuffled with ``seed`` and
+    sample with an int64 label followed by d decimal reals, parsed by numpy.
+    Blank lines are skipped; there are no comment lines. Labels must be the
+    contiguous range 0..C-1. Classes are shuffled with ``seed`` and
     partitioned into ``num_tasks`` tasks. A sibling file with the ``.split``
     extension may list test-set sample indices (0-based row order, one per
     line); when absent each class gets a seeded 80/20 split.
     """
     path = Path(path)
-    labels, features = _parse_embedding_csv(path)
-    classes = sorted(set(labels))
-    num_classes = len(classes)
-    if classes != list(range(num_classes)):
+    records = _parse_embedding_csv(path)
+    labels = records["label"]
+    num_classes = len(np.unique(labels))
+    if labels.max() != num_classes - 1:  # C distinct labels >= 0 are 0..C-1 iff the largest is C-1
         raise ValueError("labels must form the contiguous range 0..C-1")
     if num_classes < num_tasks:
         raise ValueError(f"file has {num_classes} classes, fewer than {num_tasks} tasks")
 
     order = shuffle_class_order(num_classes, seed)
     task_classes = partition_classes(order, num_tasks)
-
-    test_indices = _read_split_file(path.with_suffix(".split"), len(labels))
-    by_class: dict[int, list[int]] = {c: [] for c in classes}
-    for i, lab in enumerate(labels):
-        by_class[lab].append(i)
+    is_test = _read_split_file(path.with_suffix(".split"), len(records))
 
     tasks = []
     for t, chunk in enumerate(task_classes, start=1):
-        train: list[Sample] = []
-        test: list[Sample] = []
+        train_rows, test_rows, missing = [], [], []
         for c in chunk:
-            idxs = by_class[c]
-            if test_indices is not None:
-                for i in idxs:
-                    sample = Sample(features=features[i], label=c)
-                    (test if i in test_indices else train).append(sample)
+            rows = np.flatnonzero(labels == c)
+            if is_test is not None:
+                train_rows.append(rows[~is_test[rows]])
+                test_rows.append(rows[is_test[rows]])
             else:
-                rng_c = SeededRng(derive_seed(seed, "split", c))
-                perm = rng_c.permutation(len(idxs))
-                n_train = max(1, int(TRAIN_FRACTION * len(idxs)))
-                for k, p in enumerate(perm):
-                    sample = Sample(features=features[idxs[int(p)]], label=c)
-                    (train if k < n_train else test).append(sample)
-        if not test:
+                rows = rows[SeededRng(derive_seed(seed, "split", c)).permutation(len(rows))]
+                n_train = max(1, int(TRAIN_FRACTION * len(rows)))
+                train_rows.append(rows[:n_train])
+                test_rows.append(rows[n_train:])
+            if not len(train_rows[-1]):
+                missing.append(c)
+        train = records[np.concatenate(train_rows)]
+        test = records[np.concatenate(test_rows)]
+        if not len(test):
             raise ValueError(f"task {t} ended up with an empty test split")
-        if not train:
+        if not len(train):
             raise ValueError(f"task {t} ended up with an empty train split")
-        trained_classes = {s.label for s in train}
-        missing = [c for c in chunk if c not in trained_classes]
         if missing:
             raise ValueError(f"classes {missing} have no training samples")
-        tasks.append(TaskDataset(task_index=t, train=tuple(train), test=tuple(test), class_set=chunk))
+        tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=chunk))
     return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
 
 
-def _parse_embedding_csv(path: Path) -> tuple[list[int], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _parse_embedding_csv(path: Path) -> np.ndarray:
+    lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -263,30 +253,42 @@ def _parse_embedding_csv(path: Path) -> tuple[list[int], np.ndarray]:
     expected = ["label"] + [f"f{i}" for i in range(dim)]
     if header != expected:
         raise ValueError(f"{path}: malformed header columns")
-    labels: list[int] = []
-    rows: list[list[float]] = []
+    if not any(lines[1:]):
+        raise ValueError(f"{path}: no data rows")
+    dtype = record_dtype(dim)
+    try:
+        records = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
+        if not np.any(records["label"] < 0):
+            return records
+    except ValueError:
+        pass
+    _raise_at_first_bad_line(path, lines, dtype)
+
+
+def _raise_at_first_bad_line(path: Path, lines: list[str], dtype: np.dtype) -> None:
+    """Re-parse the data rows one at a time to report the file line at fault."""
+    fields = 1 + dtype["features"].shape[0]
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != dim + 1:
-            raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}")
+        if len(parts) != fields:
+            raise ValueError(f"{path}:{lineno}: expected {fields} fields, got {len(parts)}")
         try:
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+            row = np.loadtxt([line], delimiter=",", dtype=dtype, comments=None, ndmin=1)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed value ({exc})") from None
-        if labels[-1] < 0:
+            # numpy counts rows of the one-line input; the file line is already named
+            raise ValueError(f"{path}:{lineno}: malformed value ({str(exc).replace('row 0, ', '')})") from None
+        if row["label"][0] < 0:
             raise ValueError(f"{path}:{lineno}: labels must be non-negative")
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return labels, np.asarray(rows, dtype=np.float64)
+    raise ValueError(f"{path}: malformed data rows")
 
 
-def _read_split_file(path: Path, n_samples: int) -> set[int] | None:
+def _read_split_file(path: Path, n_samples: int) -> np.ndarray | None:
+    """Boolean test-row mask from a ``.split`` file, or None when there is none."""
     if not path.exists():
         return None
-    indices = set()
+    is_test = np.zeros(n_samples, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -298,5 +300,5 @@ def _read_split_file(path: Path, n_samples: int) -> set[int] | None:
                 raise ValueError(f"{path}:{lineno}: expected an integer index") from None
             if not 0 <= idx < n_samples:
                 raise ValueError(f"{path}:{lineno}: index {idx} out of range")
-            indices.add(idx)
-    return indices
+            is_test[idx] = True
+    return is_test

@@ -13,7 +13,7 @@ from .datastream import TaskStream, load_embedding_stream, make_synthetic_stream
 from .model import ContinualModel, build_model
 from .numeric import SeededRng, derive_seed
 from .pinoise import MixtureStrategy
-from .report import RunSummary, emit, render_line_chart, summarize
+from .report import RunSummary, SessionReport, emit, render_line_chart, summarize
 from .trainer import TrainConfig, cosine_lr, run_session
 
 ABLATION_VARIANTS = (
@@ -118,16 +118,13 @@ def run_training(
     if log and (start_task == 1 or not log_path.exists()):
         log_path.write_text("session,epoch,lr,mean_loss\n", encoding="utf-8")
 
-    reports = []
-    for t in range(start_task, last_task + 1):
-        session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-        report = run_session(model, stream, tcfg, session_rng)
-        reports.append(report)
-        if log:
-            with open(log_path, "a", encoding="utf-8") as fh:
+    reports = _run_sessions(model, stream, tcfg, cfg.train.seed, start_task, last_task)
+    if log:
+        with open(log_path, "a", encoding="utf-8") as fh:
+            for report in reports:
                 for epoch, loss in enumerate(report.epoch_losses):
                     lr = cosine_lr(epoch, tcfg.epochs, tcfg.lr_init)
-                    fh.write(f"{t},{epoch},{lr:.8f},{loss:.8f}\n")
+                    fh.write(f"{report.task_index},{epoch},{lr:.8f},{loss:.8f}\n")
 
     reports = earlier_reports + reports
     summary = summarize(reports, hash_)
@@ -145,16 +142,23 @@ def run_training(
     return summary
 
 
+def _run_sessions(
+    model: ContinualModel, stream: TaskStream, tcfg: TrainConfig, train_seed: int, first: int, last: int
+) -> list[SessionReport]:
+    """Sessions first..last of the stream, in order, on ``model``."""
+    reports = []
+    for t in range(first, last + 1):
+        session_rng = SeededRng(derive_seed(train_seed, "session", t))
+        # looked up in this module at call time, so a replaced run_session is used
+        reports.append(run_session(model, stream, tcfg, session_rng))
+    return reports
+
+
 def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
     """Every session of the configured stream on a fresh model, no artifacts."""
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
-    reports = []
-    for t in range(1, stream.num_tasks + 1):
-        session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-        # looked up in this module at call time, so a replaced run_session is used
-        reports.append(run_session(model, stream, tcfg, session_rng))
+    reports = _run_sessions(model, stream, train_config(cfg), cfg.train.seed, 1, stream.num_tasks)
     return stream, summarize(reports, config_hash(cfg))
 
 

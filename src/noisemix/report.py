@@ -47,10 +47,7 @@ def evaluate(model, stream, upto_task: int) -> SessionReport:
     if model.classifier.num_classes < 1:
         raise ValueError("classifier has no trained classes")
     expected = sum(len(stream.tasks[i].test) for i in range(upto_task))
-    correct: dict[int, int] = {}
-    total: dict[int, int] = {}
-    n_seen = 0
-    n_correct = 0
+    labels, hits = [], []
     rng = SeededRng(derive_seed(model.eval_seed, "session", upto_task))
     for i in range(upto_task):
         x, y = stream.tasks[i].test_arrays()
@@ -58,19 +55,19 @@ def evaluate(model, stream, upto_task: int) -> SessionReport:
             xb = x[start : start + EVAL_BATCH]
             yb = y[start : start + EVAL_BATCH]
             feats = model.features(xb, rng=rng.split("batch", i, start), eval_mode=True)
-            pred = model.classifier.predict_labels(feats)
-            for label, hit in zip(yb, pred == yb):
-                c = int(label)
-                total[c] = total.get(c, 0) + 1
-                correct[c] = correct.get(c, 0) + int(hit)
-            n_seen += len(yb)
-            n_correct += int(np.sum(pred == yb))
+            labels.append(yb)
+            hits.append(model.classifier.predict_labels(feats) == yb)
+    labels, hits = np.concatenate(labels), np.concatenate(hits)
+    n_seen = len(labels)
     if n_seen != expected:
         raise RuntimeError(f"evaluated {n_seen} samples, expected {expected}")
-    per_class = {c: correct[c] / total[c] for c in sorted(total)}
+    classes, inverse = np.unique(labels, return_inverse=True)
+    correct = np.bincount(inverse[hits], minlength=len(classes))
+    total = np.bincount(inverse)
+    per_class = {int(c): int(k) / int(n) for c, k, n in zip(classes, correct, total)}
     return SessionReport(
         task_index=upto_task,
-        accuracy_seen=n_correct / n_seen,
+        accuracy_seen=int(np.count_nonzero(hits)) / n_seen,
         per_class_accuracy=per_class,
         n_test=n_seen,
     )

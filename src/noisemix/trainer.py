@@ -38,7 +38,6 @@ class TrainConfig:
     lr_init: float = 0.001
     momentum: float = 0.9
     tau: float = 2.0
-    schedule: str = "cosine"
     loss_mode: str = "residual-corrected-ce"
     grad_clip: float = 10.0  # global norm; 0 disables clipping
     init_scale: float = 0.0001
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.schedule != "cosine":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
         if self.grad_clip < 0:

@@ -37,6 +37,23 @@ class TestInit:
             RidgeClassifier(4, -3.0)
 
 
+class TestOneHot:
+    def test_unknown_label_raises(self):
+        clf = RidgeClassifier(2, 1.0)
+        clf.expand_classes([3, 5])
+        with pytest.raises(ValueError, match="label 4 not among registered classes"):
+            clf.one_hot(np.array([3, 4, 5]))
+
+    def test_columns_follow_registration_order(self):
+        clf = RidgeClassifier(2, 1.0)
+        clf.expand_classes([7, 2])
+        clf.expand_classes([5])
+        labels = [2, 5, 7, 2]
+        y = clf.one_hot(np.array(labels))
+        assert y.dtype == np.float64
+        assert np.array_equal(y, one_hot(labels, [7, 2, 5]))
+
+
 class TestUpdate:
     def test_scalar_first_update(self):
         clf = RidgeClassifier(1, 1.0)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from noisemix.datastream import (
+    _parse_embedding_csv,
     load_embedding_stream,
     make_synthetic_stream,
     partition_classes,
+    record_dtype,
     shuffle_class_order,
     synthetic_class_means,
 )
@@ -37,6 +39,23 @@ class TestSyntheticStream:
     def test_determinism(self):
         assert default_stream().content_hash() == default_stream().content_hash()
 
+    def test_hash_pinned(self):
+        # digests from run.json files already written; the record layout must keep them
+        assert default_stream().content_hash() == (
+            "af12212109963d55759685fda4a4aa1bd5320a6c75c46b4f001d09ee814bd327"
+        )
+
+    def test_splits_are_read_only_records(self):
+        task = default_stream().tasks[0]
+        assert task.train.dtype == record_dtype(32) and task.test.dtype == record_dtype(32)
+        with pytest.raises(ValueError, match="read-only"):
+            task.train.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            task.test.label[0] = 99
+        x, y = task.train_arrays()
+        x[0, 0], y[0] = 1.0, 99
+        assert task.train.features[0, 0] != 1.0 and task.train.label[0] != 99
+
     def test_seed_changes_stream(self):
         assert default_stream().content_hash() != default_stream(seed=2024).content_hash()
 
@@ -45,8 +64,8 @@ class TestSyntheticStream:
         seen = []
         for task in stream.tasks:
             seen.extend(task.class_set)
-            for s in task.train + task.test:
-                assert s.label in task.class_set
+            for split in (task.train, task.test):
+                assert np.isin(split.label, task.class_set).all()
         assert sorted(seen) == list(range(20))
 
     def test_zero_separation_gives_chance_accuracy(self):
@@ -148,6 +167,17 @@ class TestEmbeddingStream:
         write_embedding_csv(path, labels, features)
         return path
 
+    def test_hash_pinned(self, tmp_path):
+        # digests from run.json files already written, default split and .split file
+        path = self.make_file(tmp_path)
+        assert load_embedding_stream(path, 5, 1993).content_hash() == (
+            "cc6218feaf87e00858f94e880b59fbb320a4d3f5ab03b7ed27c7e30df426fb41"
+        )
+        (tmp_path / "data.split").write_text("0\n15\n27\n33\n41\n58\n62\n79\n84\n90\n", encoding="utf-8")
+        assert load_embedding_stream(path, 5, 1993).content_hash() == (
+            "529d4f477619b0969ff1e07048f0d0236bf41a56e1dc00aa632389dbeefe25e1"
+        )
+
     def test_partition_follows_seeded_order(self, tmp_path):
         path = self.make_file(tmp_path)
         stream = load_embedding_stream(path, 5, 1993)
@@ -219,3 +249,45 @@ class TestEmbeddingStream:
         path = self.make_file(tmp_path, num_classes=7)
         stream = load_embedding_stream(path, 3, 4)
         assert [len(t.class_set) for t in stream.tasks] == [3, 2, 2]
+
+
+class TestEmbeddingParser:
+    def write(self, tmp_path, body):
+        path = tmp_path / "rows.csv"
+        path.write_text("label,f0,f1\n" + body, encoding="utf-8")
+        return path
+
+    def test_blank_lines_skipped(self, tmp_path):
+        rows = _parse_embedding_csv(self.write(tmp_path, "\n0,1.5,2\n\n\n1,3,4\n\n"))
+        assert rows["label"].tolist() == [0, 1]
+        assert rows["features"].tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_only_blank_lines_is_no_data(self, tmp_path):
+        with pytest.raises(ValueError, match="no data rows"):
+            _parse_embedding_csv(self.write(tmp_path, "\n\n"))
+
+    def test_space_padded_fields_accepted(self, tmp_path):
+        rows = _parse_embedding_csv(self.write(tmp_path, " 0 , 1.5 ,\t2\n1,3 , 4 \n"))
+        assert rows["label"].tolist() == [0, 1]
+        assert rows["features"].tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        with pytest.raises(ValueError, match=r"rows\.csv:3: malformed value"):
+            _parse_embedding_csv(self.write(tmp_path, "0,1,2\n#1,3,4\n"))
+        with pytest.raises(ValueError, match=r"rows\.csv:2: malformed value"):
+            _parse_embedding_csv(self.write(tmp_path, "0,1,2 # note\n"))
+
+    @pytest.mark.parametrize("row", ["1_0,1,2", "0,1_0,2", "\u0661,1,2", "0,\u0661,2"])
+    def test_python_only_spellings_rejected(self, tmp_path, row):
+        with pytest.raises(ValueError, match=r"rows\.csv:3: malformed value"):
+            _parse_embedding_csv(self.write(tmp_path, f"0,1,2\n{row}\n"))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0,1", "expected 3 fields, got 2"), ("0,1,x", "malformed value"), ("-1,1,2", "labels must be non-negative")],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, row, message):
+        # the bad row is the file's line 5 but the third data row numpy reads
+        path = self.write(tmp_path, f"0,1,2\n\n1,3,4\n{row}\n0,5,6\n")
+        with pytest.raises(ValueError, match=rf"rows\.csv:5: {message}"):
+            load_embedding_stream(path, 1, 1)

@@ -7,6 +7,7 @@ from noisemix.config import RunConfig
 from noisemix.experiment import build_run_model, build_stream, train_config
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.report import (
+    EVAL_BATCH,
     SessionReport,
     accuracy_csv_text,
     emit,
@@ -49,6 +50,25 @@ class TestEvaluate:
             c for task in stream.tasks[:3] for c in task.class_set
         )
 
+    def test_tally_matches_loop_reference(self):
+        stream, model = trained_setup()
+        # random weights, so that per-class accuracies differ from class to class
+        model.classifier.weights = SeededRng(3).standard_normal(*model.classifier.weights.shape)
+        rep = evaluate(model, stream, 3)
+        correct, total = {}, {}
+        rng = SeededRng(derive_seed(model.eval_seed, "session", 3))
+        for i in range(3):
+            x, y = stream.tasks[i].test_arrays()
+            for start in range(0, len(y), EVAL_BATCH):
+                feats = model.features(x[start : start + EVAL_BATCH], rng=rng.split("batch", i, start), eval_mode=True)
+                pred = model.classifier.predict_labels(feats)
+                for label, p in zip(y[start : start + EVAL_BATCH].tolist(), pred.tolist()):
+                    total[label] = total.get(label, 0) + 1
+                    correct[label] = correct.get(label, 0) + int(p == label)
+        assert rep.per_class_accuracy == {c: correct[c] / total[c] for c in sorted(total)}
+        assert rep.accuracy_seen == sum(correct.values()) / sum(total.values())
+        assert 0 < rep.accuracy_seen < 1
+
     def test_beyond_completed_sessions_rejected(self):
         stream, model = trained_setup()
         with pytest.raises(ValueError):
@@ -74,15 +94,20 @@ class TestEvaluate:
         base = evaluate(model, stream, 3)
         mapping = {c: c + 100 for c in model.classifier.classes_seen}
         model.classifier.classes_seen = [mapping[c] for c in model.classifier.classes_seen]
-        from noisemix.datastream import Sample, TaskDataset, TaskStream
+        from noisemix.datastream import TaskDataset, TaskStream
+
+        def relabel(split):
+            rows = split.copy()
+            rows.label = [mapping[c] for c in rows.label]
+            return rows
 
         new_tasks = []
         for task in stream.tasks:
             new_tasks.append(
                 TaskDataset(
                     task_index=task.task_index,
-                    train=tuple(Sample(s.features, mapping[s.label]) for s in task.train),
-                    test=tuple(Sample(s.features, mapping[s.label]) for s in task.test),
+                    train=relabel(task.train),
+                    test=relabel(task.test),
                     class_set=tuple(mapping[c] for c in task.class_set),
                 )
             )

@@ -321,7 +321,6 @@ class TestTrainConfigValidation:
             {"lr_init": 0.0},
             {"momentum": 1.0},
             {"tau": 0.0},
-            {"schedule": "linear"},
             {"loss_mode": "huber"},
             {"grad_clip": -1.0},
         ):
