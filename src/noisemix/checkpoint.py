@@ -34,10 +34,10 @@ class CheckpointError(RuntimeError):
     """Corrupt, mismatched, or unreadable checkpoint."""
 
 
-def _encode_array(a: np.ndarray) -> bytes:
+def _encode_array(a: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Shape header and a byte view of the float64 data, which is not copied."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    head = struct.pack("<Q", a.ndim) + b"".join(struct.pack("<Q", s) for s in a.shape)
-    return head + a.tobytes()
+    return struct.pack(f"<{1 + a.ndim}Q", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)
 
 
 def _decode_array(raw: bytes) -> np.ndarray:
@@ -47,24 +47,34 @@ def _decode_array(raw: bytes) -> np.ndarray:
     return data.reshape(shape)
 
 
-def write_container(path: str | Path, sections: dict[str, bytes]) -> None:
+def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> None:
+    """Write the sections in order.
+
+    A section is one bytes-like payload or a tuple of them written back to
+    back; arrays come as (header, data view), so their data is streamed
+    from its own buffer and never joined into one payload.
+    """
     names = list(sections)
-    table_size = _HEADER.size + _ENTRY.size * len(names)
-    offset = table_size
+    parts = {name: sections[name] if isinstance(sections[name], tuple) else (sections[name],) for name in names}
+    offset = _HEADER.size + _ENTRY.size * len(names)
     entries = []
     for name in names:
         encoded = name.encode("ascii")
         if len(encoded) > _NAME_LEN:
             raise CheckpointError(f"section name too long: {name}")
-        payload = sections[name]
-        entries.append((encoded.ljust(_NAME_LEN, b"\0"), offset, len(payload), zlib.crc32(payload)))
-        offset += len(payload)
+        length, crc = 0, 0
+        for part in parts[name]:
+            length += len(part)
+            crc = zlib.crc32(part, crc)
+        entries.append((encoded.ljust(_NAME_LEN, b"\0"), offset, length, crc))
+        offset += length
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(names), 0))
         for name, off, length, crc in entries:
             fh.write(_ENTRY.pack(name, off, length, crc, 0))
         for name in names:
-            fh.write(sections[name])
+            for part in parts[name]:
+                fh.write(part)
 
 
 def read_container(path: str | Path) -> dict[str, bytes]:
@@ -115,7 +125,7 @@ def save_checkpoint(
         "rng": {"train_seed": train_seed, "next_session": model.sessions_completed + 1},
         "eval_seed": model.eval_seed,
     }
-    sections: dict[str, bytes] = {
+    sections: dict[str, bytes | tuple] = {
         "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
         "clf.weights": _encode_array(model.classifier.weights),
         "clf.graminv": _encode_array(model.classifier.gram_inv),

@@ -1,9 +1,18 @@
 """Incrementally updatable ridge classifier.
 
-The classifier keeps the inverse of the regularized feature Gram matrix, so
-each new batch of (features, one-hot targets) updates the exact batch ridge
-solution without ever revisiting old data. New classes append zero columns
-to the weight matrix before the update that introduces them.
+The classifier keeps the inverse R of the regularized feature Gram matrix,
+so each new batch of (features Z, one-hot targets Y) updates the exact batch
+ridge solution without ever revisiting old data. New classes append zero
+columns to the weight matrix before the update that introduces them.
+
+A batch of at most d rows (d the feature width) is folded in on the sample
+side. With ``P = Z R``, ``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and
+``E = L^-1 (Y - Z W)``, the new solution is ``W + K' E`` and the new inverse
+is ``R - K' K``. :meth:`RidgeClassifier.trial_weights` returns the first
+without writing anything; :meth:`RidgeClassifier.update` commits both, the
+inverse through one in-place BLAS rank-n downdate, so no d x d temporary is
+made and no symmetrize pass runs. A batch of more rows takes the
+feature-side Woodbury form, whose d x d solve is symmetrized.
 """
 
 from __future__ import annotations
@@ -11,8 +20,10 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.blas import dgemm
 
-from .numeric import NumericalError, as_matrix, require_finite, solve_spd
+from .numeric import NumericalError, as_matrix, require_finite
 
 
 class RidgeClassifier:
@@ -57,15 +68,38 @@ class RidgeClassifier:
             raise ValueError(f"label {labels[unknown][0]} not among registered classes")
         return hits.astype(np.float64)
 
+    def trial_weights(self, feats: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The weights :meth:`update` would commit for this batch; nothing is written."""
+        z, y = self._checked(feats, targets)
+        if z.shape[0] <= self.feature_dim:
+            k, e = self._sample_side(z, y)
+            return self.weights + k.T @ e
+        return self._feature_side(z, y)[1]
+
     def update(self, feats: np.ndarray, targets: np.ndarray) -> None:
         """Fold one batch into the running ridge solution.
 
         ``targets`` must already span every registered class (call
         :meth:`expand_classes` first when the batch introduces new ones).
-        The Gram inverse is refreshed through a rank-n correction solved on
-        whichever side (sample count or feature width) is smaller, then
-        symmetrized to keep drift out of long runs.
+        On the sample side the inverse is downdated in place, ``R -= K' K``,
+        by one BLAS call; on the feature side it is replaced.
         """
+        z, y = self._checked(feats, targets)
+        if z.shape[0] <= self.feature_dim:
+            k, e = self._sample_side(z, y)
+            # BLAS reads R's C-order buffer as R'; K'K is symmetric, so R' - K'K
+            # written back is R - K'K in C order. gemm fills both triangles, syrk one
+            r_t = dgemm(-1.0, k, k, 1.0, c=self.gram_inv.T, trans_a=1, overwrite_c=1)
+            self.gram_inv = r_t.T
+            self.weights = self.weights + k.T @ e
+        else:
+            self.gram_inv, self.weights = self._feature_side(z, y)
+        require_finite(self.gram_inv, "gram inverse")
+        if np.any(np.diag(self.gram_inv) <= 0):
+            raise NumericalError("gram inverse lost positive definiteness")
+        require_finite(self.weights, "classifier weights")
+
+    def _checked(self, feats, targets) -> tuple[np.ndarray, np.ndarray]:
         z = as_matrix(feats, "features")
         y = as_matrix(targets, "targets")
         if z.shape[0] != y.shape[0]:
@@ -74,28 +108,33 @@ class RidgeClassifier:
             raise ValueError(f"feature width {z.shape[1]} != classifier width {self.feature_dim}")
         if y.shape[1] != self.num_classes:
             raise ValueError(f"target width {y.shape[1]} != classes seen {self.num_classes}")
-        n = z.shape[0]
-        r = self.gram_inv
-        if n <= self.feature_dim:
-            p = z @ r
-            correction = np.eye(n) + p @ z.T
-            r_new = r - p.T @ solve_spd(correction, p, on_fail="raise")
-        else:
-            # Woodbury identity on the feature side: (R^-1 + Z'Z)^-1 = (I + R Z'Z)^-1 R
-            gram = z.T @ z
-            try:
-                r_new = np.linalg.solve(np.eye(self.feature_dim) + r @ gram, r)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("gram update lost invertibility") from exc
+        return z, y
+
+    def _sample_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``K = L^-1 Z R`` and ``E = L^-1 (Y - Z W)`` with ``L L' = I + Z R Z'``."""
+        p = z @ self.gram_inv
+        correction = p @ z.T
+        correction[np.diag_indices_from(correction)] += 1.0
+        try:
+            # numpy's LAPACK for the small factor: it shares the BLAS pool of the
+            # products around it, where scipy's pool would wake up and contend
+            factor = np.linalg.cholesky(correction)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("rank-n correction is not positive definite") from exc
+        k = scipy.linalg.solve_triangular(factor, p, lower=True, check_finite=False)
+        e = scipy.linalg.solve_triangular(factor, y - z @ self.weights, lower=True, check_finite=False)
+        return k, e
+
+    def _feature_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """New inverse and weights by Woodbury: ``(R^-1 + Z'Z)^-1 = (I + R Z'Z)^-1 R``."""
+        r, w = self.gram_inv, self.weights
+        gram = z.T @ z
+        try:
+            r_new = np.linalg.solve(np.eye(self.feature_dim) + r @ gram, r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("gram update lost invertibility") from exc
         r_new = (r_new + r_new.T) / 2.0
-        require_finite(r_new, "gram inverse")
-        if np.any(np.diag(r_new) <= 0):
-            raise NumericalError("gram inverse lost positive definiteness")
-        w = self.weights
-        w_new = w - r_new @ (z.T @ (z @ w)) + r_new @ (z.T @ y)
-        require_finite(w_new, "classifier weights")
-        self.gram_inv = r_new
-        self.weights = w_new
+        return r_new, w - r_new @ (z.T @ (z @ w)) + r_new @ (z.T @ y)
 
     def predict(self, feats: np.ndarray) -> np.ndarray:
         """Class scores, one column per class in registration order."""
@@ -113,7 +152,8 @@ class RidgeClassifier:
         lookup = np.array(self.classes_seen, dtype=np.int64)
         return lookup[picks]
 
-    def state_bytes(self) -> bytes:
-        head = np.array([self.feature_dim, self.num_classes], dtype=np.int64).tobytes()
-        classes = np.array(self.classes_seen, dtype=np.int64).tobytes()
-        return head + classes + self.weights.tobytes() + self.gram_inv.tobytes()
+    def state_buffers(self) -> tuple[np.ndarray, ...]:
+        """Width, class count, classes, weights and inverse as contiguous buffers, in hash order."""
+        head = np.array([self.feature_dim, self.num_classes], dtype=np.int64)
+        classes = np.array(self.classes_seen, dtype=np.int64)
+        return head, classes, np.ascontiguousarray(self.weights), np.ascontiguousarray(self.gram_inv)

@@ -81,7 +81,8 @@ class ContinualModel:
     def state_hash(self) -> str:
         """Hash of all mutable state; used to prove evaluation is read-only."""
         h = hashlib.sha256()
-        h.update(self.classifier.state_bytes())
+        for buf in self.classifier.state_buffers():
+            h.update(buf)
         h.update(np.int64(self.sessions_completed).tobytes())
         if self.layers is not None:
             for layer in self.layers:

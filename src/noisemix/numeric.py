@@ -30,20 +30,15 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray, *, on_fail: str = "lu") -> np.ndarray:
+def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
 
-    ``on_fail`` selects what happens when the factorization breaks down:
-    ``"lu"`` falls back to a general LU solve, ``"raise"`` raises
-    :class:`NumericalError` (used where loss of positive definiteness is a
-    hard error rather than an ill-conditioning nuisance).
+    Falls back to a general LU solve when the factorization breaks down.
     """
     try:
         factor = scipy.linalg.cho_factor(a, check_finite=False)
         return scipy.linalg.cho_solve(factor, b, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        if on_fail == "raise":
-            raise NumericalError("matrix is not positive definite") from exc
+    except scipy.linalg.LinAlgError:
         return np.linalg.solve(a, b)
 
 

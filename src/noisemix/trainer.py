@@ -259,17 +259,18 @@ def run_session(
         raise ValueError(f"session order violation: expected task {t}, got {task.task_index}")
     x_train, y_train = task.train_arrays()
 
-    snapshot = model.classifier.clone()
     feats_initial, pre_noise = model.features(
         x_train, rng=session_rng.split("clf-initial"), eval_mode=True, collect_blocks=True
     )
     model.classifier.expand_classes(task.class_set)
     targets = model.classifier.one_hot(y_train)
-    model.classifier.update(feats_initial, targets)
-    frozen_weights = model.classifier.weights.copy()
-
     epoch_losses: list[float] = []
-    if model.has_noise:
+    if not model.has_noise:
+        model.classifier.update(feats_initial, targets)
+    else:
+        # the frozen logits come from a trial update on the initial features;
+        # the task's data enters the running solution once, with its final features
+        frozen_weights = model.classifier.trial_weights(feats_initial, targets)
         for layer in model.layers:
             gen_rng = session_rng.split("generator", layer.layer_index)
             layer.generators.append(new_generator(layer.latent_dim, t, gen_rng, cfg.init_scale))
@@ -278,10 +279,6 @@ def run_session(
         _init_session_mix_weights(model, cfg.tau)
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
         epoch_losses = _train_epochs(model, x_train, targets, frozen_weights, aux, cfg, session_rng)
-        # the refresh restarts from the pre-session state so the task's data
-        # enters the running solution exactly once, with its final features
-        model.classifier = snapshot
-        model.classifier.expand_classes(task.class_set)
         feats_final = model.features(x_train, rng=session_rng.split("clf-final"), eval_mode=True)
         model.classifier.update(feats_final, targets)
         for layer in model.layers:

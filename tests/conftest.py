@@ -1,6 +1,29 @@
 import sys
+import tracemalloc
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes a call holds above what was traced before it ran.
+
+    numpy reports its buffers to tracemalloc, so a d x d temporary shows here.
+    """
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -1,3 +1,7 @@
+import hashlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +17,12 @@ from noisemix.checkpoint import (
 from noisemix.config import RunConfig
 from noisemix.experiment import build_run_model, build_stream, train_config
 from noisemix.numeric import SeededRng, derive_seed
+from noisemix.pinoise import NoiseGenerator
 from noisemix.trainer import run_session
+
+# written by the format-v1 writer that joined each array into one bytes
+# payload, from tiny_cfg() after sessions 1 and 2, with history
+V1_FIXTURE = Path(__file__).parent / "data" / "v1_two_sessions.nmcp"
 
 
 def small_cfg():
@@ -27,6 +36,47 @@ def small_cfg():
     cfg.train.epochs = 2
     cfg.validate()
     return cfg
+
+
+def tiny_cfg():
+    cfg = RunConfig()
+    cfg.data.samples_per_class = 10
+    cfg.data.dim = 8
+    cfg.data.tasks = 3
+    cfg.data.num_classes = 6
+    cfg.backbone.depth = 2
+    cfg.backbone.buffer_size = 24
+    cfg.backbone.feature_dim = 12
+    cfg.pinoise.latent_dim = 4
+    cfg.train.epochs = 1
+    cfg.validate()
+    return cfg
+
+
+def handmade_model(cfg):
+    """A tiny_cfg model whose mutable state comes from uniform draws and exact
+    elementwise arithmetic, so its bytes do not depend on BLAS."""
+    stream = build_stream(cfg)
+    model = build_run_model(cfg, stream.feature_dim)
+    rng = SeededRng(5)
+
+    def draw(*shape):
+        return rng.uniform(int(np.prod(shape))).reshape(shape) - 0.5
+
+    clf = model.classifier
+    d = clf.feature_dim
+    clf.expand_classes([4, 1, 3])
+    clf.weights = draw(d, 3)
+    noise = draw(d, d)
+    clf.gram_inv = np.eye(d) + 0.01 * (noise + noise.T)
+    for layer in model.layers:
+        k = layer.latent_dim
+        for t in (1, 2):
+            layer.generators.append(NoiseGenerator(draw(k, k), draw(k), draw(k, k), draw(k), t, frozen=True))
+            layer.prototypes.append(draw(k))
+        layer.mix_weights = draw(2) + 1.0
+    model.sessions_completed = 2
+    return model
 
 
 def trained_model(cfg):
@@ -166,3 +216,40 @@ class TestModelCheckpoint:
         fresh = build_run_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         assert fresh.state_hash() == model.state_hash()
+
+
+class TestFormatPinned:
+    """The streamed writer produces format v1 byte for byte."""
+
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        model = handmade_model(tiny_cfg())
+        path = tmp_path / "pinned.nmcp"
+        save_checkpoint(path, model, "pinned", 2024, 3)
+        # both digests were computed with the writer that joined each array into one payload
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4a70c63123f27c0c4318bea2f82cf6855ea1eb18b8c05e94739f5590d7b52c9d"
+        )
+        assert model.state_hash() == "25be09845926046b045f1958298f9621f41acfe63cd174d03a5d559d40f8913a"
+
+    def test_reads_v1_fixture_and_writes_it_back_identically(self, tmp_path):
+        cfg = tiny_cfg()
+        stream = build_stream(cfg)
+        model = build_run_model(cfg, stream.feature_dim)
+        meta = load_into(model, V1_FIXTURE)
+        assert meta["config_hash"] == "parent"
+        assert model.sessions_completed == 2
+        assert model.state_hash() == "0302a57c2024e88cdbdd6af85fc0898a73bcce5fd0c7ca6d66582a2028feb4cd"
+        history = load_history(V1_FIXTURE)
+        assert [r.task_index for r in history] == [1, 2]
+        path = tmp_path / "again.nmcp"
+        save_checkpoint(path, model, meta["config_hash"], meta["rng"]["train_seed"], meta["total_tasks"], history)
+        assert path.read_bytes() == V1_FIXTURE.read_bytes()
+        report = run_session(model, stream, train_config(cfg), SeededRng(derive_seed(cfg.train.seed, "session", 3)))
+        assert report.task_index == 3
+
+    def test_save_streams_the_inverse(self, tmp_path, traced_peak):
+        cfg = small_cfg()
+        cfg.backbone.buffer_size = 1024
+        stream, model, _ = trained_model(cfg)
+        peak = traced_peak(lambda: save_checkpoint(tmp_path / "wide.nmcp", model, "h", cfg.train.seed, 3))
+        assert peak < model.classifier.gram_inv.nbytes // 2

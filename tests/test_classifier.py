@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisemix.classifier import RidgeClassifier
-from noisemix.numeric import SeededRng, ridge_solve
+from noisemix.numeric import NumericalError, SeededRng, ridge_solve
 
 
 def one_hot(labels, classes):
@@ -165,6 +167,77 @@ class TestUpdate:
         assert (
             np.linalg.norm(split.gram_inv - whole.gram_inv) / np.linalg.norm(whole.gram_inv) < 1e-8
         )
+
+
+def state_digest(clf):
+    h = hashlib.sha256()
+    h.update(clf.weights)
+    h.update(clf.gram_inv)
+    return h.hexdigest()
+
+
+def fitted(d, lam, rows, seed):
+    """A classifier over three classes after one sample-side update, plus a fresh batch."""
+    rng = SeededRng(seed)
+    clf = RidgeClassifier(d, lam)
+    clf.expand_classes([0, 1, 2])
+    clf.update(rng.standard_normal(rows, d), one_hot([i % 3 for i in range(rows)], [0, 1, 2]))
+    z = rng.standard_normal(rows, d)
+    return clf, z, one_hot([(i + 1) % 3 for i in range(rows)], [0, 1, 2])
+
+
+class TestTrial:
+    @pytest.mark.parametrize("rows", [6, 40])  # sample side, feature side
+    def test_trial_writes_nothing(self, rows):
+        clf, z, y = fitted(12, 0.5, rows, seed=4)
+        before = state_digest(clf)
+        clf.trial_weights(z, y)
+        assert state_digest(clf) == before
+
+    @pytest.mark.parametrize("rows", [6, 40])
+    def test_trial_equals_committed_weights(self, rows):
+        clf, z, y = fitted(12, 0.5, rows, seed=9)
+        trial = clf.trial_weights(z, y)
+        clf.update(z, y)
+        assert np.max(np.abs(trial - clf.weights)) < 1e-12
+
+    def test_commit_downdates_the_inverse_in_place(self):
+        clf, z, y = fitted(64, 1.0, 16, seed=2)
+        inverse = clf.gram_inv
+        clf.update(z, y)
+        assert np.shares_memory(clf.gram_inv, inverse)
+        assert clf.gram_inv.flags.c_contiguous
+
+    def test_committed_inverse_stays_symmetric(self):
+        rng = SeededRng(13)
+        clf = RidgeClassifier(300, 0.3)
+        clf.expand_classes([0, 1])
+        for _ in range(20):
+            z = rng.standard_normal(37, 300)
+            clf.update(z, one_hot([i % 2 for i in range(37)], [0, 1]))
+            assert np.max(np.abs(clf.gram_inv - clf.gram_inv.T)) < 1e-12
+
+    def test_correction_not_positive_definite_raises(self):
+        # I + Z R Z' is positive definite for any positive definite R, so
+        # the correction fails only once R has lost definiteness
+        clf = RidgeClassifier(2, 1.0)
+        clf.expand_classes([0])
+        clf.gram_inv = np.diag([1.0, -3.0])
+        z, y = np.array([[0.0, 1.0]]), np.ones((1, 1))
+        before = state_digest(clf)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            clf.trial_weights(z, y)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            clf.update(z, y)
+        assert state_digest(clf) == before
+
+
+class TestMemory:
+    def test_trial_and_commit_make_no_square_temporary(self, traced_peak):
+        clf, z, y = fitted(1024, 1.0, 64, seed=6)
+        limit = clf.gram_inv.nbytes // 2
+        assert traced_peak(lambda: clf.trial_weights(z, y)) < limit
+        assert traced_peak(lambda: clf.update(z, y)) < limit
 
 
 class TestPredict:

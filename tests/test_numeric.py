@@ -10,7 +10,6 @@ from noisemix.numeric import (
     finite_difference_gradient,
     ridge_solve,
     softmax,
-    solve_spd,
 )
 
 
@@ -58,11 +57,6 @@ class TestRidgeSolve:
             ridge_solve(np.ones((3, 2)), np.ones((3, 1)), 0.0)
         with pytest.raises(ValueError):
             ridge_solve(np.ones((3, 2)), np.ones((3, 1)), -1.0)
-
-    def test_solve_spd_raise_mode(self):
-        not_pd = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NumericalError):
-            solve_spd(not_pd, np.eye(2), on_fail="raise")
 
 
 class TestSoftmax:
