@@ -14,6 +14,7 @@ encoded as u64 ndim, u64 per-dimension sizes, then float64 data.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -40,11 +41,15 @@ def _encode_array(a: np.ndarray) -> tuple[bytes, np.ndarray]:
     return struct.pack(f"<{1 + a.ndim}Q", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)
 
 
-def _decode_array(raw: bytes) -> np.ndarray:
+def _decode_array(raw: bytearray) -> np.ndarray:
+    """A writable array over the payload's own buffer, which is not copied.
+
+    The data starts at 8 + 8 * ndim bytes, a multiple of 8, so a payload
+    read into its own buffer keeps float64 alignment.
+    """
     (ndim,) = struct.unpack_from("<Q", raw, 0)
     shape = struct.unpack_from(f"<{ndim}Q", raw, 8)
-    data = np.frombuffer(raw, dtype="<f8", offset=8 + 8 * ndim).copy()
-    return data.reshape(shape)
+    return np.frombuffer(raw, dtype="<f8", offset=8 + 8 * ndim).reshape(shape)
 
 
 def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> None:
@@ -77,25 +82,40 @@ def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> Non
                 fh.write(part)
 
 
-def read_container(path: str | Path) -> dict[str, bytes]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CheckpointError("file too short for a checkpoint header")
-    magic, version, count, _ = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise CheckpointError("bad magic; not a checkpoint file")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    sections = {}
-    for i in range(count):
-        name_raw, off, length, crc, _ = _ENTRY.unpack_from(raw, _HEADER.size + i * _ENTRY.size)
-        name = name_raw.rstrip(b"\0").decode("ascii")
-        payload = raw[off : off + length]
-        if len(payload) != length:
-            raise CheckpointError(f"section {name}: truncated payload")
-        if zlib.crc32(payload) != crc:
-            raise CheckpointError(f"section {name}: checksum mismatch")
-        sections[name] = payload
+def read_container(path: str | Path, names=None) -> dict[str, bytearray]:
+    """The sections in file order, each read into its own buffer and checked.
+
+    With ``names`` only those sections are read; the others are skipped
+    unread and unchecked.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CheckpointError("file too short for a checkpoint header")
+        magic, version, count, _ = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CheckpointError("bad magic; not a checkpoint file")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        table = fh.read(_ENTRY.size * count)
+        if len(table) < _ENTRY.size * count:
+            raise CheckpointError("truncated section table")
+        size = os.fstat(fh.fileno()).st_size
+        sections = {}
+        for i in range(count):
+            name_raw, off, length, crc, _ = _ENTRY.unpack_from(table, i * _ENTRY.size)
+            name = name_raw.rstrip(b"\0").decode("ascii")
+            if names is not None and name not in names:
+                continue
+            if off + length > size:
+                raise CheckpointError(f"section {name}: truncated payload")
+            payload = bytearray(length)
+            fh.seek(off)
+            if fh.readinto(payload) != length:
+                raise CheckpointError(f"section {name}: truncated payload")
+            if zlib.crc32(payload) != crc:
+                raise CheckpointError(f"section {name}: checksum mismatch")
+            sections[name] = payload
     return sections
 
 
@@ -152,11 +172,23 @@ def save_checkpoint(
     write_container(path, sections)
 
 
+def _asymmetry(r: np.ndarray) -> float:
+    """``max |R - R'|``, taken over bands of the upper triangle of about 2**16
+    entries (512 KB), so no d x d temporary is made."""
+    worst = 0.0
+    rows = max(1, (1 << 16) // r.shape[0])
+    for start in range(0, r.shape[0], rows):
+        band = slice(start, start + rows)
+        diff = r[band, start:] - r[start:, band].T
+        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+    return worst
+
+
 def load_history(path: str | Path) -> list:
     """Per-session reports recorded in the checkpoint (may be empty)."""
     from .report import report_from_dict
 
-    sections = read_container(path)
+    sections = read_container(path, names={"history"})
     if "history" not in sections:
         return []
     return [report_from_dict(d) for d in json.loads(sections["history"].decode("utf-8"))]
@@ -186,7 +218,7 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
         raise CheckpointError("classifier weight shape mismatch")
     if clf.gram_inv.shape != (clf.feature_dim, clf.feature_dim):
         raise CheckpointError("gram inverse shape mismatch")
-    if np.max(np.abs(clf.gram_inv - clf.gram_inv.T)) > 1e-9:
+    if _asymmetry(clf.gram_inv) > 1e-9:
         raise CheckpointError("gram inverse lost symmetry")
     if np.any(np.diag(clf.gram_inv) <= 0):
         raise CheckpointError("gram inverse diagonal not positive")
@@ -222,9 +254,11 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
                         task_index=i + 1,
                         frozen=True,
                     )
-                except KeyError as exc:
+                except KeyError:
                     raise CheckpointError(f"missing generator section {gp}") from None
-                if gen.mean_weight.shape != (layer.latent_dim, layer.latent_dim):
+                except ValueError:
+                    raise CheckpointError(f"generator {gp} shape mismatch") from None
+                if gen.latent_dim != layer.latent_dim:
                     raise CheckpointError(f"generator {gp} shape mismatch")
                 layer.generators.append(gen)
             if len(layer.prototypes) != sessions or len(layer.generators) != sessions:

@@ -12,7 +12,9 @@ is ``R - K' K``. :meth:`RidgeClassifier.trial_weights` returns the first
 without writing anything; :meth:`RidgeClassifier.update` commits both, the
 inverse through one in-place BLAS rank-n downdate, so no d x d temporary is
 made and no symmetrize pass runs. A batch of more rows takes the
-feature-side Woodbury form, whose d x d solve is symmetrized.
+feature-side Woodbury form: the commit solves ``(I + R Z'Z) R' = R`` for the
+new inverse and symmetrizes it, while the trial solves ``(I + R Z'Z) X =
+R Z'(Y - Z W)`` for the c weight columns only and returns ``W + X``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class RidgeClassifier:
         if z.shape[0] <= self.feature_dim:
             k, e = self._sample_side(z, y)
             return self.weights + k.T @ e
-        return self._feature_side(z, y)[1]
+        w = self.weights
+        return w + self._feature_solve(z, self.gram_inv @ (z.T @ (y - z @ w)))
 
     def update(self, feats: np.ndarray, targets: np.ndarray) -> None:
         """Fold one batch into the running ridge solution.
@@ -125,14 +128,17 @@ class RidgeClassifier:
         e = scipy.linalg.solve_triangular(factor, y - z @ self.weights, lower=True, check_finite=False)
         return k, e
 
-    def _feature_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """New inverse and weights by Woodbury: ``(R^-1 + Z'Z)^-1 = (I + R Z'Z)^-1 R``."""
-        r, w = self.gram_inv, self.weights
-        gram = z.T @ z
+    def _feature_solve(self, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``."""
         try:
-            r_new = np.linalg.solve(np.eye(self.feature_dim) + r @ gram, r)
+            return np.linalg.solve(np.eye(self.feature_dim) + self.gram_inv @ (z.T @ z), rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("gram update lost invertibility") from exc
+
+    def _feature_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """New inverse and weights by Woodbury: ``(R^-1 + Z'Z)^-1 = (I + R Z'Z)^-1 R``."""
+        w = self.weights
+        r_new = self._feature_solve(z, self.gram_inv)
         r_new = (r_new + r_new.T) / 2.0
         return r_new, w - r_new @ (z.T @ (z @ w)) + r_new @ (z.T @ y)
 

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: train, eval, ablate, sweep, gradcheck, snapshot. Exit code 0 on
-success, 1 on validation errors, 2 on numerical breakdown, 3 when memory runs
-out. The NOISEMIX_OUT environment variable supplies the root for relative
-output directories.
+Run as ``noisemix`` or ``python -m noisemix``. Subcommands: train, eval,
+ablate, sweep, gradcheck, snapshot. Exit code 0 on success, 1 on validation
+errors, 2 on numerical breakdown, 3 when memory runs out. The NOISEMIX_OUT
+environment variable supplies the root for relative output directories.
 """
 
 from __future__ import annotations
@@ -224,7 +224,9 @@ def main(argv=None) -> int:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
+        # a bare MemoryError carries no message; then say what failed
+        reason = str(exc) or "an allocation failed (MemoryError with no message)"
+        print(f"out of memory: {reason}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError, OSError, ckpt.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

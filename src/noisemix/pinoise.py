@@ -2,14 +2,20 @@
 
 Each task owns one generator per layer: two affine maps in a narrow latent
 space that produce the mean and scale of a reparameterized Gaussian
-perturbation. Generators freeze when their task's session ends.
+perturbation. A generator keeps its four parameter arrays in one contiguous
+vector, mean map first, scale map second. Generators freeze when their
+task's session ends.
 
 A mixing strategy is a pair of per-task coefficient vectors ``(c_mean,
 c_scale)`` (:func:`mixture_coefficients`). All tasks at a layer share one
 draw and every map is affine, so the mixture is itself one affine generator
 whose parameters are the coefficient-weighted sums of the tasks' parameters
-(:func:`mixed_generator`). Per input row, the forward and backward pass of a
-layer then cost the same for any number of tasks.
+(:func:`mixed_generator`). With the k vectors stacked as the rows of a bank
+B, that generator is ``c_mean @ B[:, :m]`` joined to ``c_scale @ B[:, m:]``,
+and the gradient of the mixing weights is ``B @ g`` for the effective
+generator's gradient g. Per input row, the forward and backward pass of a
+layer then cost the same for any number of tasks, and the per-step work on
+the k generators is one product each way.
 """
 
 from __future__ import annotations
@@ -41,16 +47,59 @@ class MixtureStrategy(enum.Enum):
         raise ValueError(f"unknown mixture strategy {name!r} (valid: {valid})")
 
 
-@dataclass
 class NoiseGenerator:
-    """Affine mean/scale maps in the latent space, trainable until frozen."""
+    """Affine mean/scale maps in the latent space, trainable until frozen.
 
-    mean_weight: np.ndarray  # d2 x d2
-    mean_bias: np.ndarray  # d2
-    scale_weight: np.ndarray  # d2 x d2
-    scale_bias: np.ndarray  # d2
-    task_index: int
-    frozen: bool = False
+    The four maps live in one contiguous float64 ``vector``, in :meth:`params`
+    order: mean weight (d2 x d2), mean bias (d2), scale weight (d2 x d2) and
+    scale bias (d2). The first half is the mean map, the second the scale
+    map. The four attributes are read-only views of the vector, so in-place
+    updates of them write the vector and nothing can rebind them.
+    """
+
+    def __init__(
+        self, mean_weight, mean_bias, scale_weight, scale_bias, task_index: int, frozen: bool = False
+    ):
+        maps = [np.asarray(a, dtype=np.float64) for a in (mean_weight, mean_bias, scale_weight, scale_bias)]
+        d2 = maps[1].size
+        shapes = [a.shape for a in maps]
+        if shapes != [(d2, d2), (d2,), (d2, d2), (d2,)]:
+            raise ValueError(f"generator maps need shapes d2 x d2, d2, d2 x d2, d2; got {shapes}")
+        self._bind(np.concatenate([a.ravel() for a in maps]), d2)
+        self.task_index = task_index
+        self.frozen = frozen
+
+    @classmethod
+    def from_vector(
+        cls, vector: np.ndarray, latent_dim: int, task_index: int, frozen: bool = False
+    ) -> "NoiseGenerator":
+        """A generator whose maps are views of ``vector`` itself (not copied)."""
+        gen = cls.__new__(cls)
+        if vector.shape != (2 * latent_dim * (latent_dim + 1),):
+            raise ValueError(f"generator vector for d2={latent_dim} has shape {vector.shape}")
+        gen._bind(vector, latent_dim)
+        gen.task_index = task_index
+        gen.frozen = frozen
+        return gen
+
+    def _bind(self, vector: np.ndarray, d2: int) -> None:
+        self.vector = vector
+        w, half = d2 * d2, d2 * (d2 + 1)
+        self._maps = (
+            vector[:w].reshape(d2, d2),
+            vector[w:half],
+            vector[half : half + w].reshape(d2, d2),
+            vector[half + w :],
+        )
+
+    @property
+    def latent_dim(self) -> int:
+        return self._maps[1].shape[0]
+
+    mean_weight = property(lambda self: self._maps[0])
+    mean_bias = property(lambda self: self._maps[1])
+    scale_weight = property(lambda self: self._maps[2])
+    scale_bias = property(lambda self: self._maps[3])
 
     def mean_of(self, h: np.ndarray) -> np.ndarray:
         return h @ self.mean_weight + self.mean_bias
@@ -59,10 +108,10 @@ class NoiseGenerator:
         return h @ self.scale_weight + self.scale_bias
 
     def params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.mean_weight, self.mean_bias, self.scale_weight, self.scale_bias
+        return self._maps
 
     def param_bytes(self) -> bytes:
-        return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes() for a in self.params())
+        return self.vector.tobytes()
 
 
 def new_generator(latent_dim: int, task_index: int, rng: SeededRng, init_scale: float = 0.0001) -> NoiseGenerator:
@@ -157,17 +206,19 @@ def mixture_coefficients(
 
 def mixed_generator(
     generators: list[NoiseGenerator], c_mean: np.ndarray, c_scale: np.ndarray
-) -> NoiseGenerator:
+) -> tuple[NoiseGenerator, np.ndarray]:
     """The single affine generator equal to the coefficient-weighted mixture.
 
     Every task at a layer shares one draw, so ``sum_i c_i (eps * scale_i(h)
-    + mean_i(h))`` is ``eps * scale(h) + mean(h)`` of the weighted sums.
+    + mean_i(h))`` is ``eps * scale(h) + mean(h)`` of the weighted sums. The
+    k vectors are stacked once into a k x 2m bank, and the sums are one
+    product over its mean halves and one over its scale halves. Returns the
+    generator and the bank.
     """
-    params = [np.stack(group) for group in zip(*(g.params() for g in generators))]
-    coeffs = (c_mean, c_mean, c_scale, c_scale)
-    return NoiseGenerator(
-        *(np.tensordot(c, p, axes=1) for c, p in zip(coeffs, params)), task_index=0, frozen=True
-    )
+    bank = np.stack([g.vector for g in generators])
+    half = bank.shape[1] // 2
+    vector = np.concatenate([c_mean @ bank[:, :half], c_scale @ bank[:, half:]])
+    return NoiseGenerator.from_vector(vector, generators[0].latent_dim, task_index=0, frozen=True), bank
 
 
 @dataclass
@@ -179,6 +230,7 @@ class LayerCache:
     generator: NoiseGenerator  # the effective (mixed) generator
     c_mean: np.ndarray
     c_scale: np.ndarray
+    bank: np.ndarray  # k x 2m, one generator vector per row
 
 
 def run_layer(
@@ -197,12 +249,12 @@ def run_layer(
     """
     h = feats @ layer.down_proj
     c_mean, c_scale = mixture_coefficients(strategy, len(layer.generators), layer.mix_weights, pick, rng)
-    gen = mixed_generator(layer.generators, c_mean, c_scale)
+    gen, bank = mixed_generator(layer.generators, c_mean, c_scale)
     noise = gen.mean_of(h)
     if epsilon is not None:
         noise = epsilon * gen.scale_of(h) + noise
     out = feats + noise @ layer.up_proj
-    cache = LayerCache(h, epsilon, gen, c_mean, c_scale) if collect else None
+    cache = LayerCache(h, epsilon, gen, c_mean, c_scale, bank) if collect else None
     return out, cache
 
 

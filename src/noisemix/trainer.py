@@ -234,9 +234,7 @@ def backward(
             # omega is trainable only under learned-omega, where it is both c_mean and c_scale
             omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
             if omega_key in grads:
-                grads[omega_key] += np.array(
-                    [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in layer.generators]
-                )
+                grads[omega_key] += cache.bank @ np.concatenate([d.ravel() for d in d_gen])
             d_r = d_r + d_h @ layer.down_proj.T
         u = tape.block_tanh[l]
         block = model.backbone.blocks[l]
@@ -343,13 +341,13 @@ def _train_epochs(model, x_train, targets, frozen_weights, aux, cfg, session_rng
 
 
 def _draw_epsilons(model: ContinualModel, batch_size: int, eps_rng: SeededRng):
-    eps = []
-    for layer in model.layers:
-        if layer.generators:
-            eps.append(eps_rng.standard_normal(batch_size, layer.latent_dim))
-        else:
-            eps.append(None)
-    return eps
+    """One batch x d2 draw per layer that has generators, all made by one call
+    (every layer of a model has the same d2)."""
+    active = [layer for layer in model.layers if layer.generators]
+    if not active:
+        return [None] * len(model.layers)
+    draws = iter(eps_rng.standard_normal(batch_size, active[0].latent_dim, blocks=len(active)))
+    return [next(draws) if layer.generators else None for layer in model.layers]
 
 
 def _draw_picks(model: ContinualModel, pick_rng: SeededRng):

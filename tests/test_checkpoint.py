@@ -253,3 +253,48 @@ class TestFormatPinned:
         stream, model, _ = trained_model(cfg)
         peak = traced_peak(lambda: save_checkpoint(tmp_path / "wide.nmcp", model, "h", cfg.train.seed, 3))
         assert peak < model.classifier.gram_inv.nbytes // 2
+
+
+class TestLoadMemory:
+    """The reader holds each payload once and decodes arrays in place."""
+
+    def wide_checkpoint(self, tmp_path):
+        cfg = small_cfg()
+        cfg.backbone.buffer_size = 1024
+        stream, model, _ = trained_model(cfg)
+        path = tmp_path / "wide.nmcp"
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=[])
+        return cfg, stream, model, path
+
+    def test_load_holds_the_inverse_once(self, tmp_path, traced_peak):
+        cfg, stream, model, path = self.wide_checkpoint(tmp_path)
+        fresh = build_run_model(cfg, stream.feature_dim)
+        peak = traced_peak(lambda: load_into(fresh, path))
+        assert fresh.state_hash() == model.state_hash()
+        assert peak < 1.5 * model.classifier.gram_inv.nbytes
+
+    def test_history_skips_the_arrays(self, tmp_path, traced_peak):
+        _, _, model, path = self.wide_checkpoint(tmp_path)
+        peak = traced_peak(lambda: load_history(path))
+        assert peak < model.classifier.gram_inv.nbytes // 100
+
+    def test_loaded_inverse_is_downdated_in_place(self, tmp_path):
+        cfg, stream, model, path = self.wide_checkpoint(tmp_path)
+        fresh = build_run_model(cfg, stream.feature_dim)
+        load_into(fresh, path)
+        clf = fresh.classifier
+        assert clf.gram_inv.flags.writeable and clf.gram_inv.flags.aligned
+        inverse = clf.gram_inv
+        rng = SeededRng(3)
+        clf.update(rng.standard_normal(8, clf.feature_dim), np.ones((8, clf.num_classes)))
+        assert np.shares_memory(clf.gram_inv, inverse)
+
+    @pytest.mark.parametrize("row", [0, 700, 1023])
+    def test_asymmetric_inverse_rejected_in_any_band(self, tmp_path, row):
+        cfg, stream, model, path = self.wide_checkpoint(tmp_path)
+        clf = model.classifier
+        clf.gram_inv = clf.gram_inv.copy()
+        clf.gram_inv[row, (row + 300) % clf.feature_dim] += 1e-6
+        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        with pytest.raises(CheckpointError, match="symmetry"):
+            load_into(build_run_model(cfg, stream.feature_dim), path)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from noisemix import cli
@@ -129,6 +134,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.splitlines() == ["out of memory: Unable to allocate 2.00 GiB for an array"]
 
+    def test_bare_out_of_memory_names_the_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_training", exhausted)
+        rc = run_cli("train", *FAST, "--out", str(tmp_path / "oom"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["out of memory: an allocation failed (MemoryError with no message)"]
+
 
 class TestEval:
     def test_eval_finished_run(self, tmp_path, capsys):
@@ -226,3 +241,15 @@ class TestGradcheckAndSnapshot:
         assert "frozen " in text
         rc2 = run_cli("snapshot", *FAST, "--out", str(tmp_path / "snap2"))
         assert (tmp_path / "snap2" / "snapshot.txt").read_text() == text
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "noisemix", "snapshot", *FAST, "--out", str(tmp_path / "snap")],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("config ")
+        assert (tmp_path / "snap" / "snapshot.txt").read_text().splitlines() == done.stdout.splitlines()

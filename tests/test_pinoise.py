@@ -12,6 +12,7 @@ from noisemix.pinoise import (
     build_layer,
     compute_prototype,
     init_mix_weights,
+    mixed_generator,
     mixture_coefficients,
     new_generator,
     prototype_similarities,
@@ -367,3 +368,60 @@ class TestFreezeSemantics:
         assert gen.param_bytes() == before
         gen.mean_weight[0, 0] += 1.0
         assert gen.param_bytes() != before
+
+
+class TestGeneratorVector:
+    """A generator's four maps are views of its one vector, in params() order."""
+
+    @staticmethod
+    def assert_views(gen):
+        d2 = gen.latent_dim
+        joined = b"".join(np.ascontiguousarray(a).tobytes() for a in gen.params())
+        assert gen.param_bytes() == joined == gen.vector.tobytes()
+        assert gen.vector.shape == (2 * d2 * (d2 + 1),) and gen.vector.flags.c_contiguous
+        assert [a.shape for a in gen.params()] == [(d2, d2), (d2,), (d2, d2), (d2,)]
+        for a in gen.params():
+            assert np.shares_memory(a, gen.vector)
+        gen.scale_weight[-1, 0] += 1.0  # in place, through a map
+        assert gen.vector[-d2 - d2] == gen.scale_weight[-1, 0]
+        gen.vector[d2 * d2] -= 2.0  # in place, through the vector
+        assert gen.mean_bias[0] == gen.vector[d2 * d2]
+        assert gen.param_bytes() == b"".join(a.tobytes() for a in gen.params())
+        for name in ("mean_weight", "mean_bias", "scale_weight", "scale_bias"):
+            with pytest.raises(AttributeError):
+                setattr(gen, name, np.zeros_like(getattr(gen, name)))
+
+    def test_built_directly(self):
+        self.assert_views(make_gen(3))
+
+    def test_new_generator(self):
+        self.assert_views(new_generator(5, 1, SeededRng(4), init_scale=1.0))
+
+    def test_loaded_from_checkpoint(self, tmp_path):
+        from noisemix.checkpoint import load_into, save_checkpoint
+
+        def model():
+            return build_model(6, 8, 2, 0.5, 16, 4, 1.0, seed=3)
+
+        saved = model()
+        for layer in saved.layers:
+            layer.generators.append(new_generator(4, 1, SeededRng(layer.layer_index), init_scale=1.0))
+            layer.prototypes.append(np.ones(4))
+            layer.mix_weights = np.ones(1)
+        saved.sessions_completed = 1
+        save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2)
+        loaded = model()
+        load_into(loaded, tmp_path / "g.nmcp")
+        for before, layer in zip(saved.layers, loaded.layers):
+            assert layer.generators[0].param_bytes() == before.generators[0].param_bytes()
+            self.assert_views(layer.generators[0])
+
+    def test_mismatched_maps_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            NoiseGenerator(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(3), task_index=1)
+
+    def test_mixture_of_one_generator_is_that_generator(self):
+        gen = make_gen(4)
+        mixed, bank = mixed_generator([gen], np.ones(1), np.ones(1))
+        assert np.array_equal(bank, gen.vector[None, :])
+        assert mixed.param_bytes() == gen.param_bytes()

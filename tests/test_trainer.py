@@ -185,6 +185,27 @@ class TestBackward:
             assert layer.generators[0].param_bytes() == before
         assert not any(k.startswith("gen") and ".0." in k for k in grads)
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_omega_gradient_equals_per_generator_inner_products(self, k):
+        # the reference is the per-generator sum the bank product replaced:
+        # omega_i gets sum over the four maps of <generator i's map, d_gen map>,
+        # where d_gen is the effective generator's gradient; under learned-omega
+        # the newest generator's gradient is omega[-1] * d_gen
+        model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance(num_tasks=k)
+        params = collect_trainable(model, aux, include_mix=True)
+        z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
+        _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w, "residual-corrected-ce")
+        grads = backward(model, tape, d_z, params)
+        for l, layer in enumerate(model.layers):
+            names = ("mean_w", "mean_b", "scale_w", "scale_b")
+            d_gen = [grads[f"gen{l}.{name}"] / layer.mix_weights[-1] for name in names]
+            reference = np.array(
+                [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in layer.generators]
+            )
+            assert grads[f"omega{l}"].shape == (k,)
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            assert np.max(np.abs(grads[f"omega{l}"] - reference)) <= 1e-12 * scale
+
     def test_classifier_weights_never_trainable(self):
         model, aux, *_ = make_gradcheck_instance()
         params = collect_trainable(model, aux, include_mix=True)
