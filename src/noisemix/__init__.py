@@ -7,7 +7,7 @@ from .model import ContinualModel, build_model
 from .numeric import SeededRng, NumericalError, ridge_solve, softmax
 from .pinoise import MixtureStrategy, PiNoiseLayer
 from .report import RunSummary, SessionReport, evaluate, summarize
-from .trainer import TrainConfig, run_session
+from .trainer import run_session
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "SeededRng",
     "SessionReport",
     "TaskStream",
-    "TrainConfig",
     "build_model",
     "evaluate",
     "load_embedding_stream",

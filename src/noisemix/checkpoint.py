@@ -174,13 +174,15 @@ def save_checkpoint(
 
 def _asymmetry(r: np.ndarray) -> float:
     """``max |R - R'|``, taken over bands of the upper triangle of about 2**16
-    entries (512 KB), so no d x d temporary is made."""
+    entries (512 KB), so no d x d temporary is made. NaN when any entry
+    is NaN or a mirrored pair is infinite."""
     worst = 0.0
     rows = max(1, (1 << 16) // r.shape[0])
     for start in range(0, r.shape[0], rows):
         band = slice(start, start + rows)
         diff = r[band, start:] - r[start:, band].T
-        worst = max(worst, float(np.max(np.abs(diff, out=diff))))
+        # np.maximum keeps a NaN where Python's max would drop it
+        worst = float(np.maximum(worst, np.max(np.abs(diff, out=diff))))
     return worst
 
 
@@ -198,9 +200,11 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     """Restore mutable state into a freshly built model; returns the meta.
 
     The model must have been built from the same configuration: the hash of
-    its frozen parameters has to match the stored one.
+    its frozen parameters has to match the stored one. That is checked from
+    the meta section alone; then the model's own Gram inverse is dropped
+    before the stored one is read, so the two are never held at once.
     """
-    sections = read_container(path)
+    sections = read_container(path, names={"meta"})
     if "meta" not in sections:
         raise CheckpointError("checkpoint has no meta section")
     meta = json.loads(sections["meta"].decode("utf-8"))
@@ -210,6 +214,8 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
         raise CheckpointError("noise layer presence mismatch")
 
     clf = model.classifier
+    clf.gram_inv = None
+    sections = read_container(path)
     classes = [int(c) for c in meta["classes_seen"]]
     clf.classes_seen = classes
     clf.weights = _decode_array(sections["clf.weights"])
@@ -218,9 +224,10 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
         raise CheckpointError("classifier weight shape mismatch")
     if clf.gram_inv.shape != (clf.feature_dim, clf.feature_dim):
         raise CheckpointError("gram inverse shape mismatch")
-    if _asymmetry(clf.gram_inv) > 1e-9:
+    # written so that a NaN fails both checks
+    if not (_asymmetry(clf.gram_inv) <= 1e-9):
         raise CheckpointError("gram inverse lost symmetry")
-    if np.any(np.diag(clf.gram_inv) <= 0):
+    if not np.all(np.diag(clf.gram_inv) > 0):
         raise CheckpointError("gram inverse diagonal not positive")
 
     sessions = int(meta["sessions_completed"])

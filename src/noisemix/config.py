@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .pinoise import MixtureStrategy
-from .trainer import LOSS_MODES
+
+LOSS_MODES = ("residual-corrected-ce", "residual-mse")
 
 
 class ConfigError(ValueError):

@@ -14,7 +14,7 @@ from .model import ContinualModel, build_model
 from .numeric import SeededRng, derive_seed
 from .pinoise import MixtureStrategy
 from .report import RunSummary, SessionReport, emit, render_line_chart, summarize
-from .trainer import TrainConfig, cosine_lr, run_session
+from .trainer import cosine_lr, run_session
 
 ABLATION_VARIANTS = (
     "baseline",
@@ -67,20 +67,6 @@ def build_run_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
     )
 
 
-def train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        epochs=t.epochs,
-        batch_size=t.batch_size,
-        lr_init=t.lr_init,
-        momentum=t.momentum,
-        tau=cfg.pinoise.tau,
-        loss_mode=t.loss_mode,
-        grad_clip=t.grad_clip,
-        init_scale=cfg.pinoise.init_scale,
-    )
-
-
 def run_training(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
@@ -97,7 +83,6 @@ def run_training(
     cfg.validate()
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
     hash_ = config_hash(cfg)
 
     start_task = 1
@@ -118,12 +103,12 @@ def run_training(
     if log and (start_task == 1 or not log_path.exists()):
         log_path.write_text("session,epoch,lr,mean_loss\n", encoding="utf-8")
 
-    reports = _run_sessions(model, stream, tcfg, cfg.train.seed, start_task, last_task)
+    reports = _run_sessions(model, stream, cfg, start_task, last_task)
     if log:
         with open(log_path, "a", encoding="utf-8") as fh:
             for report in reports:
                 for epoch, loss in enumerate(report.epoch_losses):
-                    lr = cosine_lr(epoch, tcfg.epochs, tcfg.lr_init)
+                    lr = cosine_lr(epoch, cfg.train.epochs, cfg.train.lr_init)
                     fh.write(f"{report.task_index},{epoch},{lr:.8f},{loss:.8f}\n")
 
     reports = earlier_reports + reports
@@ -143,14 +128,14 @@ def run_training(
 
 
 def _run_sessions(
-    model: ContinualModel, stream: TaskStream, tcfg: TrainConfig, train_seed: int, first: int, last: int
+    model: ContinualModel, stream: TaskStream, cfg: RunConfig, first: int, last: int
 ) -> list[SessionReport]:
     """Sessions first..last of the stream, in order, on ``model``."""
     reports = []
     for t in range(first, last + 1):
-        session_rng = SeededRng(derive_seed(train_seed, "session", t))
+        session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
         # looked up in this module at call time, so a replaced run_session is used
-        reports.append(run_session(model, stream, tcfg, session_rng))
+        reports.append(run_session(model, stream, cfg, session_rng))
     return reports
 
 
@@ -158,7 +143,7 @@ def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
     """Every session of the configured stream on a fresh model, no artifacts."""
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    reports = _run_sessions(model, stream, train_config(cfg), cfg.train.seed, 1, stream.num_tasks)
+    reports = _run_sessions(model, stream, cfg, 1, stream.num_tasks)
     return stream, summarize(reports, config_hash(cfg))
 
 
@@ -231,17 +216,22 @@ def run_ablation(
     return rows
 
 
-def trainable_param_count(cfg: RunConfig, task_index: int = 1) -> int:
-    """Parameters trained in one session: generators, mix weights, auxiliary."""
-    if not cfg.pinoise.enabled:
+def trainable_param_count(cfg: RunConfig, stream: TaskStream, task_index: int = 1) -> int:
+    """Parameters trained in session ``task_index`` of ``stream``.
+
+    The newest generator of every layer; under learned-omega also the mix
+    weights and the auxiliary classifier over the classes seen so far (the
+    groups of :func:`trainer.collect_trainable`).
+    """
+    p = cfg.pinoise
+    if not p.enabled:
         return 0
-    d2 = cfg.pinoise.latent_dim
     depth = cfg.backbone.depth
-    per_layer_gen = 2 * (d2 * d2 + d2)
-    omega = task_index if cfg.pinoise.shared_omega else depth * task_index
-    classes_per_task = cfg.data.num_classes // cfg.data.tasks
-    aux = cfg.backbone.buffer_size * classes_per_task * task_index
-    return depth * per_layer_gen + omega + aux
+    count = depth * 2 * p.latent_dim * (p.latent_dim + 1)
+    if MixtureStrategy.from_string(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
+        classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
+        count += task_index * (1 if p.shared_omega else depth) + cfg.backbone.buffer_size * classes
+    return count
 
 
 def run_sweep(
@@ -266,14 +256,14 @@ def run_sweep(
         raw = str(int(value)) if parameter in ("buffer_size", "d2") else str(value)
         set_key(vcfg, key, raw)
         vcfg.validate()
-        _, summary = _run_stream(vcfg)
+        stream, summary = _run_stream(vcfg)
         rows.append(
             {
                 "parameter": parameter,
                 "value": value,
                 "avg_pct": 100.0 * summary.average_accuracy,
                 "last_pct": 100.0 * summary.last_accuracy,
-                "trainable_params": trainable_param_count(vcfg),
+                "trainable_params": trainable_param_count(vcfg, stream),
             }
         )
 

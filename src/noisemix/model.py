@@ -15,15 +15,11 @@ from .pinoise import LayerCache, MixtureStrategy, PiNoiseLayer, build_layer, run
 
 @dataclass
 class ForwardTape:
-    """Intermediates of one forward pass, sufficient to backpropagate the
-    training loss to the newest generators, the mix weights, and whatever
-    sits on top of the expanded features."""
+    """What the backward pass reads of one forward pass: each block's tanh
+    output, each noise layer's cache, and the ReLU mask of the expansion."""
 
-    block_inputs: list[np.ndarray]
     block_tanh: list[np.ndarray]
     layer_caches: list[LayerCache | None]
-    pre_noise: list[np.ndarray]
-    expanded: np.ndarray
     relu_mask: np.ndarray
 
 
@@ -152,7 +148,6 @@ def forward_pass(
         raise ValueError(f"input width {x.shape[1]} != backbone input {model.backbone.input_dim}")
     require_finite(x, "input batch")
     cur = x @ model.backbone.adapter
-    block_inputs: list[np.ndarray] = []
     block_tanh: list[np.ndarray] = []
     layer_caches: list[LayerCache | None] = []
     pre_noise: list[np.ndarray] = []
@@ -161,7 +156,6 @@ def forward_pass(
         r = cur + block.gain * u
         require_finite(r, f"block {l} output")
         if collect:
-            block_inputs.append(cur)
             block_tanh.append(u)
         pre_noise.append(r)
         nxt = r
@@ -184,12 +178,5 @@ def forward_pass(
     z = np.maximum(expanded, 0.0)
     tape = None
     if collect:
-        tape = ForwardTape(
-            block_inputs=block_inputs,
-            block_tanh=block_tanh,
-            layer_caches=layer_caches,
-            pre_noise=pre_noise,
-            expanded=z,
-            relu_mask=expanded > 0,
-        )
+        tape = ForwardTape(block_tanh=block_tanh, layer_caches=layer_caches, relu_mask=expanded > 0)
     return z, pre_noise, tape

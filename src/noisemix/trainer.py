@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import LOSS_MODES, RunConfig
 from .model import ContinualModel, ForwardTape, build_model, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient, softmax
 from .pinoise import (
@@ -27,38 +28,6 @@ from .pinoise import (
     prototype_similarities,
 )
 from .report import SessionReport, evaluate
-
-LOSS_MODES = ("residual-corrected-ce", "residual-mse")
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 128
-    lr_init: float = 0.001
-    momentum: float = 0.9
-    tau: float = 2.0
-    loss_mode: str = "residual-corrected-ce"
-    grad_clip: float = 10.0  # global norm; 0 disables clipping
-    init_scale: float = 0.0001
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if not self.lr_init > 0:
-            raise ValueError("lr_init must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.grad_clip < 0:
-            raise ValueError("grad_clip must be non-negative")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be non-negative")
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_init: float) -> float:
@@ -105,24 +74,6 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[floa
     loss = float(np.mean(log_norm - (shifted * targets).sum(axis=1)))
     d_logits = (exp / norm - targets) / n
     return loss, d_logits
-
-
-def residual_loss(
-    features: np.ndarray,
-    aux_weights: np.ndarray,
-    targets: np.ndarray,
-    logit_offset: np.ndarray | None = None,
-    mode: str = "residual-corrected-ce",
-) -> float:
-    """Training loss of the auxiliary classifier on top of frozen logits.
-
-    ``logit_offset`` holds the frozen classifier's logits and is treated as
-    a constant: corrected cross-entropy classifies ``features @ aux_weights
-    + offset`` against the targets, while the least-squares mode fits
-    ``features @ aux_weights`` to the residual ``targets - offset``.
-    """
-    loss, _, _ = residual_loss_grads(features, aux_weights, targets, logit_offset, mode)
-    return loss
 
 
 def residual_loss_grads(
@@ -174,10 +125,13 @@ def direct_ce_grads(
     return loss, d_logits @ class_weights.T
 
 
-def collect_trainable(
-    model: ContinualModel, aux_weights: np.ndarray | None, include_mix: bool
-) -> dict[str, np.ndarray]:
-    """Name -> array view of everything the current session may update."""
+def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> array view of everything the current session may update.
+
+    The newest generator of every layer trains under every strategy; the mix
+    weights and the auxiliary classifier train only under learned-omega, the
+    other strategies train straight through the frozen classifier.
+    """
     if model.layers is None:
         raise ValueError("baseline model has nothing to train")
     params: dict[str, np.ndarray] = {}
@@ -189,15 +143,48 @@ def collect_trainable(
         params[f"gen{l}.mean_b"] = gen.mean_bias
         params[f"gen{l}.scale_w"] = gen.scale_weight
         params[f"gen{l}.scale_b"] = gen.scale_bias
-    if include_mix:
+    if model.strategy is MixtureStrategy.LEARNED_OMEGA:
         if model.shared_mix_weights:
             params["omega"] = model.layers[0].mix_weights
         else:
             for l, layer in enumerate(model.layers):
                 params[f"omega{l}"] = layer.mix_weights
-    if aux_weights is not None:
         params["aux"] = aux_weights
     return params
+
+
+def _session_loss(z, params, targets, frozen_weights, loss_mode, offset=None):
+    """Loss, auxiliary gradient (None without an auxiliary classifier) and
+    feature gradient of the session objective on features ``z``.
+
+    With an auxiliary classifier in ``params`` it is the residual loss on
+    top of the frozen logits ``offset`` (``z @ frozen_weights`` when not
+    given); otherwise cross-entropy through the frozen classifier.
+    """
+    if "aux" not in params:
+        loss, d_z = direct_ce_grads(z, frozen_weights, targets)
+        return loss, None, d_z
+    if offset is None:
+        offset = z @ frozen_weights
+    return residual_loss_grads(z, params["aux"], targets, offset, loss_mode)
+
+
+def gradient_step(model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode):
+    """Forward pass, loss and backward pass of one batch.
+
+    Returns the loss, the gradient of every array in ``params`` and the
+    features the loss was taken on.
+    """
+    z, _, tape = forward_pass(
+        model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True
+    )
+    loss, d_aux, d_z = _session_loss(z, params, targets, frozen_weights, loss_mode)
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite training loss")
+    grads = backward(model, tape, d_z, params)
+    if d_aux is not None:
+        grads["aux"] += d_aux
+    return loss, grads, z
 
 
 def backward(
@@ -245,10 +232,14 @@ def backward(
 def run_session(
     model: ContinualModel,
     stream,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     session_rng: SeededRng,
 ) -> SessionReport:
-    """Execute one incremental session and evaluate on all seen classes."""
+    """Execute one incremental session and evaluate on all seen classes.
+
+    Of the run configuration ``cfg`` the session reads ``cfg.train`` and
+    ``cfg.pinoise.tau`` and ``init_scale``.
+    """
     t = model.sessions_completed + 1
     if t > stream.num_tasks:
         raise ValueError(f"stream has only {stream.num_tasks} tasks")
@@ -271,12 +262,12 @@ def run_session(
         frozen_weights = model.classifier.trial_weights(feats_initial, targets)
         for layer in model.layers:
             gen_rng = session_rng.split("generator", layer.layer_index)
-            layer.generators.append(new_generator(layer.latent_dim, t, gen_rng, cfg.init_scale))
+            layer.generators.append(new_generator(layer.latent_dim, t, gen_rng, cfg.pinoise.init_scale))
         for layer, block_feats in zip(model.layers, pre_noise):
             layer.prototypes.append(compute_prototype(layer, [block_feats]))
-        _init_session_mix_weights(model, cfg.tau)
+        _init_session_mix_weights(model, cfg.pinoise.tau)
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
-        epoch_losses = _train_epochs(model, x_train, targets, frozen_weights, aux, cfg, session_rng)
+        epoch_losses = _train_epochs(model, x_train, targets, frozen_weights, aux, cfg.train, session_rng)
         feats_final = model.features(x_train, rng=session_rng.split("clf-final"), eval_mode=True)
         model.classifier.update(feats_final, targets)
         for layer in model.layers:
@@ -297,44 +288,29 @@ def _init_session_mix_weights(model: ContinualModel, tau: float) -> None:
             layer.mix_weights = shared
     else:
         for layer in model.layers:
-            sims = prototype_similarities(layer.prototypes)
-            layer.mix_weights = softmax(sims, tau)
+            layer.mix_weights = init_mix_weights(layer.prototypes, tau)
 
 
-def _train_epochs(model, x_train, targets, frozen_weights, aux, cfg, session_rng):
-    use_aux = model.strategy is MixtureStrategy.LEARNED_OMEGA
-    params = collect_trainable(model, aux if use_aux else None, include_mix=use_aux)
+def _train_epochs(model, x_train, targets, frozen_weights, aux, train, session_rng):
+    params = collect_trainable(model, aux)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     n = x_train.shape[0]
     losses = []
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr_init)
+    for epoch in range(train.epochs):
+        lr = cosine_lr(epoch, train.epochs, train.lr_init)
         order = session_rng.split("order", epoch).permutation(n)
         eps_rng = session_rng.split("eps", epoch)
         pick_rng = session_rng.split("pick", epoch)
         batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            xb = x_train[rows]
-            yb = targets[rows]
+        for start in range(0, n, train.batch_size):
+            rows = order[start : start + train.batch_size]
             eps = _draw_epsilons(model, len(rows), eps_rng)
             picks = _draw_picks(model, pick_rng)
-            z, _, tape = forward_pass(
-                model, xb, eps_per_layer=eps, picks_per_layer=picks, collect=True
+            loss, grads, _ = gradient_step(
+                model, params, x_train[rows], targets[rows], frozen_weights, eps, picks, train.loss_mode
             )
-            if use_aux:
-                offset = z @ frozen_weights
-                loss, d_aux, d_z = residual_loss_grads(z, aux, yb, offset, cfg.loss_mode)
-            else:
-                loss, d_z = direct_ce_grads(z, frozen_weights, yb)
-                d_aux = None
-            if not np.isfinite(loss):
-                raise NumericalError("non-finite training loss")
-            grads = backward(model, tape, d_z, params)
-            if d_aux is not None:
-                grads["aux"] += d_aux
-            clip_gradients(grads, cfg.grad_clip)
-            sgd_step(params, grads, velocity, lr, cfg.momentum)
+            clip_gradients(grads, train.grad_clip)
+            sgd_step(params, grads, velocity, lr, train.momentum)
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
     return losses
@@ -473,22 +449,11 @@ def gradient_check(
     backward pass. ``corrupt_group`` perturbs one analytic gradient group,
     which must make the check fail (negative control for tests).
     """
-    use_aux = model.strategy is MixtureStrategy.LEARNED_OMEGA
-    params = collect_trainable(model, aux_weights if use_aux else None, include_mix=use_aux)
-
-    z0, _, tape = forward_pass(
-        model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True
+    params = collect_trainable(model, aux_weights)
+    _, analytic, z0 = gradient_step(
+        model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode
     )
     offset0 = z0 @ frozen_weights
-
-    if use_aux:
-        _, d_aux, d_z = residual_loss_grads(z0, aux_weights, targets, offset0, loss_mode)
-    else:
-        _, d_z = direct_ce_grads(z0, frozen_weights, targets)
-        d_aux = None
-    analytic = backward(model, tape, d_z, params)
-    if d_aux is not None:
-        analytic["aux"] += d_aux
     if corrupt_group is not None:
         if corrupt_group not in analytic:
             raise ValueError(f"no gradient group named {corrupt_group!r}")
@@ -502,10 +467,7 @@ def gradient_check(
             z, _, _ = forward_pass(
                 model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer
             )
-            if use_aux:
-                return residual_loss(z, aux_weights, targets, offset0, loss_mode)
-            loss, _ = direct_ce_grads(z, frozen_weights, targets)
-            return loss
+            return _session_loss(z, params, targets, frozen_weights, loss_mode, offset0)[0]
         finally:
             params[key][...] = saved
 

@@ -16,7 +16,6 @@ from noisemix.experiment import (
     run_ablation,
     run_sweep,
     run_training,
-    train_config,
 )
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve, softmax
 from noisemix.pinoise import init_mix_weights
@@ -49,11 +48,10 @@ def default_cfg(**sets):
 def full_run(cfg):
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
     reports = []
     for t in range(1, stream.num_tasks + 1):
         rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-        reports.append(run_session(model, stream, tcfg, rng))
+        reports.append(run_session(model, stream, cfg, rng))
     return stream, model, reports
 
 
@@ -125,7 +123,6 @@ def test_freeze_invariants():
     cfg = default_cfg()
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
 
     backbone_bytes = model.frozen_param_hash()
     projection_bytes = [layer.frozen_bytes() for layer in model.layers]
@@ -147,7 +144,7 @@ def test_freeze_invariants():
         for t in range(1, 6):
             weight_hashes.append([])
             rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-            run_session(model, stream, tcfg, rng)
+            run_session(model, stream, cfg, rng)
             freeze_points[t] = [layer.generators[-1].param_bytes() for layer in model.layers]
     finally:
         trainer_mod.backward = orig_backward

@@ -15,7 +15,7 @@ from noisemix.checkpoint import (
     write_container,
 )
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream, train_config
+from noisemix.experiment import build_run_model, build_stream
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.pinoise import NoiseGenerator
 from noisemix.trainer import run_session
@@ -82,11 +82,10 @@ def handmade_model(cfg):
 def trained_model(cfg):
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
     reports = []
     for t in range(1, 3):
         reports.append(
-            run_session(model, stream, tcfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
+            run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
         )
     return stream, model, reports
 
@@ -167,11 +166,10 @@ class TestModelCheckpoint:
         save_checkpoint(path, model, "h", cfg.train.seed, 3)
         fresh = build_run_model(cfg, stream.feature_dim)
         load_into(fresh, path)
-        tcfg = train_config(cfg)
         rng_a = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rng_b = SeededRng(derive_seed(cfg.train.seed, "session", 3))
-        rep_direct = run_session(model, stream, tcfg, rng_a)
-        rep_resumed = run_session(fresh, stream, tcfg, rng_b)
+        rep_direct = run_session(model, stream, cfg, rng_a)
+        rep_resumed = run_session(fresh, stream, cfg, rng_b)
         assert rep_direct == rep_resumed
         assert fresh.state_hash() == model.state_hash()
 
@@ -244,7 +242,7 @@ class TestFormatPinned:
         path = tmp_path / "again.nmcp"
         save_checkpoint(path, model, meta["config_hash"], meta["rng"]["train_seed"], meta["total_tasks"], history)
         assert path.read_bytes() == V1_FIXTURE.read_bytes()
-        report = run_session(model, stream, train_config(cfg), SeededRng(derive_seed(cfg.train.seed, "session", 3)))
+        report = run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
         assert report.task_index == 3
 
     def test_save_streams_the_inverse(self, tmp_path, traced_peak):
@@ -289,12 +287,26 @@ class TestLoadMemory:
         clf.update(rng.standard_normal(8, clf.feature_dim), np.ones((8, clf.num_classes)))
         assert np.shares_memory(clf.gram_inv, inverse)
 
+    def test_resume_holds_one_inverse(self, tmp_path, traced_peak):
+        # a resumed run builds its model, whose inverse starts as eye(d) / lambda,
+        # and then loads into it
+        cfg, stream, model, path = self.wide_checkpoint(tmp_path)
+        peak = traced_peak(lambda: load_into(build_run_model(cfg, stream.feature_dim), path))
+        assert peak < 1.5 * model.classifier.gram_inv.nbytes
+
     @pytest.mark.parametrize("row", [0, 700, 1023])
-    def test_asymmetric_inverse_rejected_in_any_band(self, tmp_path, row):
+    @pytest.mark.parametrize("bad", ["shift", "nan-pair", "nan-diagonal"])
+    def test_asymmetric_inverse_rejected_in_any_band(self, tmp_path, row, bad):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         clf = model.classifier
         clf.gram_inv = clf.gram_inv.copy()
-        clf.gram_inv[row, (row + 300) % clf.feature_dim] += 1e-6
+        col = (row + 300) % clf.feature_dim
+        if bad == "shift":
+            clf.gram_inv[row, col] += 1e-6
+        elif bad == "nan-pair":
+            clf.gram_inv[row, col] = clf.gram_inv[col, row] = np.nan
+        else:
+            clf.gram_inv[row, row] = np.nan
         save_checkpoint(path, model, "h", cfg.train.seed, 3)
         with pytest.raises(CheckpointError, match="symmetry"):
             load_into(build_run_model(cfg, stream.feature_dim), path)

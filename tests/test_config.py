@@ -29,6 +29,13 @@ class TestValidation:
             ("train.loss_mode", "hinge"),
             ("backbone.buffer_size", "8"),
             ("data.source", "images"),
+            ("train.epochs", "-1"),
+            ("train.batch_size", "0"),
+            ("train.lr_init", "0"),
+            ("train.momentum", "1.0"),
+            ("pinoise.tau", "0"),
+            ("train.grad_clip", "-1"),
+            ("pinoise.init_scale", "-1"),
         ],
     )
     def test_out_of_range_rejected(self, key, value):

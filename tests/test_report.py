@@ -4,7 +4,7 @@ import xml.dom.minidom
 import pytest
 
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream, train_config
+from noisemix.experiment import build_run_model, build_stream
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.report import (
     EVAL_BATCH,
@@ -30,9 +30,8 @@ def trained_setup(num_tasks=3):
     cfg.validate()
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
     for t in range(1, num_tasks + 1):
-        run_session(model, stream, tcfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
+        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
     return stream, model
 
 

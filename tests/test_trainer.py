@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import noisemix.trainer as trainer_mod
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream, train_config
+from noisemix.experiment import build_run_model, build_stream, trainable_param_count
 from noisemix.model import forward_pass
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.pinoise import MixtureStrategy
 from noisemix.trainer import (
-    TrainConfig,
     backward,
     clip_gradients,
     collect_trainable,
@@ -17,7 +17,6 @@ from noisemix.trainer import (
     direct_ce_grads,
     gradient_check,
     make_gradcheck_instance,
-    residual_loss,
     residual_loss_grads,
     run_session,
     sgd_step,
@@ -39,11 +38,10 @@ def small_cfg(**data_overrides):
 def run_all_sessions(cfg):
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    tcfg = train_config(cfg)
     reports = []
     for t in range(1, stream.num_tasks + 1):
         rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-        reports.append(run_session(model, stream, tcfg, rng))
+        reports.append(run_session(model, stream, cfg, rng))
     return stream, model, reports
 
 
@@ -105,7 +103,7 @@ class TestResidualLoss:
         z = SeededRng(1).standard_normal(6, 5)
         aux = np.zeros((5, 4))
         y = np.eye(4)[[0, 1, 2, 3, 0, 1]]
-        loss = residual_loss(z, aux, y, logit_offset=np.zeros((6, 4)))
+        loss = residual_loss_grads(z, aux, y, np.zeros((6, 4)), "residual-corrected-ce")[0]
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_mse_exact_fit_is_zero(self):
@@ -114,7 +112,7 @@ class TestResidualLoss:
         offset = rng.standard_normal(6, 3)
         y = np.eye(3)[[0, 1, 2, 0, 1, 2]].astype(float)
         aux = np.linalg.lstsq(z, y - offset, rcond=None)[0]
-        loss = residual_loss(z, aux, y, offset, mode="residual-mse")
+        loss = residual_loss_grads(z, aux, y, offset, "residual-mse")[0]
         assert loss < 1e-24
 
     def test_one_gradient_step_decreases_ce(self):
@@ -125,12 +123,12 @@ class TestResidualLoss:
         aux = np.zeros((10, 4))
         loss0, d_aux, _ = residual_loss_grads(z, aux, y, offset, "residual-corrected-ce")
         aux2 = aux - 0.01 * d_aux
-        loss1 = residual_loss(z, aux2, y, offset)
+        loss1 = residual_loss_grads(z, aux2, y, offset, "residual-corrected-ce")[0]
         assert loss1 < loss0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            residual_loss(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), mode="nope")
+            residual_loss_grads(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), None, "nope")[0]
 
 
 class TestBackward:
@@ -171,7 +169,7 @@ class TestBackward:
 
     def test_frozen_generators_receive_no_gradient(self):
         model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
-        params = collect_trainable(model, aux, include_mix=True)
+        params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
         _, d_aux, d_z = residual_loss_grads(
             z, aux, targets, z @ frozen_w, "residual-corrected-ce"
@@ -192,7 +190,7 @@ class TestBackward:
         # where d_gen is the effective generator's gradient; under learned-omega
         # the newest generator's gradient is omega[-1] * d_gen
         model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance(num_tasks=k)
-        params = collect_trainable(model, aux, include_mix=True)
+        params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
         _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w, "residual-corrected-ce")
         grads = backward(model, tape, d_z, params)
@@ -208,7 +206,7 @@ class TestBackward:
 
     def test_classifier_weights_never_trainable(self):
         model, aux, *_ = make_gradcheck_instance()
-        params = collect_trainable(model, aux, include_mix=True)
+        params = collect_trainable(model, aux)
         expected_prefixes = ("gen0.", "gen1.", "omega", "aux")
         assert all(k.startswith(expected_prefixes) for k in params)
 
@@ -219,7 +217,7 @@ class TestSession:
         stream = build_stream(cfg)
         model = build_run_model(cfg, stream.feature_dim)
         rng = SeededRng(derive_seed(cfg.train.seed, "session", 1))
-        run_session(model, stream, train_config(cfg), rng)
+        run_session(model, stream, cfg, rng)
         x, y = stream.tasks[0].train_arrays()
         feats = model.features(x, rng=SeededRng(0))
         acc = float(np.mean(model.classifier.predict_labels(feats) == y))
@@ -237,7 +235,7 @@ class TestSession:
         model = build_run_model(cfg, stream.feature_dim)
         model.sessions_completed = 99
         with pytest.raises(ValueError):
-            run_session(model, stream, train_config(cfg), SeededRng(1))
+            run_session(model, stream, cfg, SeededRng(1))
 
     def test_zero_noise_zero_epochs_reduces_to_baseline(self):
         cfg = small_cfg()
@@ -267,7 +265,7 @@ class TestSession:
         probe.classifier.expand_classes(stream.tasks[0].class_set)
         probe.classifier.update(feats, probe.classifier.one_hot(y))
 
-        run_session(model, stream, train_config(cfg), SeededRng(derive_seed(cfg.train.seed, "session", 1)))
+        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 1)))
         assert np.array_equal(model.classifier.weights, probe.classifier.weights)
         assert np.array_equal(model.classifier.gram_inv, probe.classifier.gram_inv)
 
@@ -275,12 +273,11 @@ class TestSession:
         cfg = small_cfg()
         stream = build_stream(cfg)
         model = build_run_model(cfg, stream.feature_dim)
-        tcfg = train_config(cfg)
         frozen_snapshots = {}
         backbone_hash = model.frozen_param_hash()
         for t in range(1, stream.num_tasks + 1):
             rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
-            run_session(model, stream, tcfg, rng)
+            run_session(model, stream, cfg, rng)
             frozen_snapshots[t] = [layer.generators[-1].param_bytes() for layer in model.layers]
             for past in range(1, t + 1):
                 current = [layer.generators[past - 1].param_bytes() for layer in model.layers]
@@ -331,19 +328,28 @@ class TestVariantTraining:
         assert model.strategy is MixtureStrategy.from_string(strategy)
 
 
-class TestTrainConfigValidation:
-    def test_defaults_are_valid(self):
-        TrainConfig()
 
-    def test_rejections(self):
-        for kwargs in (
-            {"epochs": -1},
-            {"batch_size": 0},
-            {"lr_init": 0.0},
-            {"momentum": 1.0},
-            {"tau": 0.0},
-            {"loss_mode": "huber"},
-            {"grad_clip": -1.0},
-        ):
-            with pytest.raises(ValueError):
-                TrainConfig(**kwargs)
+class TestTrainableParamCount:
+    @pytest.mark.parametrize(
+        "strategy,shared",
+        [(s.value, False) for s in MixtureStrategy] + [("learned-omega", True)],
+    )
+    @pytest.mark.parametrize("tasks", [5, 3])  # 20 classes: 4 per task, or 7, 7 and 6
+    def test_matches_collect_trainable(self, monkeypatch, strategy, shared, tasks):
+        cfg = small_cfg(tasks=tasks)
+        cfg.pinoise.strategy = strategy
+        cfg.pinoise.shared_omega = shared
+        cfg.train.epochs = 0
+        stream = build_stream(cfg)
+        model = build_run_model(cfg, stream.feature_dim)
+        sizes = []
+
+        def counted(model, aux):
+            params = collect_trainable(model, aux)
+            sizes.append(sum(p.size for p in params.values()))
+            return params
+
+        monkeypatch.setattr(trainer_mod, "collect_trainable", counted)
+        for t in (1, 2):
+            run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
+        assert sizes == [trainable_param_count(cfg, stream, t) for t in (1, 2)]
