@@ -14,6 +14,7 @@ encoded as u64 ndim, u64 per-dimension sizes, then float64 data.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -29,6 +30,10 @@ VERSION = 1
 _NAME_LEN = 24
 _HEADER = struct.Struct("<4sIII")
 _ENTRY = struct.Struct(f"<{_NAME_LEN}sQQII")
+# the meta keys a load or a resume reads
+_META_KEYS = (
+    "classes_seen", "config_hash", "eval_seed", "frozen_hash", "has_noise", "num_layers", "sessions_completed",
+)
 
 
 class CheckpointError(RuntimeError):
@@ -41,14 +46,23 @@ def _encode_array(a: np.ndarray) -> tuple[bytes, np.ndarray]:
     return struct.pack(f"<{1 + a.ndim}Q", a.ndim, *a.shape), a.reshape(-1).view(np.uint8)
 
 
-def _decode_array(raw: bytearray) -> np.ndarray:
-    """A writable array over the payload's own buffer, which is not copied.
+def _decode_array(sections: dict[str, bytearray], name: str) -> np.ndarray:
+    """Section ``name`` as a writable array over the payload's own buffer,
+    which is not copied.
 
     The data starts at 8 + 8 * ndim bytes, a multiple of 8, so a payload
-    read into its own buffer keeps float64 alignment.
+    read into its own buffer keeps float64 alignment. A missing section, or
+    a payload whose length disagrees with its shape header, is refused.
     """
-    (ndim,) = struct.unpack_from("<Q", raw, 0)
+    if name not in sections:
+        raise CheckpointError(f"checkpoint has no {name} section")
+    raw = sections[name]
+    ndim = struct.unpack_from("<Q", raw, 0)[0] if len(raw) >= 8 else None
+    if ndim is None or len(raw) < 8 + 8 * ndim:
+        raise CheckpointError(f"section {name}: payload too short for its array header")
     shape = struct.unpack_from(f"<{ndim}Q", raw, 8)
+    if len(raw) - 8 - 8 * ndim != 8 * math.prod(shape):
+        raise CheckpointError(f"section {name}: payload length does not match shape {shape}")
     return np.frombuffer(raw, dtype="<f8", offset=8 + 8 * ndim).reshape(shape)
 
 
@@ -193,7 +207,13 @@ def load_history(path: str | Path) -> list:
     sections = read_container(path, names={"history"})
     if "history" not in sections:
         return []
-    return [report_from_dict(d) for d in json.loads(sections["history"].decode("utf-8"))]
+    entries = json.loads(sections["history"].decode("utf-8"))
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise CheckpointError("checkpoint history is not a list of JSON objects")
+    try:
+        return [report_from_dict(d) for d in entries]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint history entry has no {exc.args[0]!r} key") from None
 
 
 def load_into(model: ContinualModel, path: str | Path) -> dict:
@@ -208,6 +228,11 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     if "meta" not in sections:
         raise CheckpointError("checkpoint has no meta section")
     meta = json.loads(sections["meta"].decode("utf-8"))
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint meta is not a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CheckpointError(f"checkpoint meta has no {', '.join(map(repr, missing))} key")
     if meta["frozen_hash"] != model.frozen_param_hash():
         raise CheckpointError("frozen parameter hash mismatch; model/config drifted")
     if meta["has_noise"] != model.has_noise:
@@ -218,8 +243,8 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     sections = read_container(path)
     classes = [int(c) for c in meta["classes_seen"]]
     clf.classes_seen = classes
-    clf.weights = _decode_array(sections["clf.weights"])
-    clf.gram_inv = _decode_array(sections["clf.graminv"])
+    clf.weights = _decode_array(sections, "clf.weights")
+    clf.gram_inv = _decode_array(sections, "clf.graminv")
     if clf.weights.shape != (clf.feature_dim, len(classes)):
         raise CheckpointError("classifier weight shape mismatch")
     if clf.gram_inv.shape != (clf.feature_dim, clf.feature_dim):
@@ -240,10 +265,10 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
             layer.generators = []
             layer.prototypes = []
             if f"{prefix}.proto" in sections:
-                protos = _decode_array(sections[f"{prefix}.proto"])
+                protos = _decode_array(sections, f"{prefix}.proto")
                 layer.prototypes = [protos[i] for i in range(protos.shape[0])]
             if f"{prefix}.omega" in sections:
-                omega = _decode_array(sections[f"{prefix}.omega"])
+                omega = _decode_array(sections, f"{prefix}.omega")
                 if model.shared_mix_weights:
                     if shared_first is None:
                         shared_first = omega
@@ -252,17 +277,9 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
                     layer.mix_weights = omega
             for i in range(sessions):
                 gp = f"{prefix}.G{i:02d}"
+                maps = [_decode_array(sections, f"{gp}.{m}") for m in ("mw", "mb", "sw", "sb")]
                 try:
-                    gen = NoiseGenerator(
-                        mean_weight=_decode_array(sections[f"{gp}.mw"]),
-                        mean_bias=_decode_array(sections[f"{gp}.mb"]),
-                        scale_weight=_decode_array(sections[f"{gp}.sw"]),
-                        scale_bias=_decode_array(sections[f"{gp}.sb"]),
-                        task_index=i + 1,
-                        frozen=True,
-                    )
-                except KeyError:
-                    raise CheckpointError(f"missing generator section {gp}") from None
+                    gen = NoiseGenerator(*maps)
                 except ValueError:
                     raise CheckpointError(f"generator {gp} shape mismatch") from None
                 if gen.latent_dim != layer.latent_dim:

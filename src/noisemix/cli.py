@@ -109,9 +109,6 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.print_config:
-        print(resolved_text(cfg), end="")
-        return 0
     out = _out_dir(args, cfg)
     if args.class_seeds:
         agg = run_multi_seed(cfg, args.class_seeds, out_dir=out)
@@ -144,9 +141,6 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_config(args)
-    if args.print_config:
-        print(resolved_text(cfg), end="")
-        return 0
     rows = run_ablation(cfg, args.variants, args.class_seeds, out_dir=_out_dir(args, cfg))
     for r in rows:
         print(
@@ -158,9 +152,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if args.print_config:
-        print(resolved_text(cfg), end="")
-        return 0
     rows = run_sweep(cfg, args.parameter, args.values, out_dir=_out_dir(args, cfg))
     for r in rows:
         print(
@@ -172,9 +163,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    if args.print_config:
-        print(resolved_text(cfg), end="")
-        return 0
     # small dimensions keep the finite-difference sweep fast and well-conditioned
     dims = {
         "feature_dim": min(cfg.backbone.feature_dim, 16),
@@ -201,9 +189,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_snapshot(args) -> int:
     cfg = _load_config(args)
-    if args.print_config:
-        print(resolved_text(cfg), end="")
-        return 0
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
     digest = model.frozen_param_hash()
@@ -219,6 +204,9 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if getattr(args, "print_config", False):
+            print(resolved_text(_load_config(args)), end="")
+            return 0
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)

@@ -128,15 +128,6 @@ PROFILES = {
 }
 
 
-def known_keys() -> list[str]:
-    keys = []
-    for section, cls in _SECTIONS.items():
-        for f in dataclasses.fields(cls):
-            keys.append(f"{section}.{f.name}")
-    keys.append("output_dir")
-    return keys
-
-
 def _coerce(raw: str, target_type: type):
     if target_type is bool:
         low = raw.strip().lower()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import RunConfig, config_hash, resolved_text, set_key
+from .config import ConfigError, RunConfig, config_hash, resolved_text, set_key
 from .datastream import TaskStream, load_embedding_stream, make_synthetic_stream
 from .model import ContinualModel, build_model
 from .numeric import SeededRng, derive_seed
@@ -245,6 +245,9 @@ def run_sweep(
         raise ValueError(f"unknown sweep parameter {parameter!r} (valid: {sorted(SWEEP_PARAMETERS)})")
     if not values:
         raise ValueError("sweep needs at least one value")
+    integral = parameter in ("buffer_size", "d2")
+    if integral and not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"sweep values of {parameter} must be integers, got {list(values)}")
     cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,7 +256,7 @@ def run_sweep(
     rows = []
     for value in values:
         vcfg = copy.deepcopy(cfg)
-        raw = str(int(value)) if parameter in ("buffer_size", "d2") else str(value)
+        raw = str(int(value)) if integral else str(value)
         set_key(vcfg, key, raw)
         vcfg.validate()
         stream, summary = _run_stream(vcfg)

@@ -49,14 +49,16 @@ class ContinualModel:
         """Expanded features for the classifier.
 
         ``eval_mode`` follows the mean noise path unless stochastic
-        evaluation was requested; the sampling path needs an rng. Returns
+        evaluation was requested; the sampling path and random-task picks
+        draw from ``rng``, per layer the draw first, then the pick. Returns
         the feature matrix, plus the per-block pre-noise outputs when
         ``collect_blocks`` is set.
         """
         sample = (self.stochastic_eval if eval_mode else True)
         if sample and rng is None:
             raise ValueError("sampling path needs an rng")
-        z, pre_noise, _ = forward_pass(self, x, rng=rng, sample_noise=sample)
+        eps, picks = draw_noise(self, len(x), rng if sample else None, rng)
+        z, pre_noise, _ = forward_pass(self, x, eps_per_layer=eps, picks_per_layer=picks)
         if collect_blocks:
             return z, pre_noise
         return z
@@ -82,9 +84,9 @@ class ContinualModel:
         h.update(np.int64(self.sessions_completed).tobytes())
         if self.layers is not None:
             for layer in self.layers:
-                for gen in layer.generators:
+                for i, gen in enumerate(layer.generators):
                     h.update(gen.param_bytes())
-                    h.update(np.int64(gen.frozen).tobytes())
+                    h.update(np.int64(i < self.sessions_completed).tobytes())
                 for proto in layer.prototypes:
                     h.update(np.ascontiguousarray(proto).tobytes())
                 if layer.mix_weights is not None:
@@ -127,21 +129,41 @@ def build_model(
     )
 
 
+def draw_noise(
+    model: ContinualModel, rows: int, eps_rng: SeededRng | None, pick_rng: SeededRng | None
+) -> tuple[list[np.ndarray | None] | None, list[int | None] | None]:
+    """The noise draws of one forward pass over ``rows`` inputs.
+
+    Layer by layer, for every layer that has generators: first its
+    ``rows x d2`` Gaussian draw from ``eps_rng`` (none, the mean path, when
+    ``eps_rng`` is None), then under random-task its picked task from
+    ``pick_rng``. Returns ``(eps_per_layer, picks_per_layer)`` for
+    :func:`forward_pass`.
+    """
+    if model.layers is None:
+        return None, None
+    random_task = model.strategy is MixtureStrategy.RANDOM_TASK and pick_rng is not None
+    eps_per_layer, picks_per_layer = [], []
+    for layer in model.layers:
+        active = bool(layer.generators)
+        eps = eps_rng.standard_normal(rows, layer.latent_dim) if active and eps_rng is not None else None
+        eps_per_layer.append(eps)
+        picks_per_layer.append(pick_rng.integer(len(layer.generators)) if active and random_task else None)
+    return eps_per_layer, picks_per_layer
+
+
 def forward_pass(
     model: ContinualModel,
     x: np.ndarray,
-    rng: SeededRng | None = None,
-    sample_noise: bool = False,
     eps_per_layer: list[np.ndarray | None] | None = None,
     picks_per_layer: list[int | None] | None = None,
     collect: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], ForwardTape | None]:
-    """Run the full feature pipeline.
+    """Run the full feature pipeline on the given draws (:func:`draw_noise`).
 
-    Noise draws come from ``eps_per_layer`` when given (gradient checks and
-    training reuse), otherwise from ``rng`` when ``sample_noise`` is set,
-    otherwise the mean path (draw treated as zero). Returns the expanded
-    features, the per-block pre-noise outputs, and optionally the tape.
+    A layer without a draw follows the mean path (draw treated as zero).
+    Returns the expanded features, the per-block pre-noise outputs, and
+    optionally the tape.
     """
     x = as_matrix(x, "input batch")
     if x.shape[1] != model.backbone.input_dim:
@@ -161,15 +183,9 @@ def forward_pass(
         nxt = r
         cache = None
         if model.layers is not None and model.layers[l].generators:
-            layer = model.layers[l]
-            if eps_per_layer is not None:
-                eps = eps_per_layer[l]
-            elif sample_noise:
-                eps = rng.standard_normal(r.shape[0], layer.latent_dim)
-            else:
-                eps = None
+            eps = eps_per_layer[l] if eps_per_layer is not None else None
             pick = picks_per_layer[l] if picks_per_layer is not None else None
-            nxt, cache = run_layer(layer, r, model.strategy, eps, pick=pick, rng=rng, collect=collect)
+            nxt, cache = run_layer(model.layers[l], r, model.strategy, eps, pick=pick, collect=collect)
             require_finite(nxt, f"noise layer {l} output")
         layer_caches.append(cache)
         cur = nxt

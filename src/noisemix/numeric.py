@@ -148,25 +148,22 @@ class SeededRng:
         """Uniform draws in (0, 1]; never zero, so log() is always safe."""
         return (self.next_uint64(count).astype(np.float64) + 1.0) * 2.0**-64
 
-    def standard_normal(self, rows: int, cols: int | None = None, blocks: int | None = None) -> np.ndarray:
+    def standard_normal(self, rows: int, cols: int | None = None) -> np.ndarray:
         """I.i.d. N(0,1) draws via the Box-Muller transform.
 
-        Returns a vector of length ``rows`` or a ``rows x cols`` matrix; with
-        ``blocks`` a ``blocks x rows x cols`` stack equal, bit for bit and in
-        the final state, to that many consecutive ``rows x cols`` calls.
-        Each block takes ceil(size / 2) words for the radii, then as many for
-        the angles, so an odd size wastes one word per block.
+        Returns a vector of length ``rows`` or a ``rows x cols`` matrix. A
+        call takes ceil(size / 2) words for the radii, then as many for the
+        angles, so an odd size wastes one word.
         """
         shape = (rows,) if cols is None else (rows, cols)
         count = int(np.prod(shape))
-        if count < 1 or (blocks is not None and blocks < 1):
-            raise ValueError(f"normal draw needs a positive size, got shape {shape} x {blocks} blocks")
+        if count < 1:
+            raise ValueError(f"normal draw needs a positive size, got shape {shape}")
         pairs = (count + 1) // 2
-        u1, u2 = self.uniform(2 * pairs * (blocks or 1)).reshape(-1, 2, pairs).transpose(1, 0, 2)
+        u1, u2 = self.uniform(2 * pairs).reshape(2, pairs)
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * np.pi * u2
-        out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
-        return out.reshape(shape if blocks is None else (blocks, *shape))
+        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count].reshape(shape)
 
     def integer(self, upper: int) -> int:
         """One draw uniform on [0, upper). Modulo bias is below 2**-50 for desk sizes."""

@@ -2,9 +2,10 @@
 
 Each task owns one generator per layer: two affine maps in a narrow latent
 space that produce the mean and scale of a reparameterized Gaussian
-perturbation. A generator keeps its four parameter arrays in one contiguous
-vector, mean map first, scale map second. Generators freeze when their
-task's session ends.
+perturbation. A generator is only its parameters: four arrays in one
+contiguous vector, mean map first, scale map second. Which generators are
+frozen follows from the model's session count: a task's generator trains in
+its own session and never again.
 
 A mixing strategy is a pair of per-task coefficient vectors ``(c_mean,
 c_scale)`` (:func:`mixture_coefficients`). All tasks at a layer share one
@@ -16,6 +17,10 @@ and the gradient of the mixing weights is ``B @ g`` for the effective
 generator's gradient g. Per input row, the forward and backward pass of a
 layer then cost the same for any number of tasks, and the per-step work on
 the k generators is one product each way.
+
+A layer's forward pass (:func:`run_layer`) is a function of its parameters
+and the draws it is given, the Gaussian draw and the random-task pick; it
+draws nothing itself (:func:`noisemix.model.draw_noise` does).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class MixtureStrategy(enum.Enum):
 
 
 class NoiseGenerator:
-    """Affine mean/scale maps in the latent space, trainable until frozen.
+    """Affine mean/scale maps in the latent space.
 
     The four maps live in one contiguous float64 ``vector``, in :meth:`params`
     order: mean weight (d2 x d2), mean bias (d2), scale weight (d2 x d2) and
@@ -57,29 +62,21 @@ class NoiseGenerator:
     updates of them write the vector and nothing can rebind them.
     """
 
-    def __init__(
-        self, mean_weight, mean_bias, scale_weight, scale_bias, task_index: int, frozen: bool = False
-    ):
+    def __init__(self, mean_weight, mean_bias, scale_weight, scale_bias):
         maps = [np.asarray(a, dtype=np.float64) for a in (mean_weight, mean_bias, scale_weight, scale_bias)]
         d2 = maps[1].size
         shapes = [a.shape for a in maps]
         if shapes != [(d2, d2), (d2,), (d2, d2), (d2,)]:
             raise ValueError(f"generator maps need shapes d2 x d2, d2, d2 x d2, d2; got {shapes}")
         self._bind(np.concatenate([a.ravel() for a in maps]), d2)
-        self.task_index = task_index
-        self.frozen = frozen
 
     @classmethod
-    def from_vector(
-        cls, vector: np.ndarray, latent_dim: int, task_index: int, frozen: bool = False
-    ) -> "NoiseGenerator":
+    def from_vector(cls, vector: np.ndarray, latent_dim: int) -> "NoiseGenerator":
         """A generator whose maps are views of ``vector`` itself (not copied)."""
         gen = cls.__new__(cls)
         if vector.shape != (2 * latent_dim * (latent_dim + 1),):
             raise ValueError(f"generator vector for d2={latent_dim} has shape {vector.shape}")
         gen._bind(vector, latent_dim)
-        gen.task_index = task_index
-        gen.frozen = frozen
         return gen
 
     def _bind(self, vector: np.ndarray, d2: int) -> None:
@@ -114,8 +111,8 @@ class NoiseGenerator:
         return self.vector.tobytes()
 
 
-def new_generator(latent_dim: int, task_index: int, rng: SeededRng, init_scale: float = 0.0001) -> NoiseGenerator:
-    """Fresh trainable generator with near-zero output at initialization.
+def new_generator(latent_dim: int, rng: SeededRng, init_scale: float = 0.0001) -> NoiseGenerator:
+    """Fresh generator with near-zero output at initialization.
 
     Weights are N(0, 1/latent_dim) scaled by ``init_scale`` so a new task's
     noise starts as a tiny perturbation; biases start at zero. init_scale=0
@@ -127,7 +124,6 @@ def new_generator(latent_dim: int, task_index: int, rng: SeededRng, init_scale: 
         mean_bias=np.zeros(latent_dim),
         scale_weight=rng.standard_normal(latent_dim, latent_dim) * scale,
         scale_bias=np.zeros(latent_dim),
-        task_index=task_index,
     )
 
 
@@ -168,14 +164,13 @@ def mixture_coefficients(
     k: int,
     mix_weights: np.ndarray | None = None,
     pick: int | None = None,
-    rng: SeededRng | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-task weights ``(c_mean, c_scale)`` of a layer's ``k`` generators.
 
     learned-omega uses the mix weights for both maps, average 1/k for both,
     mu-only 1/k for the mean and 0 for the scale, sigma-only the reverse;
     last-task and random-task use one one-hot vector for both (random-task
-    takes ``pick``, or draws it from ``rng``).
+    takes ``pick``).
     """
     if k < 1:
         raise ValueError("a mixture needs at least one generator")
@@ -196,9 +191,7 @@ def mixture_coefficients(
     elif strategy is not MixtureStrategy.RANDOM_TASK:
         raise ValueError(f"unhandled strategy {strategy}")
     elif pick is None:
-        if rng is None:
-            raise ValueError("random-task needs a pick index or an rng")
-        pick = rng.integer(k)
+        raise ValueError("random-task needs a pick index")
     one_hot = np.zeros(k)
     one_hot[pick] = 1.0
     return one_hot, one_hot
@@ -218,7 +211,7 @@ def mixed_generator(
     bank = np.stack([g.vector for g in generators])
     half = bank.shape[1] // 2
     vector = np.concatenate([c_mean @ bank[:, :half], c_scale @ bank[:, half:]])
-    return NoiseGenerator.from_vector(vector, generators[0].latent_dim, task_index=0, frozen=True), bank
+    return NoiseGenerator.from_vector(vector, generators[0].latent_dim), bank
 
 
 @dataclass
@@ -239,16 +232,15 @@ def run_layer(
     strategy: MixtureStrategy,
     epsilon: np.ndarray | None,
     pick: int | None = None,
-    rng: SeededRng | None = None,
     collect: bool = False,
 ) -> tuple[np.ndarray, LayerCache | None]:
     """Apply the layer's mixed noise to a block output.
 
     ``epsilon=None`` is the mean path (as if the draw were zero), used for
-    evaluation and classifier updates.
+    evaluation and classifier updates; ``pick`` is the task random-task uses.
     """
     h = feats @ layer.down_proj
-    c_mean, c_scale = mixture_coefficients(strategy, len(layer.generators), layer.mix_weights, pick, rng)
+    c_mean, c_scale = mixture_coefficients(strategy, len(layer.generators), layer.mix_weights, pick)
     gen, bank = mixed_generator(layer.generators, c_mean, c_scale)
     noise = gen.mean_of(h)
     if epsilon is not None:

@@ -6,7 +6,8 @@ per layer, initialize the mix weights from prototype similarity, train the
 new generators (plus mix weights and an auxiliary classifier) by gradient
 descent on a residual loss, then redo the classifier update from the
 pre-session state with the freshly trained noise. The auxiliary classifier
-is discarded afterwards and the new generators freeze.
+is discarded afterwards; the new generators are frozen from then on, since
+only a layer's generator past the model's session count trains.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import LOSS_MODES, RunConfig
-from .model import ContinualModel, ForwardTape, build_model, forward_pass
+from .model import ContinualModel, ForwardTape, build_model, draw_noise, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient, softmax
 from .pinoise import (
     MixtureStrategy,
@@ -128,17 +129,19 @@ def direct_ce_grads(
 def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> array view of everything the current session may update.
 
-    The newest generator of every layer trains under every strategy; the mix
-    weights and the auxiliary classifier train only under learned-omega, the
-    other strategies train straight through the frozen classifier.
+    The newest generator of every layer trains under every strategy while
+    the layer holds more generators than the model has completed sessions;
+    the mix weights and the auxiliary classifier train only under
+    learned-omega, the other strategies train straight through the frozen
+    classifier.
     """
     if model.layers is None:
         raise ValueError("baseline model has nothing to train")
     params: dict[str, np.ndarray] = {}
     for l, layer in enumerate(model.layers):
-        gen = layer.generators[-1]
-        if gen.frozen:
+        if len(layer.generators) <= model.sessions_completed:
             continue
+        gen = layer.generators[-1]
         params[f"gen{l}.mean_w"] = gen.mean_weight
         params[f"gen{l}.mean_b"] = gen.mean_bias
         params[f"gen{l}.scale_w"] = gen.scale_weight
@@ -262,7 +265,7 @@ def run_session(
         frozen_weights = model.classifier.trial_weights(feats_initial, targets)
         for layer in model.layers:
             gen_rng = session_rng.split("generator", layer.layer_index)
-            layer.generators.append(new_generator(layer.latent_dim, t, gen_rng, cfg.pinoise.init_scale))
+            layer.generators.append(new_generator(layer.latent_dim, gen_rng, cfg.pinoise.init_scale))
         for layer, block_feats in zip(model.layers, pre_noise):
             layer.prototypes.append(compute_prototype(layer, [block_feats]))
         _init_session_mix_weights(model, cfg.pinoise.tau)
@@ -270,8 +273,6 @@ def run_session(
         epoch_losses = _train_epochs(model, x_train, targets, frozen_weights, aux, cfg.train, session_rng)
         feats_final = model.features(x_train, rng=session_rng.split("clf-final"), eval_mode=True)
         model.classifier.update(feats_final, targets)
-        for layer in model.layers:
-            layer.generators[-1].frozen = True
 
     model.sessions_completed = t
     report = evaluate(model, stream, t)
@@ -304,8 +305,7 @@ def _train_epochs(model, x_train, targets, frozen_weights, aux, train, session_r
         batch_losses = []
         for start in range(0, n, train.batch_size):
             rows = order[start : start + train.batch_size]
-            eps = _draw_epsilons(model, len(rows), eps_rng)
-            picks = _draw_picks(model, pick_rng)
+            eps, picks = draw_noise(model, len(rows), eps_rng, pick_rng)
             loss, grads, _ = gradient_step(
                 model, params, x_train[rows], targets[rows], frozen_weights, eps, picks, train.loss_mode
             )
@@ -314,25 +314,6 @@ def _train_epochs(model, x_train, targets, frozen_weights, aux, train, session_r
             batch_losses.append(loss)
         losses.append(float(np.mean(batch_losses)))
     return losses
-
-
-def _draw_epsilons(model: ContinualModel, batch_size: int, eps_rng: SeededRng):
-    """One batch x d2 draw per layer that has generators, all made by one call
-    (every layer of a model has the same d2)."""
-    active = [layer for layer in model.layers if layer.generators]
-    if not active:
-        return [None] * len(model.layers)
-    draws = iter(eps_rng.standard_normal(batch_size, active[0].latent_dim, blocks=len(active)))
-    return [next(draws) if layer.generators else None for layer in model.layers]
-
-
-def _draw_picks(model: ContinualModel, pick_rng: SeededRng):
-    if model.strategy is not MixtureStrategy.RANDOM_TASK:
-        return None
-    return [
-        pick_rng.integer(len(layer.generators)) if layer.generators else None
-        for layer in model.layers
-    ]
 
 
 @dataclass
@@ -381,10 +362,10 @@ def make_gradcheck_instance(
     """Small multi-task state with full-scale random parameters on every path.
 
     Returns the positional arguments of :func:`gradient_check`: frozen
-    generators for every task but the last (so gradients must flow through
-    frozen maps without accumulating into them), one trainable generator per
-    layer, random mix weights, a nonzero auxiliary classifier, and fixed
-    noise draws.
+    generators for every task but the last (the model has completed those
+    sessions, so gradients must flow through frozen maps without
+    accumulating into them), one trainable generator per layer, random mix
+    weights, a nonzero auxiliary classifier, and fixed noise draws.
     """
     if isinstance(strategy, str):
         strategy = MixtureStrategy.from_string(strategy)
@@ -402,19 +383,18 @@ def make_gradcheck_instance(
     rng = SeededRng(derive_seed(seed, "gradcheck"))
     scale = 1.0 / np.sqrt(latent_dim)
     for layer in model.layers:
-        for task in range(1, num_tasks + 1):
+        for _ in range(num_tasks):
             layer.generators.append(
                 NoiseGenerator(
                     mean_weight=rng.standard_normal(latent_dim, latent_dim) * scale,
                     mean_bias=rng.standard_normal(latent_dim) * 0.1,
                     scale_weight=rng.standard_normal(latent_dim, latent_dim) * scale,
                     scale_bias=rng.standard_normal(latent_dim) * 0.1,
-                    task_index=task,
-                    frozen=(task < num_tasks),
                 )
             )
             layer.prototypes.append(rng.standard_normal(latent_dim))
         layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
+    model.sessions_completed = num_tasks - 1
     x = rng.standard_normal(batch, input_dim)
     targets = np.zeros((batch, num_classes))
     for i in range(batch):

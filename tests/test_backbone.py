@@ -3,9 +3,9 @@ import pytest
 
 from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
 from noisemix.classifier import RidgeClassifier
-from noisemix.model import ContinualModel, build_model, forward_pass
+from noisemix.model import ContinualModel, build_model, draw_noise, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
-from noisemix.pinoise import init_mix_weights, new_generator
+from noisemix.pinoise import MixtureStrategy, init_mix_weights, new_generator
 
 
 def small_model(with_noise=True, seed=3):
@@ -45,7 +45,7 @@ class TestForward:
         plain = small_model(with_noise=False)
         noisy = small_model(with_noise=True)
         for layer in noisy.layers:
-            layer.generators.append(new_generator(6, 1, SeededRng(1), init_scale=0.0))
+            layer.generators.append(new_generator(6, SeededRng(1), init_scale=0.0))
             layer.prototypes.append(np.ones(6))
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
         x = SeededRng(99).standard_normal(8, 12)
@@ -105,7 +105,7 @@ class TestStochasticEval:
         model = small_model()
         model.stochastic_eval = stochastic
         for layer in model.layers:
-            gen = new_generator(6, 1, SeededRng(2), init_scale=0.5)
+            gen = new_generator(6, SeededRng(2), init_scale=0.5)
             layer.generators.append(gen)
             layer.prototypes.append(np.ones(6))
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
@@ -128,6 +128,55 @@ class TestStochasticEval:
         assert np.array_equal(a, c)
         with pytest.raises(ValueError, match="rng"):
             model.features(x)
+
+
+class TestDrawNoise:
+    """Every draw of a forward pass comes from :func:`draw_noise`, in one order."""
+
+    def random_task_model(self, counts):
+        model = small_model()
+        model.strategy = MixtureStrategy.RANDOM_TASK
+        for layer, k in zip(model.layers, counts):
+            for t in range(k):
+                layer.generators.append(new_generator(6, SeededRng(10 + t), init_scale=0.5))
+        return model
+
+    def test_layer_by_layer_draw_then_pick(self):
+        # the middle layer has no generators, so it draws nothing
+        model = self.random_task_model([3, 0, 2])
+        rng, twin = SeededRng(7), SeededRng(7)
+        eps, picks = draw_noise(model, 5, rng, rng)
+        assert eps[1] is None and picks[1] is None
+        for l, k in ((0, 3), (2, 2)):
+            assert np.array_equal(eps[l], twin.standard_normal(5, 6))
+            assert picks[l] == twin.integer(k)
+        assert rng.state == twin.state
+
+    def test_separate_rngs_and_mean_path(self):
+        model = self.random_task_model([3, 3, 3])
+        eps_rng, pick_rng, twin = SeededRng(1), SeededRng(2), SeededRng(2)
+        eps, picks = draw_noise(model, 4, None, pick_rng)
+        assert eps == [None, None, None]
+        assert picks == [twin.integer(3) for _ in range(3)]
+        model.strategy = MixtureStrategy.AVERAGE
+        eps, picks = draw_noise(model, 4, eps_rng, pick_rng)
+        assert picks == [None, None, None] and pick_rng.state == twin.state
+        assert all(e.shape == (4, 6) for e in eps)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_features_run_on_the_drawn_noise(self, stochastic):
+        model = self.random_task_model([3, 3, 3])
+        model.stochastic_eval = stochastic
+        x = SeededRng(5).standard_normal(4, 12)
+        twin = SeededRng(9)
+        eps, picks = draw_noise(model, 4, twin if stochastic else None, twin)
+        z, _, _ = forward_pass(model, x, eps_per_layer=eps, picks_per_layer=picks)
+        assert np.array_equal(model.features(x, rng=SeededRng(9), eval_mode=True), z)
+
+    def test_random_task_without_a_pick_raises(self):
+        model = self.random_task_model([3, 3, 3])
+        with pytest.raises(ValueError, match="pick"):
+            forward_pass(model, np.zeros((2, 12)))
 
 
 class TestExpand:

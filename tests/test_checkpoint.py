@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from noisemix.checkpoint import (
     save_checkpoint,
     write_container,
 )
+from noisemix.cli import main
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream
+from noisemix.experiment import build_run_model, build_stream, run_training
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.pinoise import NoiseGenerator
 from noisemix.trainer import run_session
@@ -72,7 +74,7 @@ def handmade_model(cfg):
     for layer in model.layers:
         k = layer.latent_dim
         for t in (1, 2):
-            layer.generators.append(NoiseGenerator(draw(k, k), draw(k), draw(k, k), draw(k), t, frozen=True))
+            layer.generators.append(NoiseGenerator(draw(k, k), draw(k), draw(k, k), draw(k)))
             layer.prototypes.append(draw(k))
         layer.mix_weights = draw(2) + 1.0
     model.sessions_completed = 2
@@ -204,6 +206,52 @@ class TestModelCheckpoint:
         write_container(path, sections)
         with pytest.raises(CheckpointError, match="meta"):
             load_into(build_run_model(cfg, stream.feature_dim), path)
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("no-clf-weights", "clf.weights"),
+            ("meta-without-eval-seed", "eval_seed"),
+            ("meta-not-an-object", "meta"),
+            ("short-generator-payload", "L00.G00.mw"),
+        ],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, damage, named):
+        cfg = tiny_cfg()
+        run_training(cfg, out_dir=tmp_path / "run", stop_after=1)
+        sections = read_container(tmp_path / "run" / "checkpoint.nmcp")
+        if damage == "no-clf-weights":
+            del sections["clf.weights"]
+        elif damage == "meta-without-eval-seed":
+            meta = json.loads(sections["meta"])
+            del meta["eval_seed"]
+            sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
+        elif damage == "meta-not-an-object":
+            sections["meta"] = b"7"
+        else:
+            sections["L00.G00.mw"] = bytes(4)
+        bad = tmp_path / "bad.nmcp"
+        write_container(bad, sections)
+        stream = build_stream(cfg)
+        with pytest.raises(CheckpointError, match=named):
+            load_into(build_run_model(cfg, stream.feature_dim), bad)
+        capsys.readouterr()
+        config = str(tmp_path / "run" / "config.resolved")
+        rc = main(["train", "--config", config, "--out", str(tmp_path / "resumed"), "--resume", str(bad)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+    @pytest.mark.parametrize(
+        "history, named",
+        [(b"[1]", "JSON objects"), (b'[{"n_test": 1}]', "task_index")],
+        ids=["entry-not-an-object", "entry-without-task-index"],
+    )
+    def test_malformed_history_rejected(self, tmp_path, history, named):
+        path = tmp_path / "h.nmcp"
+        write_container(path, {"history": history})
+        with pytest.raises(CheckpointError, match=named):
+            load_history(path)
 
     def test_baseline_checkpoint_round_trip(self, tmp_path):
         cfg = small_cfg()

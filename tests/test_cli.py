@@ -80,8 +80,13 @@ class TestTrain:
         )
         assert rc == 1
 
-    def test_print_config_dumps_and_exits(self, tmp_path, capsys):
-        rc = run_cli("train", *FAST, "--print-config", "--out", str(tmp_path / "x"))
+    @pytest.mark.parametrize(
+        "command",
+        [["train"], ["ablate"], ["sweep", "--parameter", "d2", "--values", "4"], ["gradcheck"], ["snapshot"]],
+        ids=lambda command: command[0],
+    )
+    def test_print_config_dumps_and_exits(self, tmp_path, capsys, command):
+        rc = run_cli(*command, *FAST, "--print-config", "--out", str(tmp_path / "x"))
         assert rc == 0
         out = capsys.readouterr().out
         assert "train.epochs = 2" in out
@@ -213,6 +218,16 @@ class TestSweep:
     def test_unknown_parameter_rejected(self, tmp_path):
         rc = run_cli("sweep", *FAST, "--parameter", "gamma", "--values", "1")
         assert rc == 1
+
+    @pytest.mark.parametrize("parameter, value", [("d2", "2.5"), ("buffer_size", "64.9")])
+    def test_non_integral_value_rejected_before_any_run(self, tmp_path, capsys, parameter, value):
+        rc = run_cli(
+            "sweep", *FAST, "--parameter", parameter, "--values", "4", value,
+            "--out", str(tmp_path / "sw"),
+        )
+        assert rc == 1
+        assert "integers" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
 
 class TestGradcheckAndSnapshot:

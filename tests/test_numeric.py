@@ -161,24 +161,6 @@ class TestSeededRng:
         assert len(seeds) == 5
 
 
-class TestBlockDraws:
-    @pytest.mark.parametrize("rows, cols", [(4, 4), (3, 5), (1, 1), (7, 16), (128, 16), (5, 1)])
-    @pytest.mark.parametrize("blocks", [1, 2, 5])
-    def test_blocks_equal_consecutive_calls(self, rows, cols, blocks):
-        # odd rows x cols wastes one word per block, so the blocks cannot share pairs
-        whole, one_by_one = SeededRng(17), SeededRng(17)
-        stacked = whole.standard_normal(rows, cols, blocks=blocks)
-        separate = np.stack([one_by_one.standard_normal(rows, cols) for _ in range(blocks)])
-        assert stacked.shape == (blocks, rows, cols)
-        assert np.array_equal(stacked, separate)
-        assert whole.state == one_by_one.state
-        assert np.array_equal(whole.standard_normal(3), one_by_one.standard_normal(3))
-
-    def test_rejects_no_blocks(self):
-        with pytest.raises(ValueError):
-            SeededRng(1).standard_normal(2, 2, blocks=0)
-
-
 class TestFiniteDifference:
     def test_quadratic(self):
         grad = finite_difference_gradient(lambda t: t[0] ** 2, [3.0], 1e-5)

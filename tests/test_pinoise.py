@@ -18,25 +18,25 @@ from noisemix.pinoise import (
     prototype_similarities,
     run_layer,
 )
+from noisemix.trainer import collect_trainable
 
 STRATEGIES = list(MixtureStrategy)
 
 
-def make_gen(d2, seed=1, scale=1.0, task=1):
+def make_gen(d2, seed=1, scale=1.0):
     rng = SeededRng(seed)
     return NoiseGenerator(
         mean_weight=rng.standard_normal(d2, d2) * scale,
         mean_bias=rng.standard_normal(d2) * scale,
         scale_weight=rng.standard_normal(d2, d2) * scale,
         scale_bias=rng.standard_normal(d2) * scale,
-        task_index=task,
     )
 
 
 def make_layer(d1=6, d2=3, gens=0, seed=5, scale=1.0):
     layer = build_layer(d1, d2, 0, SeededRng(seed))
     for t in range(gens):
-        layer.generators.append(make_gen(d2, seed=10 + t, scale=scale, task=t + 1))
+        layer.generators.append(make_gen(d2, seed=10 + t, scale=scale))
         layer.prototypes.append(SeededRng(20 + t).standard_normal(d2))
     if gens:
         layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
@@ -106,7 +106,6 @@ class TestGenerateNoise:
             mean_bias=np.array([1.0]),
             scale_weight=np.zeros((1, 1)),
             scale_bias=np.array([2.0]),
-            task_index=1,
         )
         layer = PiNoiseLayer(down_proj=np.ones((1, 1)), up_proj=np.ones((1, 1)), layer_index=0)
         layer.generators.append(gen)
@@ -142,7 +141,7 @@ class TestMix:
 
     def test_average_cancellation(self):
         gen = make_gen(3)
-        negated = NoiseGenerator(*(-p for p in gen.params()), task_index=2)
+        negated = NoiseGenerator(*(-p for p in gen.params()))
         layer = layer_of([gen, negated])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
@@ -159,11 +158,6 @@ class TestMix:
         for pick in range(3):
             picked, _ = run_layer(layer, feats, MixtureStrategy.RANDOM_TASK, eps, pick=pick)
             assert np.array_equal(picked, singles[pick])
-        # without a pick, one integer is drawn from the rng
-        rng, twin = SeededRng(3), SeededRng(3)
-        drawn, _ = run_layer(layer, feats, MixtureStrategy.RANDOM_TASK, eps, rng=rng)
-        assert np.array_equal(drawn, singles[twin.integer(3)])
-        assert rng.state == twin.state
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -172,7 +166,7 @@ class TestMix:
         layer.mix_weights = np.array([1.0])
         with pytest.raises(ValueError):
             run_layer(layer, np.zeros((2, 6)), MixtureStrategy.LEARNED_OMEGA, None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pick"):
             run_layer(layer, np.zeros((2, 6)), MixtureStrategy.RANDOM_TASK, None)
         mismatched = make_layer(gens=1)
         mismatched.generators.append(make_gen(4))
@@ -185,7 +179,7 @@ class TestMix:
         layer = make_layer(gens=2)
         layer.mix_weights = np.array([0.4, 0.6])
         scaled = layer_of(
-            [NoiseGenerator(*(a * p for p in g.params()), task_index=1) for g in layer.generators],
+            [NoiseGenerator(*(a * p for p in g.params())) for g in layer.generators],
             weights=layer.mix_weights,
         )
         feats = SeededRng(1).standard_normal(3, 6)
@@ -356,11 +350,24 @@ class TestInitMixWeights:
 
 class TestFreezeSemantics:
     def test_new_generator_starts_trainable_with_zero_bias(self):
-        gen = new_generator(4, 3, SeededRng(1), init_scale=0.001)
-        assert not gen.frozen
-        assert gen.task_index == 3
+        gen = new_generator(4, SeededRng(1), init_scale=0.001)
         assert np.array_equal(gen.mean_bias, np.zeros(4))
         assert float(np.abs(gen.mean_weight).max()) < 0.01
+
+    def test_only_the_generator_past_the_session_count_trains(self):
+        model = build_model(12, 24, 2, 0.5, 48, 4, 10.0, seed=3, strategy=MixtureStrategy.AVERAGE)
+        for layer in model.layers:
+            for t in range(2):
+                layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.001))
+        aux = np.zeros((48, 2))
+        model.sessions_completed = 1
+        params = collect_trainable(model, aux)
+        maps = ("mean_b", "mean_w", "scale_b", "scale_w")
+        assert sorted(params) == [f"gen{l}.{m}" for l in range(2) for m in maps]
+        for l, layer in enumerate(model.layers):
+            assert params[f"gen{l}.mean_w"] is layer.generators[1].mean_weight
+        model.sessions_completed = 2
+        assert collect_trainable(model, aux) == {}
 
     def test_param_bytes_track_values(self):
         gen = make_gen(3)
@@ -395,7 +402,7 @@ class TestGeneratorVector:
         self.assert_views(make_gen(3))
 
     def test_new_generator(self):
-        self.assert_views(new_generator(5, 1, SeededRng(4), init_scale=1.0))
+        self.assert_views(new_generator(5, SeededRng(4), init_scale=1.0))
 
     def test_loaded_from_checkpoint(self, tmp_path):
         from noisemix.checkpoint import load_into, save_checkpoint
@@ -405,7 +412,7 @@ class TestGeneratorVector:
 
         saved = model()
         for layer in saved.layers:
-            layer.generators.append(new_generator(4, 1, SeededRng(layer.layer_index), init_scale=1.0))
+            layer.generators.append(new_generator(4, SeededRng(layer.layer_index), init_scale=1.0))
             layer.prototypes.append(np.ones(4))
             layer.mix_weights = np.ones(1)
         saved.sessions_completed = 1
@@ -418,7 +425,7 @@ class TestGeneratorVector:
 
     def test_mismatched_maps_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
-            NoiseGenerator(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(3), task_index=1)
+            NoiseGenerator(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
 
     def test_mixture_of_one_generator_is_that_generator(self):
         gen = make_gen(4)

@@ -7,7 +7,7 @@ import noisemix.trainer as trainer_mod
 from noisemix.config import RunConfig
 from noisemix.experiment import build_run_model, build_stream, trainable_param_count
 from noisemix.model import forward_pass
-from noisemix.numeric import SeededRng, derive_seed
+from noisemix.numeric import SeededRng, derive_seed, ridge_solve
 from noisemix.pinoise import MixtureStrategy
 from noisemix.trainer import (
     backward,
@@ -298,7 +298,30 @@ class TestSession:
             assert len(layer.generators) == 5
             assert len(layer.prototypes) == 5
             assert len(layer.mix_weights) == 5
-            assert all(g.frozen for g in layer.generators)
+        aux = np.zeros((model.buffer.width, model.classifier.num_classes))
+        assert not any(key.startswith("gen") for key in collect_trainable(model, aux))
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_random_task_classifier_equals_batch_ridge(self, stochastic):
+        # the classifier must be the batch ridge solution on the features each
+        # session's update saw, re-extracted from the same rng
+        cfg = small_cfg()
+        cfg.pinoise.strategy = "random-task"
+        cfg.pinoise.stochastic_eval = stochastic
+        stream = build_stream(cfg)
+        model = build_run_model(cfg, stream.feature_dim)
+        feats, labels = [], []
+        for t in (1, 2):
+            session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
+            run_session(model, stream, cfg, session_rng)
+            x, y = stream.tasks[t - 1].train_arrays()
+            feats.append(model.features(x, rng=session_rng.split("clf-final"), eval_mode=True))
+            labels.append(y)
+            oracle = ridge_solve(
+                np.vstack(feats), model.classifier.one_hot(np.concatenate(labels)), cfg.classifier.regularization
+            )
+            error = np.linalg.norm(model.classifier.weights - oracle) / np.linalg.norm(oracle)
+            assert error < 1e-8, (t, error)
 
     def test_shared_mix_weights_alias_across_layers(self):
         cfg = small_cfg()
