@@ -10,8 +10,9 @@ side. With ``P = Z R``, ``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and
 ``E = L^-1 (Y - Z W)``, the new solution is ``W + K' E`` and the new inverse
 is ``R - K' K``. :meth:`RidgeClassifier.trial_weights` returns the first
 without writing anything; :meth:`RidgeClassifier.update` commits both, the
-inverse through one in-place BLAS rank-n downdate, so no d x d temporary is
-made and no symmetrize pass runs. A batch of more rows takes the
+inverse downdated in place: its lower triangle one panel of rows at a
+time, its upper triangle copied from the lower, so no d x d temporary is
+made and R stays exactly symmetric. A batch of more rows takes the
 feature-side Woodbury form: the commit solves ``(I + R Z'Z) R' = R`` for the
 new inverse and symmetrizes it, while the trial solves ``(I + R Z'Z) X =
 R Z'(Y - Z W)`` for the c weight columns only and returns ``W + X``.
@@ -22,10 +23,11 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from .numeric import NumericalError, as_matrix, require_finite
+
+PANEL_ROWS = 256  # rows of R per downdate product; its temporary is at most PANEL_ROWS x d
+MIRROR_COLS = 32  # columns of the upper triangle per copy from the lower one
 
 
 class RidgeClassifier:
@@ -85,15 +87,12 @@ class RidgeClassifier:
         ``targets`` must already span every registered class (call
         :meth:`expand_classes` first when the batch introduces new ones).
         On the sample side the inverse is downdated in place, ``R -= K' K``,
-        by one BLAS call; on the feature side it is replaced.
+        one panel of rows at a time; on the feature side it is replaced.
         """
         z, y = self._checked(feats, targets)
         if z.shape[0] <= self.feature_dim:
             k, e = self._sample_side(z, y)
-            # BLAS reads R's C-order buffer as R'; K'K is symmetric, so R' - K'K
-            # written back is R - K'K in C order. gemm fills both triangles, syrk one
-            r_t = dgemm(-1.0, k, k, 1.0, c=self.gram_inv.T, trans_a=1, overwrite_c=1)
-            self.gram_inv = r_t.T
+            self._downdate(k)
             self.weights = self.weights + k.T @ e
         else:
             self.gram_inv, self.weights = self._feature_side(z, y)
@@ -101,6 +100,23 @@ class RidgeClassifier:
         if np.any(np.diag(self.gram_inv) <= 0):
             raise NumericalError("gram inverse lost positive definiteness")
         require_finite(self.weights, "classifier weights")
+
+    def _downdate(self, k: np.ndarray) -> None:
+        """``R -= K' K`` in place: the lower triangle by row panels, then the upper copied from it.
+
+        Panel products of different heights do not always give entries (i, j)
+        and (j, i) bit for bit alike, so the upper triangle is not computed
+        but copied, and R stays exactly symmetric.
+        """
+        r, d = self.gram_inv, self.feature_dim
+        for i in range(0, d, PANEL_ROWS):
+            j = min(i + PANEL_ROWS, d)
+            r[i:j, :j] -= k[:, i:j].T @ k[:, :j]
+        for i in range(0, d, MIRROR_COLS):
+            j = min(i + MIRROR_COLS, d)
+            np.copyto(r[:i, i:j].T, r[i:j, :i])
+            block = r[i:j, i:j]
+            block[...] = np.tril(block) + np.tril(block, -1).T
 
     def _checked(self, feats, targets) -> tuple[np.ndarray, np.ndarray]:
         z = as_matrix(feats, "features")
@@ -119,14 +135,13 @@ class RidgeClassifier:
         correction = p @ z.T
         correction[np.diag_indices_from(correction)] += 1.0
         try:
-            # numpy's LAPACK for the small factor: it shares the BLAS pool of the
-            # products around it, where scipy's pool would wake up and contend
             factor = np.linalg.cholesky(correction)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("rank-n correction is not positive definite") from exc
-        k = scipy.linalg.solve_triangular(factor, p, lower=True, check_finite=False)
-        e = scipy.linalg.solve_triangular(factor, y - z @ self.weights, lower=True, check_finite=False)
-        return k, e
+        # L is n x n with a diagonal of at least 1 (I + Z R Z' >= I), so a
+        # general solve against it is accurate; one solve covers both sides
+        ke = np.linalg.solve(factor, np.hstack([p, y - z @ self.weights]))
+        return ke[:, : self.feature_dim], ke[:, self.feature_dim :]
 
     def _feature_solve(self, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``."""

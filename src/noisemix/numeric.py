@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -30,25 +29,13 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     return a
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a`` via Cholesky.
-
-    Falls back to a general LU solve when the factorization breaks down.
-    """
-    try:
-        factor = scipy.linalg.cho_factor(a, check_finite=False)
-        return scipy.linalg.cho_solve(factor, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return np.linalg.solve(a, b)
-
-
 def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
     """L2-regularized least squares weights for ``targets ~ features @ W``.
 
     Minimizes ``||targets - features @ W||^2 + lam * ||W||^2`` and returns W
-    of shape ``(features.shape[1], targets.shape[1])``. The normal equations
-    are solved with a Cholesky factorization of the regularized Gram matrix
-    (LU fallback), never an explicit inverse.
+    of shape ``(features.shape[1], targets.shape[1])``. The regularized
+    normal equations ``(F'F + lam I) W = F'Y`` are solved directly by
+    ``np.linalg.solve``, never through an explicit inverse.
     """
     f = as_matrix(features, "features")
     y = as_matrix(targets, "targets")
@@ -59,7 +46,7 @@ def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.nda
     if not lam > 0:
         raise ValueError(f"regularization must be positive, got {lam}")
     gram = f.T @ f + lam * np.eye(f.shape[1])
-    w = solve_spd(gram, f.T @ y)
+    w = np.linalg.solve(gram, f.T @ y)
     return require_finite(np.atleast_2d(w), "ridge solution")
 
 

@@ -232,6 +232,20 @@ class TestTrial:
         assert state_digest(clf) == before
 
 
+class TestDowndate:
+    # widths that are not a multiple of the panel height, and n = d, the
+    # widest batch still folded in on the sample side
+    @pytest.mark.parametrize("d, rows", [(300, 37), (1000, 64), (300, 300), (1000, 1000)])
+    def test_panels_match_the_dense_downdate_and_stay_symmetric(self, d, rows):
+        clf, z, y = fitted(d, 0.5, rows, seed=d + rows)
+        before = clf.gram_inv.copy()
+        p = z @ before
+        dense = before - p.T @ np.linalg.solve(np.eye(rows) + p @ z.T, p)
+        clf.update(z, y)
+        assert np.array_equal(clf.gram_inv, clf.gram_inv.T)
+        assert np.max(np.abs(clf.gram_inv - dense)) < 1e-12
+
+
 class TestMemory:
     def test_trial_and_commit_make_no_square_temporary(self, traced_peak):
         clf, z, y = fitted(1024, 1.0, 64, seed=6)
