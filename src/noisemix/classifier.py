@@ -12,10 +12,12 @@ is ``R - K' K``. :meth:`RidgeClassifier.trial_weights` returns the first
 without writing anything; :meth:`RidgeClassifier.update` commits both, the
 inverse downdated in place: its lower triangle one panel of rows at a
 time, its upper triangle copied from the lower, so no d x d temporary is
-made and R stays exactly symmetric. A batch of more rows takes the
-feature-side Woodbury form: the commit solves ``(I + R Z'Z) R' = R`` for the
-new inverse and symmetrizes it, while the trial solves ``(I + R Z'Z) X =
-R Z'(Y - Z W)`` for the c weight columns only and returns ``W + X``.
+made and R stays exactly symmetric; each panel is checked for non-finite
+entries where it is written. A batch of more rows takes the feature-side
+Woodbury form: the trial solves ``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns
+``W + X``; the commit makes the same solve against ``[R | R Z'(Y - Z W)]``,
+takes ``W + X`` from its last c columns and the new inverse, checked and
+symmetrized, from its first d.
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ class RidgeClassifier:
         if z.shape[0] <= self.feature_dim:
             k, e = self._sample_side(z, y)
             return self.weights + k.T @ e
-        w = self.weights
-        return w + self._feature_solve(z, self.gram_inv @ (z.T @ (y - z @ w)))
+        return self.weights + self._feature_solve(z, self._residual_rhs(z, y))
 
     def update(self, feats: np.ndarray, targets: np.ndarray) -> None:
         """Fold one batch into the running ridge solution.
@@ -88,15 +89,21 @@ class RidgeClassifier:
         :meth:`expand_classes` first when the batch introduces new ones).
         On the sample side the inverse is downdated in place, ``R -= K' K``,
         one panel of rows at a time; on the feature side it is replaced.
+        Either way the weights committed are exactly :meth:`trial_weights`'s,
+        and the new inverse is checked for non-finite entries where it is written.
         """
         z, y = self._checked(feats, targets)
-        if z.shape[0] <= self.feature_dim:
+        d = self.feature_dim
+        if z.shape[0] <= d:
             k, e = self._sample_side(z, y)
             self._downdate(k)
-            self.weights = self.weights + k.T @ e
+            step = k.T @ e
         else:
-            self.gram_inv, self.weights = self._feature_side(z, y)
-        require_finite(self.gram_inv, "gram inverse")
+            solved = self._feature_solve(z, np.hstack([self.gram_inv, self._residual_rhs(z, y)]))
+            r_new = require_finite(solved[:, :d], "gram inverse")
+            self.gram_inv = (r_new + r_new.T) / 2.0
+            step = solved[:, d:]
+        self.weights = self.weights + step
         if np.any(np.diag(self.gram_inv) <= 0):
             raise NumericalError("gram inverse lost positive definiteness")
         require_finite(self.weights, "classifier weights")
@@ -106,12 +113,14 @@ class RidgeClassifier:
 
         Panel products of different heights do not always give entries (i, j)
         and (j, i) bit for bit alike, so the upper triangle is not computed
-        but copied, and R stays exactly symmetric.
+        but copied, and R stays exactly symmetric. Each lower panel is checked
+        for non-finite entries once written, which covers the copies too.
         """
         r, d = self.gram_inv, self.feature_dim
         for i in range(0, d, PANEL_ROWS):
             j = min(i + PANEL_ROWS, d)
             r[i:j, :j] -= k[:, i:j].T @ k[:, :j]
+            require_finite(r[i:j, :j], "gram inverse")
         for i in range(0, d, MIRROR_COLS):
             j = min(i + MIRROR_COLS, d)
             np.copyto(r[:i, i:j].T, r[i:j, :i])
@@ -143,19 +152,18 @@ class RidgeClassifier:
         ke = np.linalg.solve(factor, np.hstack([p, y - z @ self.weights]))
         return ke[:, : self.feature_dim], ke[:, self.feature_dim :]
 
+    def _residual_rhs(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``R Z'(Y - Z W)``, whose feature-side solve is the weight step."""
+        return self.gram_inv @ (z.T @ (y - z @ self.weights))
+
     def _feature_solve(self, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``."""
+        system = self.gram_inv @ (z.T @ z)
+        system[np.diag_indices_from(system)] += 1.0
         try:
-            return np.linalg.solve(np.eye(self.feature_dim) + self.gram_inv @ (z.T @ z), rhs)
+            return np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("gram update lost invertibility") from exc
-
-    def _feature_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """New inverse and weights by Woodbury: ``(R^-1 + Z'Z)^-1 = (I + R Z'Z)^-1 R``."""
-        w = self.weights
-        r_new = self._feature_solve(z, self.gram_inv)
-        r_new = (r_new + r_new.T) / 2.0
-        return r_new, w - r_new @ (z.T @ (z @ w)) + r_new @ (z.T @ y)
 
     def predict(self, feats: np.ndarray) -> np.ndarray:
         """Class scores, one column per class in registration order."""

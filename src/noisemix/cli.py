@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import (
+    PROFILES,
     ConfigError,
     RunConfig,
     apply_overrides,
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--profile", choices=["desk", "paper-dims"], default="desk")
+        p.add_argument("--profile", choices=list(PROFILES), default="desk")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
         p.add_argument("--out", help="output directory (relative paths go under NOISEMIX_OUT)")
         p.add_argument("--print-config", action="store_true", help="dump the resolved config and exit")

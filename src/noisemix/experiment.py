@@ -16,13 +16,10 @@ from .pinoise import MixtureStrategy
 from .report import RunSummary, SessionReport, emit, render_line_chart, summarize
 from .trainer import cosine_lr, run_session
 
+# no noise, each fixed mixing strategy, then the learned mixture of the full model
 ABLATION_VARIANTS = (
     "baseline",
-    "average",
-    "mu-only",
-    "sigma-only",
-    "last-task",
-    "random-task",
+    *(s.value for s in MixtureStrategy if s is not MixtureStrategy.LEARNED_OMEGA),
     "full",
 )
 
@@ -148,18 +145,22 @@ def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
 
 
 def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
-    v = copy.deepcopy(cfg)
-    if variant == "baseline":
-        v.pinoise.enabled = False
-    elif variant == "full":
-        v.pinoise.enabled = True
-        v.pinoise.strategy = "learned-omega"
-    elif variant in ("average", "mu-only", "sigma-only", "last-task", "random-task"):
-        v.pinoise.enabled = True
-        v.pinoise.strategy = variant
-    else:
+    if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r} (valid: {ABLATION_VARIANTS})")
+    v = copy.deepcopy(cfg)
+    v.pinoise.enabled = variant != "baseline"
+    if v.pinoise.enabled:
+        v.pinoise.strategy = MixtureStrategy.LEARNED_OMEGA.value if variant == "full" else variant
     return v
+
+
+def _pct_stats(avg: list[float], last: list[float]) -> dict:
+    """Mean and sample standard deviation of both accuracies in percent, 0 deviation for one run."""
+    stats = {}
+    for name, fractions in (("avg", avg), ("last", last)):
+        stats[f"{name}_pct_mean"] = 100.0 * float(np.mean(fractions))
+        stats[f"{name}_pct_std"] = 100.0 * float(np.std(fractions, ddof=1)) if len(fractions) > 1 else 0.0
+    return stats
 
 
 def run_ablation(
@@ -192,16 +193,7 @@ def run_ablation(
             stream_hashes[seed].add(stream.content_hash())
             avg_accs.append(summary.average_accuracy)
             last_accs.append(summary.last_accuracy)
-        rows.append(
-            {
-                "variant": variant,
-                "seeds": len(seeds),
-                "avg_pct_mean": 100.0 * float(np.mean(avg_accs)),
-                "avg_pct_std": 100.0 * float(np.std(avg_accs, ddof=1)) if len(seeds) > 1 else 0.0,
-                "last_pct_mean": 100.0 * float(np.mean(last_accs)),
-                "last_pct_std": 100.0 * float(np.std(last_accs, ddof=1)) if len(seeds) > 1 else 0.0,
-            }
-        )
+        rows.append({"variant": variant, "seeds": len(seeds), **_pct_stats(avg_accs, last_accs)})
     for seed, hashes in stream_hashes.items():
         if len(hashes) != 1:
             raise RuntimeError(f"variants saw different streams for seed {seed}")
@@ -303,13 +295,7 @@ def run_multi_seed(
         summary = run_training(vcfg, out_dir=out / f"seed_{seed}", log=False)
         avg.append(summary.average_accuracy)
         last.append(summary.last_accuracy)
-    agg = {
-        "seeds": class_seeds,
-        "avg_pct_mean": 100.0 * float(np.mean(avg)),
-        "avg_pct_std": 100.0 * float(np.std(avg, ddof=1)) if len(avg) > 1 else 0.0,
-        "last_pct_mean": 100.0 * float(np.mean(last)),
-        "last_pct_std": 100.0 * float(np.std(last, ddof=1)) if len(last) > 1 else 0.0,
-    }
+    agg = {"seeds": class_seeds, **_pct_stats(avg, last)}
     lines = ["seed,avg_pct,last_pct"]
     for seed, a, l in zip(class_seeds, avg, last):
         lines.append(f"{seed},{100.0 * a:.2f},{100.0 * l:.2f}")

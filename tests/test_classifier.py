@@ -199,7 +199,7 @@ class TestTrial:
         clf, z, y = fitted(12, 0.5, rows, seed=9)
         trial = clf.trial_weights(z, y)
         clf.update(z, y)
-        assert np.max(np.abs(trial - clf.weights)) < 1e-12
+        assert np.array_equal(trial, clf.weights)
 
     def test_commit_downdates_the_inverse_in_place(self):
         clf, z, y = fitted(64, 1.0, 16, seed=2)
@@ -231,6 +231,35 @@ class TestTrial:
             clf.update(z, y)
         assert state_digest(clf) == before
 
+    def test_overflow_in_the_last_partial_panel_raises(self):
+        # d = 300 leaves a last panel of 44 rows; one huge entry in K's last
+        # column overflows only R[299, 299] in the downdate
+        clf, z, y = fitted(300, 0.5, 16, seed=5)
+        sample_side = clf._sample_side
+
+        def blown(z, y):
+            k, e = sample_side(z, y)
+            k[0, -1] = 1e200
+            return k, e
+
+        clf._sample_side = blown
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
+                clf.update(z, y)
+
+    def test_non_finite_feature_side_inverse_raises(self):
+        clf, z, y = fitted(12, 0.5, 40, seed=5)
+        feature_solve = clf._feature_solve
+
+        def blown(z, rhs):
+            out = feature_solve(z, rhs)
+            out[0, 0] = np.inf
+            return out
+
+        clf._feature_solve = blown
+        with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
+            clf.update(z, y)
+
 
 class TestDowndate:
     # widths that are not a multiple of the panel height, and n = d, the
@@ -252,6 +281,18 @@ class TestMemory:
         limit = clf.gram_inv.nbytes // 2
         assert traced_peak(lambda: clf.trial_weights(z, y)) < limit
         assert traced_peak(lambda: clf.update(z, y)) < limit
+
+    def test_wide_commit_holds_under_an_eighth_of_the_inverse(self, traced_peak):
+        # at d = 4096 a d x d boolean temporary alone is an eighth of R
+        clf, z, y = fitted(4096, 1.0, 64, seed=6)
+        assert traced_peak(lambda: clf.update(z, y)) < clf.gram_inv.nbytes // 8
+
+    def test_feature_side_solve_adds_no_identity_temporary(self, traced_peak):
+        # the system I + R Z'Z is built in place: the trial holds Z'Z and the
+        # system, the commit also the stacked right-hand side [R | R Z'(Y - Z W)]
+        clf, z, y = fitted(256, 1.0, 300, seed=6)
+        assert traced_peak(lambda: clf.trial_weights(z, y)) < 2.5 * clf.gram_inv.nbytes
+        assert traced_peak(lambda: clf.update(z, y)) < 3.5 * clf.gram_inv.nbytes
 
 
 class TestPredict:
