@@ -8,10 +8,12 @@ columns to the weight matrix before the update that introduces them.
 A batch of at most d rows (d the feature width) is folded in on the sample
 side. With ``P = Z R``, ``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and
 ``E = L^-1 (Y - Z W)``, the new solution is ``W + K' E`` and the new inverse
-is ``R - K' K``. :meth:`RidgeClassifier.trial_weights` returns the first
-without writing anything; :meth:`RidgeClassifier.update` commits both, the
-inverse downdated in place: its lower triangle one panel of rows at a
-time, its upper triangle copied from the lower, so no d x d temporary is
+is ``R - K' K``. K and E are products with the n x n inverse of L, made
+once, so both triangular solves run as matrix products.
+:meth:`RidgeClassifier.trial_weights` returns the first without writing
+anything; :meth:`RidgeClassifier.update` commits both, the inverse
+downdated in place: its lower triangle one panel of rows at a time, its
+upper triangle copied from the lower tile by tile, so no d x d temporary is
 made and R stays exactly symmetric; each panel is checked for non-finite
 entries where it is written. A batch of more rows takes the feature-side
 Woodbury form: the trial solves ``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns
@@ -28,8 +30,7 @@ import numpy as np
 
 from .numeric import NumericalError, as_matrix, require_finite
 
-PANEL_ROWS = 256  # rows of R per downdate product; its temporary is at most PANEL_ROWS x d
-MIRROR_COLS = 32  # columns of the upper triangle per copy from the lower one
+PANEL_ROWS = 256  # rows of R per downdate product, and the side of a mirrored tile
 
 
 class RidgeClassifier:
@@ -42,7 +43,9 @@ class RidgeClassifier:
             raise ValueError(f"regularization must be positive, got {regularization}")
         self.feature_dim = int(feature_dim)
         self.regularization = float(regularization)
-        self.gram_inv = np.eye(feature_dim) / regularization
+        # only the diagonal is written here; the other pages of np.zeros stay untouched until used
+        self.gram_inv = np.zeros((feature_dim, feature_dim))
+        np.fill_diagonal(self.gram_inv, 1.0 / regularization)
         self.weights = np.zeros((feature_dim, 0))
         self.classes_seen: list[int] = []
 
@@ -115,17 +118,28 @@ class RidgeClassifier:
         and (j, i) bit for bit alike, so the upper triangle is not computed
         but copied, and R stays exactly symmetric. Each lower panel is checked
         for non-finite entries once written, which covers the copies too.
+        Every panel product goes to one reused buffer; the copy runs in square
+        tiles staged through one contiguous tile buffer.
         """
         r, d = self.gram_inv, self.feature_dim
+        panel = np.empty((PANEL_ROWS, d))
         for i in range(0, d, PANEL_ROWS):
             j = min(i + PANEL_ROWS, d)
-            r[i:j, :j] -= k[:, i:j].T @ k[:, :j]
+            r[i:j, :j] -= np.matmul(k[:, i:j].T, k[:, :j], out=panel[: j - i, :j])
             require_finite(r[i:j, :j], "gram inverse")
-        for i in range(0, d, MIRROR_COLS):
-            j = min(i + MIRROR_COLS, d)
-            np.copyto(r[:i, i:j].T, r[i:j, :i])
-            block = r[i:j, i:j]
-            block[...] = np.tril(block) + np.tril(block, -1).T
+        del panel
+        tile = np.empty((PANEL_ROWS, PANEL_ROWS))
+        strict_upper = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
+        for i in range(0, d, PANEL_ROWS):
+            j = min(i + PANEL_ROWS, d)
+            for a in range(j, d, PANEL_ROWS):
+                b = min(a + PANEL_ROWS, d)
+                lower = tile[: b - a, : j - i]
+                np.copyto(lower, r[a:b, i:j])
+                np.copyto(r[i:j, a:b], lower.T)
+            block, staged = r[i:j, i:j], tile[: j - i, : j - i]
+            np.copyto(staged, block.T)
+            np.copyto(block, staged, where=strict_upper[: j - i, : j - i])
 
     def _checked(self, feats, targets) -> tuple[np.ndarray, np.ndarray]:
         z = as_matrix(feats, "features")
@@ -147,10 +161,10 @@ class RidgeClassifier:
             factor = np.linalg.cholesky(correction)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("rank-n correction is not positive definite") from exc
-        # L is n x n with a diagonal of at least 1 (I + Z R Z' >= I), so a
-        # general solve against it is accurate; one solve covers both sides
-        ke = np.linalg.solve(factor, np.hstack([p, y - z @ self.weights]))
-        return ke[:, : self.feature_dim], ke[:, self.feature_dim :]
+        # L is n x n with a diagonal of at least 1 (I + Z R Z' >= I), so its
+        # inverse is accurate, and both triangular solves become products
+        factor_inv = np.linalg.inv(factor)
+        return factor_inv @ p, factor_inv @ (y - z @ self.weights)
 
     def _residual_rhs(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``R Z'(Y - Z W)``, whose feature-side solve is the weight step."""

@@ -26,6 +26,14 @@ class TestInit:
         clf = RidgeClassifier(3, 1.0)
         assert np.array_equal(clf.gram_inv, np.eye(3))
 
+    @pytest.mark.parametrize("lam", [100.0, 0.3])
+    def test_inverse_is_the_scaled_identity_bit_for_bit(self, lam):
+        assert np.array_equal(RidgeClassifier(257, lam).gram_inv, np.eye(257) / lam)
+
+    def test_inverse_is_the_only_square_array_made(self, traced_peak):
+        clf = RidgeClassifier(1024, 100.0)
+        assert traced_peak(lambda: RidgeClassifier(1024, 100.0)) < 1.1 * clf.gram_inv.nbytes
+
     def test_starts_with_no_classes(self):
         clf = RidgeClassifier(4, 1.0)
         assert clf.weights.shape == (4, 0)
@@ -273,6 +281,29 @@ class TestDowndate:
         clf.update(z, y)
         assert np.array_equal(clf.gram_inv, clf.gram_inv.T)
         assert np.max(np.abs(clf.gram_inv - dense)) < 1e-12
+
+    # one short of, at, and one past a panel and mirror tile; two tiles and one row
+    @pytest.mark.parametrize("d", [255, 256, 257, 513])
+    def test_widths_at_tile_and_panel_edges(self, d):
+        clf, z, y = fitted(d, 0.5, 37, seed=d)
+        before = clf.gram_inv.copy()
+        p = z @ before
+        dense = before - p.T @ np.linalg.solve(np.eye(37) + p @ z.T, p)
+        clf.update(z, y)
+        assert np.array_equal(clf.gram_inv, clf.gram_inv.T)
+        assert np.max(np.abs(clf.gram_inv - dense)) < 1e-12
+
+
+class TestSampleSide:
+    @pytest.mark.parametrize("d, rows", [(300, 37), (1000, 37), (300, 300), (1000, 1000)])
+    def test_products_with_the_inverted_factor_match_triangular_solves(self, d, rows):
+        clf, z, y = fitted(d, 0.5, rows, seed=d + rows)
+        p = z @ clf.gram_inv
+        factor = np.linalg.cholesky(np.eye(rows) + p @ z.T)
+        k, e = clf._sample_side(z, y)
+        for got, rhs in ((k, p), (e, y - z @ clf.weights)):
+            want = np.linalg.solve(factor, rhs)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestMemory:
