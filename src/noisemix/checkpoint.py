@@ -159,11 +159,16 @@ def save_checkpoint(
         "rng": {"train_seed": train_seed, "next_session": model.sessions_completed + 1},
         "eval_seed": model.eval_seed,
     }
+    clf = model.classifier
     sections: dict[str, bytes | tuple] = {
         "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
-        "clf.weights": _encode_array(model.classifier.weights),
-        "clf.graminv": _encode_array(model.classifier.gram_inv),
+        "clf.weights": _encode_array(clf.weights),
     }
+    # the classifier's one form: its rows, or its dense inverse
+    if clf.rows is None:
+        sections["clf.graminv"] = _encode_array(clf.gram_inv)
+    else:
+        sections["clf.rows"] = _encode_array(clf.rows)
     if history is not None:
         from .report import report_to_dict
 
@@ -216,13 +221,49 @@ def load_history(path: str | Path) -> list:
         raise CheckpointError(f"checkpoint history entry has no {exc.args[0]!r} key") from None
 
 
+def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> None:
+    """Give ``clf`` the stored rows or the stored inverse, whichever is present, checked."""
+    forms = [name for name in ("clf.graminv", "clf.rows") if name in sections]
+    if len(forms) != 1:
+        raise CheckpointError(
+            f"checkpoint must hold exactly one of clf.graminv and clf.rows, found {len(forms)}"
+        )
+    d = clf.feature_dim
+    if forms == ["clf.rows"]:
+        rows = _decode_array(sections, "clf.rows")
+        if rows.ndim != 2 or rows.shape[1] != d:
+            raise CheckpointError(f"clf.rows shape {rows.shape} is not m x {d}")
+        if 2 * rows.shape[0] > d:
+            raise CheckpointError(f"clf.rows holds {rows.shape[0]} rows, more than half the width {d}")
+        # R = I/lambda - K'K is only the stored state under the lambda it was written with
+        if meta.get("regularization") != clf.regularization:
+            raise CheckpointError("clf.rows was written under another regularization")
+        clf.rows = rows
+    else:
+        clf.gram_inv = _decode_array(sections, "clf.graminv")
+        if clf.gram_inv.shape != (d, d):
+            raise CheckpointError("gram inverse shape mismatch")
+        # written so that a NaN fails both checks
+        if not (_asymmetry(clf.gram_inv) <= 1e-9):
+            raise CheckpointError("gram inverse lost symmetry")
+    # in the row form the implied diagonal 1/lambda - sum K^2 is finite exactly when the rows
+    # are finite and do not overflow, and a positive one bounds every |R_ij| by 1/lambda
+    diag = clf.diagonal()
+    if not np.all(np.isfinite(diag)):
+        raise CheckpointError(f"{forms[0]} has non-finite values")
+    if not np.all(diag > 0):
+        raise CheckpointError("gram inverse diagonal not positive")
+
+
 def load_into(model: ContinualModel, path: str | Path) -> dict:
     """Restore mutable state into a freshly built model; returns the meta.
 
     The model must have been built from the same configuration: the hash of
     its frozen parameters has to match the stored one. That is checked from
-    the meta section alone; then the model's own Gram inverse is dropped
-    before the stored one is read, so the two are never held at once.
+    the meta section alone; then the model's own classifier state is dropped
+    before the stored one is read, so the two are never held at once. The
+    classifier continues in the stored form: exactly one of ``clf.graminv``
+    and ``clf.rows`` must be present.
     """
     sections = read_container(path, names={"meta"})
     if "meta" not in sections:
@@ -244,16 +285,9 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     classes = [int(c) for c in meta["classes_seen"]]
     clf.classes_seen = classes
     clf.weights = _decode_array(sections, "clf.weights")
-    clf.gram_inv = _decode_array(sections, "clf.graminv")
     if clf.weights.shape != (clf.feature_dim, len(classes)):
         raise CheckpointError("classifier weight shape mismatch")
-    if clf.gram_inv.shape != (clf.feature_dim, clf.feature_dim):
-        raise CheckpointError("gram inverse shape mismatch")
-    # written so that a NaN fails both checks
-    if not (_asymmetry(clf.gram_inv) <= 1e-9):
-        raise CheckpointError("gram inverse lost symmetry")
-    if not np.all(np.diag(clf.gram_inv) > 0):
-        raise CheckpointError("gram inverse diagonal not positive")
+    _load_classifier_form(clf, sections, meta)
 
     sessions = int(meta["sessions_completed"])
     if model.layers is not None:

@@ -5,21 +5,34 @@ so each new batch of (features Z, one-hot targets Y) updates the exact batch
 ridge solution without ever revisiting old data. New classes append zero
 columns to the weight matrix before the update that introduces them.
 
-A batch of at most d rows (d the feature width) is folded in on the sample
-side. With ``P = Z R``, ``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and
-``E = L^-1 (Y - Z W)``, the new solution is ``W + K' E`` and the new inverse
-is ``R - K' K``. K and E are products with the n x n inverse of L, made
-once, so both triangular solves run as matrix products.
-:meth:`RidgeClassifier.trial_weights` returns the first without writing
-anything; :meth:`RidgeClassifier.update` commits both, the inverse
-downdated in place: its lower triangle one panel of rows at a time, its
-upper triangle copied from the lower tile by tile, so no d x d temporary is
-made and R stays exactly symmetric; each panel is checked for non-finite
-entries where it is written. A batch of more rows takes the feature-side
-Woodbury form: the trial solves ``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns
-``W + X``; the commit makes the same solve against ``[R | R Z'(Y - Z W)]``,
-takes ``W + X`` from its last c columns and the new inverse, checked and
-symmetrized, from its first d.
+R is held in one of two forms, and the sizes the classifier is given decide
+which. In the row form, used while at most d/2 rows have been folded in (d
+the feature width), the classifier keeps the stacked sample-side factors K
+(m x d), with ``R = I/lambda - K'K``, and no d x d array: ``Z R`` is
+``Z/lambda - (Z K') K``, at 4nmd flops instead of 2nd^2. In the dense form it
+keeps R itself. The first commit that would take the rows past d/2, or the
+first batch of more than d rows, folds them once: a fresh 1/lambda diagonal
+is downdated by all of them. Reading :attr:`RidgeClassifier.gram_inv` in the
+row form returns such a fold, a fresh dense copy, and leaves the form as it
+is; assigning it switches to the dense form.
+
+A batch of at most d rows is folded in on the sample side. With ``P = Z R``,
+``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and ``E = L^-1 (Y - Z W)``, the
+new solution is ``W + K' E`` and the new inverse is ``R - K' K``. K and E are
+products with the n x n inverse of L, made once, so both triangular solves
+run as matrix products. :meth:`RidgeClassifier.trial_weights` returns the
+first without writing anything; :meth:`RidgeClassifier.update` commits both.
+In the row form the commit appends K to the rows, and checks the implied
+diagonal ``1/lambda - sum K^2``: it must be finite, which also holds K finite,
+and positive, which bounds every entry of R by 1/lambda. In the dense form
+the inverse is downdated in place: its lower triangle one panel of rows at a
+time, its upper triangle copied from the lower tile by tile, so no d x d
+temporary is made and R stays exactly symmetric; each panel is checked for
+non-finite entries where it is written. A batch of more rows takes the
+feature-side Woodbury form on the dense inverse: the trial solves
+``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns ``W + X``; the commit makes the
+same solve against ``[R | R Z'(Y - Z W)]``, takes ``W + X`` from its last c
+columns and the new inverse, checked and symmetrized, from its first d.
 """
 
 from __future__ import annotations
@@ -43,15 +56,37 @@ class RidgeClassifier:
             raise ValueError(f"regularization must be positive, got {regularization}")
         self.feature_dim = int(feature_dim)
         self.regularization = float(regularization)
-        # only the diagonal is written here; the other pages of np.zeros stay untouched until used
-        self.gram_inv = np.zeros((feature_dim, feature_dim))
-        np.fill_diagonal(self.gram_inv, 1.0 / regularization)
+        self.rows = np.zeros((0, self.feature_dim))
         self.weights = np.zeros((feature_dim, 0))
         self.classes_seen: list[int] = []
 
     @property
     def num_classes(self) -> int:
         return len(self.classes_seen)
+
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The stacked factors K of the row form, ``R = I/lambda - K'K``; None in the dense form."""
+        return self._rows
+
+    @rows.setter
+    def rows(self, value: np.ndarray | None) -> None:
+        self._rows, self._inverse = value, None
+
+    @property
+    def gram_inv(self) -> np.ndarray | None:
+        """R as a dense array; in the row form a fresh fold of the rows, and the form stays."""
+        return self._inverse if self._rows is None else self._fold(self._rows)
+
+    @gram_inv.setter
+    def gram_inv(self, value: np.ndarray | None) -> None:
+        self._inverse, self._rows = value, None
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of R, in either form; no d x d array is made."""
+        if self._rows is None:
+            return np.diag(self._inverse)
+        return 1.0 / self.regularization - np.einsum("ij,ij->j", self._rows, self._rows)
 
     def clone(self) -> "RidgeClassifier":
         return copy.deepcopy(self)
@@ -83,63 +118,56 @@ class RidgeClassifier:
         if z.shape[0] <= self.feature_dim:
             k, e = self._sample_side(z, y)
             return self.weights + k.T @ e
-        return self.weights + self._feature_solve(z, self._residual_rhs(z, y))
+        r = self.gram_inv
+        return self.weights + self._feature_solve(z, self._residual_rhs(z, y, r), r)
 
     def update(self, feats: np.ndarray, targets: np.ndarray) -> None:
         """Fold one batch into the running ridge solution.
 
         ``targets`` must already span every registered class (call
         :meth:`expand_classes` first when the batch introduces new ones).
-        On the sample side the inverse is downdated in place, ``R -= K' K``,
-        one panel of rows at a time; on the feature side it is replaced.
-        Either way the weights committed are exactly :meth:`trial_weights`'s,
-        and the new inverse is checked for non-finite entries where it is written.
+        On the sample side the row form appends K while the rows stay within
+        d/2, and folds them into a dense inverse with K when they would not;
+        the dense form is downdated in place, ``R -= K' K``, one panel of rows
+        at a time. On the feature side the row form is folded first, and the
+        inverse is replaced. Either way the weights committed are exactly
+        :meth:`trial_weights`'s, and the diagonal of the new inverse is
+        checked to be finite and positive.
         """
         z, y = self._checked(feats, targets)
         d = self.feature_dim
         if z.shape[0] <= d:
             k, e = self._sample_side(z, y)
-            self._downdate(k)
+            if self._rows is None:
+                _downdate(self._inverse, k)
+            elif 2 * (len(self._rows) + len(k)) <= d:
+                self.rows = np.vstack([self._rows, k])
+            else:
+                self.gram_inv = self._fold(self._rows, k)
             step = k.T @ e
         else:
-            solved = self._feature_solve(z, np.hstack([self.gram_inv, self._residual_rhs(z, y)]))
+            if self._rows is not None:
+                self.gram_inv = self._fold(self._rows)
+            r = self._inverse
+            solved = self._feature_solve(z, np.hstack([r, self._residual_rhs(z, y, r)]))
             r_new = require_finite(solved[:, :d], "gram inverse")
             self.gram_inv = (r_new + r_new.T) / 2.0
             step = solved[:, d:]
         self.weights = self.weights + step
-        if np.any(np.diag(self.gram_inv) <= 0):
+        diag = require_finite(self.diagonal(), "gram inverse")
+        if np.any(diag <= 0):
             raise NumericalError("gram inverse lost positive definiteness")
         require_finite(self.weights, "classifier weights")
 
-    def _downdate(self, k: np.ndarray) -> None:
-        """``R -= K' K`` in place: the lower triangle by row panels, then the upper copied from it.
-
-        Panel products of different heights do not always give entries (i, j)
-        and (j, i) bit for bit alike, so the upper triangle is not computed
-        but copied, and R stays exactly symmetric. Each lower panel is checked
-        for non-finite entries once written, which covers the copies too.
-        Every panel product goes to one reused buffer; the copy runs in square
-        tiles staged through one contiguous tile buffer.
-        """
-        r, d = self.gram_inv, self.feature_dim
-        panel = np.empty((PANEL_ROWS, d))
-        for i in range(0, d, PANEL_ROWS):
-            j = min(i + PANEL_ROWS, d)
-            r[i:j, :j] -= np.matmul(k[:, i:j].T, k[:, :j], out=panel[: j - i, :j])
-            require_finite(r[i:j, :j], "gram inverse")
-        del panel
-        tile = np.empty((PANEL_ROWS, PANEL_ROWS))
-        strict_upper = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
-        for i in range(0, d, PANEL_ROWS):
-            j = min(i + PANEL_ROWS, d)
-            for a in range(j, d, PANEL_ROWS):
-                b = min(a + PANEL_ROWS, d)
-                lower = tile[: b - a, : j - i]
-                np.copyto(lower, r[a:b, i:j])
-                np.copyto(r[i:j, a:b], lower.T)
-            block, staged = r[i:j, i:j], tile[: j - i, : j - i]
-            np.copyto(staged, block.T)
-            np.copyto(block, staged, where=strict_upper[: j - i, : j - i])
+    def _fold(self, *blocks: np.ndarray) -> np.ndarray:
+        """A fresh dense ``R = I/lambda - sum K'K`` over the blocks of rows."""
+        d = self.feature_dim
+        # only the diagonal is written here; the other pages of np.zeros stay untouched until used
+        r = np.zeros((d, d))
+        np.fill_diagonal(r, 1.0 / self.regularization)
+        if any(len(k) for k in blocks):
+            _downdate(r, *blocks)
+        return r
 
     def _checked(self, feats, targets) -> tuple[np.ndarray, np.ndarray]:
         z = as_matrix(feats, "features")
@@ -154,7 +182,12 @@ class RidgeClassifier:
 
     def _sample_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``K = L^-1 Z R`` and ``E = L^-1 (Y - Z W)`` with ``L L' = I + Z R Z'``."""
-        p = z @ self.gram_inv
+        if self._rows is None:
+            p = z @ self._inverse
+        else:
+            # with no rows yet this is z @ (I/lambda) bit for bit
+            p = z * (1.0 / self.regularization)
+            p -= (z @ self._rows.T) @ self._rows
         correction = p @ z.T
         correction[np.diag_indices_from(correction)] += 1.0
         try:
@@ -166,13 +199,14 @@ class RidgeClassifier:
         factor_inv = np.linalg.inv(factor)
         return factor_inv @ p, factor_inv @ (y - z @ self.weights)
 
-    def _residual_rhs(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _residual_rhs(self, z: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``R Z'(Y - Z W)``, whose feature-side solve is the weight step."""
-        return self.gram_inv @ (z.T @ (y - z @ self.weights))
+        return r @ (z.T @ (y - z @ self.weights))
 
-    def _feature_solve(self, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``."""
-        system = self.gram_inv @ (z.T @ z)
+    def _feature_solve(self, z: np.ndarray, rhs: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+        """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``; R is
+        the dense inverse given, or else the classifier's own."""
+        system = (self._inverse if r is None else r) @ (z.T @ z)
         system[np.diag_indices_from(system)] += 1.0
         try:
             return np.linalg.solve(system, rhs)
@@ -196,7 +230,42 @@ class RidgeClassifier:
         return lookup[picks]
 
     def state_buffers(self) -> tuple[np.ndarray, ...]:
-        """Width, class count, classes, weights and inverse as contiguous buffers, in hash order."""
+        """Width, class count, classes, weights and whichever of the rows and the
+        inverse holds R, as contiguous buffers, in hash order."""
         head = np.array([self.feature_dim, self.num_classes], dtype=np.int64)
         classes = np.array(self.classes_seen, dtype=np.int64)
-        return head, classes, np.ascontiguousarray(self.weights), np.ascontiguousarray(self.gram_inv)
+        state = self._inverse if self._rows is None else self._rows
+        return head, classes, np.ascontiguousarray(self.weights), np.ascontiguousarray(state)
+
+
+def _downdate(r: np.ndarray, *blocks: np.ndarray) -> None:
+    """``R -= sum K' K`` over the blocks of rows, in place: the lower triangle by
+    row panels, then the upper copied from it.
+
+    Panel products of different heights do not always give entries (i, j)
+    and (j, i) bit for bit alike, so the upper triangle is not computed
+    but copied, and R stays exactly symmetric. Each lower panel is checked
+    for non-finite entries once written, which covers the copies too.
+    Every panel product goes to one reused buffer; the copy runs in square
+    tiles staged through one contiguous tile buffer.
+    """
+    d = r.shape[0]
+    panel = np.empty((PANEL_ROWS, d))
+    for i in range(0, d, PANEL_ROWS):
+        j = min(i + PANEL_ROWS, d)
+        for k in blocks:
+            r[i:j, :j] -= np.matmul(k[:, i:j].T, k[:, :j], out=panel[: j - i, :j])
+        require_finite(r[i:j, :j], "gram inverse")
+    del panel
+    tile = np.empty((PANEL_ROWS, PANEL_ROWS))
+    strict_upper = np.triu(np.ones((PANEL_ROWS, PANEL_ROWS), dtype=bool), 1)
+    for i in range(0, d, PANEL_ROWS):
+        j = min(i + PANEL_ROWS, d)
+        for a in range(j, d, PANEL_ROWS):
+            b = min(a + PANEL_ROWS, d)
+            lower = tile[: b - a, : j - i]
+            np.copyto(lower, r[a:b, i:j])
+            np.copyto(r[i:j, a:b], lower.T)
+        block, staged = r[i:j, i:j], tile[: j - i, : j - i]
+        np.copyto(staged, block.T)
+        np.copyto(block, staged, where=strict_upper[: j - i, : j - i])

@@ -89,7 +89,9 @@ class RunConfig:
             (d.dim >= 2, "data.dim must be at least 2"),
             (d.separation >= 0, "data.separation must be non-negative"),
             (0 <= d.overlap_classes <= d.num_classes, "data.overlap_classes out of range"),
-            (1 <= d.tasks <= d.num_classes, "data.tasks must be in [1, num_classes]"),
+            (d.tasks >= 1, "data.tasks must be positive"),
+            # an embedding file's class count is checked against data.tasks when it is read
+            (d.source != "synthetic" or d.tasks <= d.num_classes, "data.tasks must be in [1, num_classes]"),
             (b.depth >= 1, "backbone.depth must be positive"),
             (b.feature_dim >= 1, "backbone.feature_dim must be positive"),
             (b.buffer_size >= b.feature_dim, "backbone.buffer_size must be >= feature_dim"),

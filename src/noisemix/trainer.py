@@ -202,10 +202,15 @@ def backward(
     up/down projections, old generators) but accumulate only into the arrays
     named in ``params``: the newest generator per layer, the mix weights,
     and the auxiliary classifier (whose gradient the loss supplies directly).
+    Nothing below the lowest noise layer trains, so the pass stops once that
+    layer's generator and mix-weight gradients are taken.
     """
     grads = {key: np.zeros_like(p) for key, p in params.items()}
+    lowest = next((l for l, cache in enumerate(tape.layer_caches) if cache is not None), None)
+    if lowest is None:
+        return grads
     d_cur = (d_features * tape.relu_mask) @ model.buffer.projection.T
-    for l in reversed(range(model.backbone.depth)):
+    for l in reversed(range(lowest, model.backbone.depth)):
         cache = tape.layer_caches[l]
         d_r = d_cur
         if cache is not None:
@@ -225,6 +230,8 @@ def backward(
             omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
             if omega_key in grads:
                 grads[omega_key] += cache.bank @ np.concatenate([d.ravel() for d in d_gen])
+            if l == lowest:
+                break
             d_r = d_r + d_h @ layer.down_proj.T
         u = tape.block_tanh[l]
         block = model.backbone.blocks[l]

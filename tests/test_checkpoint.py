@@ -264,6 +264,86 @@ class TestModelCheckpoint:
         assert fresh.state_hash() == model.state_hash()
 
 
+class TestClassifierForms:
+    """A classifier within d/2 rows is stored as its rows, past that as its inverse."""
+
+    def checkpoint(self, tmp_path, buffer_size):
+        cfg = small_cfg()
+        cfg.backbone.buffer_size = buffer_size
+        stream, model, _ = trained_model(cfg)
+        path = tmp_path / "model.nmcp"
+        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        return cfg, stream, model, path
+
+    # 64 rows after two sessions: at d = 128 session 3 folds, at d = 256 it stays in rows
+    @pytest.mark.parametrize("buffer_size", [128, 256])
+    def test_row_form_round_trips_and_resumes_bit_identically(self, tmp_path, buffer_size):
+        cfg, stream, model, path = self.checkpoint(tmp_path, buffer_size)
+        assert model.classifier.rows.shape == (64, buffer_size)
+        sections = read_container(path)
+        assert "clf.rows" in sections and "clf.graminv" not in sections
+        fresh = build_run_model(cfg, stream.feature_dim)
+        load_into(fresh, path)
+        assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
+        assert fresh.state_hash() == model.state_hash()
+        reports = [
+            run_session(m, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
+            for m in (model, fresh)
+        ]
+        assert reports[0] == reports[1]
+        assert (fresh.classifier.rows is None) == (buffer_size == 128)
+        assert fresh.state_hash() == model.state_hash()
+
+    def test_dense_form_is_stored_as_the_inverse(self, tmp_path):
+        cfg, stream, model, path = self.checkpoint(tmp_path, 96)
+        assert model.classifier.rows is None
+        sections = read_container(path)
+        assert "clf.graminv" in sections and "clf.rows" not in sections
+        fresh = build_run_model(cfg, stream.feature_dim)
+        load_into(fresh, path)
+        assert fresh.classifier.rows is None and fresh.state_hash() == model.state_hash()
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("wrong-width", "not m x 128"),
+            ("past-half-width", "more than half the width"),
+            ("non-finite", "clf.rows has non-finite values"),
+            ("diagonal", "diagonal not positive"),
+            ("both-forms", "exactly one of clf.graminv and clf.rows"),
+            ("neither-form", "exactly one of clf.graminv and clf.rows"),
+            ("other-regularization", "another regularization"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, damage, named):
+        cfg, stream, model, path = self.checkpoint(tmp_path, 128)
+        clf = model.classifier
+        rows = clf.rows.copy()
+        if damage == "wrong-width":
+            rows = np.zeros((3, 129))
+        elif damage == "past-half-width":
+            rows = np.zeros((65, 128))
+        elif damage == "non-finite":
+            rows[5, 70] = np.nan
+        elif damage == "diagonal":
+            rows[5, 70] = np.sqrt(1.0 / clf.regularization)
+        clf.rows = rows
+        if damage == "other-regularization":
+            clf.regularization *= 2.0
+        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        if damage in ("both-forms", "neither-form"):
+            sections = read_container(path)
+            if damage == "neither-form":
+                del sections["clf.rows"]
+            else:
+                clf.gram_inv = clf.gram_inv
+                save_checkpoint(tmp_path / "dense.nmcp", model, "h", cfg.train.seed, 3)
+                sections["clf.graminv"] = read_container(tmp_path / "dense.nmcp")["clf.graminv"]
+            write_container(path, sections)
+        with pytest.raises(CheckpointError, match=named):
+            load_into(build_run_model(cfg, stream.feature_dim), path)
+
+
 class TestFormatPinned:
     """The streamed writer produces format v1 byte for byte."""
 
@@ -305,9 +385,13 @@ class TestLoadMemory:
     """The reader holds each payload once and decodes arrays in place."""
 
     def wide_checkpoint(self, tmp_path):
+        # two sessions of 272 rows pass half the width of 1024, so the
+        # classifier has folded into its dense form
         cfg = small_cfg()
         cfg.backbone.buffer_size = 1024
+        cfg.data.samples_per_class = 170
         stream, model, _ = trained_model(cfg)
+        assert model.classifier.rows is None
         path = tmp_path / "wide.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=[])
         return cfg, stream, model, path

@@ -210,7 +210,8 @@ class TestTrial:
         assert np.array_equal(trial, clf.weights)
 
     def test_commit_downdates_the_inverse_in_place(self):
-        clf, z, y = fitted(64, 1.0, 16, seed=2)
+        # 40 rows at d = 64 are past d/2, so the first update folds into the dense form
+        clf, z, y = fitted(64, 1.0, 40, seed=2)
         inverse = clf.gram_inv
         clf.update(z, y)
         assert np.shares_memory(clf.gram_inv, inverse)
@@ -255,6 +256,22 @@ class TestTrial:
             with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
                 clf.update(z, y)
 
+    def test_overflow_in_the_last_partial_panel_of_the_dense_form_raises(self):
+        # 160 rows at d = 300 are past d/2, so the second commit downdates R by panels
+        clf, z, y = fitted(300, 0.5, 160, seed=5)
+        assert clf.rows is None
+        sample_side = clf._sample_side
+
+        def blown(z, y):
+            k, e = sample_side(z, y)
+            k[0, -1] = 1e200
+            return k, e
+
+        clf._sample_side = blown
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
+                clf.update(z, y)
+
     def test_non_finite_feature_side_inverse_raises(self):
         clf, z, y = fitted(12, 0.5, 40, seed=5)
         feature_solve = clf._feature_solve
@@ -267,6 +284,121 @@ class TestTrial:
         clf._feature_solve = blown
         with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
             clf.update(z, y)
+
+
+class TestRowForm:
+    @staticmethod
+    def oracle(chunks, classes, lam):
+        z = np.vstack([c for c, _ in chunks])
+        y = one_hot([lab for _, labs in chunks for lab in labs], classes)
+        return ridge_solve(z, y, lam), np.linalg.inv(z.T @ z + lam * np.eye(z.shape[1]))
+
+    # batches whose stacked rows reach d/2 (150, and 256 of 256.5), then cross it
+    @pytest.mark.parametrize("d, sizes", [(300, [100, 50, 30, 20]), (513, [200, 56, 1, 40])])
+    def test_matches_batch_ridge_across_the_fold(self, d, sizes):
+        rng = SeededRng(d)
+        lam = 0.5
+        clf = RidgeClassifier(d, lam)
+        clf.expand_classes([0, 1, 2])
+        chunks, forms = [], []
+        for n in sizes:
+            z = rng.standard_normal(n, d)
+            labels = [rng.integer(3) for _ in range(n)]
+            chunks.append((z, labels))
+            clf.update(z, one_hot(labels, [0, 1, 2]))
+            forms.append(None if clf.rows is None else clf.rows.shape)
+            w_oracle, r_oracle = self.oracle(chunks, [0, 1, 2], lam)
+            assert np.linalg.norm(clf.weights - w_oracle) / np.linalg.norm(w_oracle) < 1e-10
+            assert np.linalg.norm(clf.gram_inv - r_oracle) / np.linalg.norm(r_oracle) < 1e-10
+        m = np.cumsum(sizes)
+        assert forms == [(m[0], d), (m[1], d), None, None]
+
+    def test_first_feature_side_batch_folds(self):
+        rng = SeededRng(21)
+        clf = RidgeClassifier(40, 0.5)
+        clf.expand_classes([0, 1])
+        chunks = [(rng.standard_normal(10, 40), [i % 2 for i in range(10)])]
+        chunks.append((rng.standard_normal(60, 40), [i % 2 for i in range(60)]))
+        clf.update(chunks[0][0], one_hot(chunks[0][1], [0, 1]))
+        assert clf.rows.shape == (10, 40)
+        clf.update(chunks[1][0], one_hot(chunks[1][1], [0, 1]))
+        assert clf.rows is None
+        w_oracle, r_oracle = self.oracle(chunks, [0, 1], 0.5)
+        assert np.linalg.norm(clf.weights - w_oracle) / np.linalg.norm(w_oracle) < 1e-10
+        assert np.linalg.norm(clf.gram_inv - r_oracle) / np.linalg.norm(r_oracle) < 1e-10
+
+    @pytest.mark.parametrize("rows", [37, 300])  # sample side, feature side
+    def test_first_update_equals_the_dense_form_bit_for_bit(self, rows):
+        rng = SeededRng(17)
+        d, lam = 256, 0.3
+        z = rng.standard_normal(rows, d)
+        y = one_hot([i % 3 for i in range(rows)], [0, 1, 2])
+        row_form, dense = RidgeClassifier(d, lam), RidgeClassifier(d, lam)
+        dense.gram_inv = np.eye(d) / lam
+        for clf in (row_form, dense):
+            clf.expand_classes([0, 1, 2])
+        assert np.array_equal(row_form.trial_weights(z, y), dense.trial_weights(z, y))
+        row_form.update(z, y)
+        dense.update(z, y)
+        assert (row_form.rows is None) == (rows > d) and dense.rows is None
+        assert np.array_equal(row_form.weights, dense.weights)
+        assert np.array_equal(row_form.gram_inv, dense.gram_inv)
+
+    def test_reading_the_inverse_leaves_the_row_form(self):
+        clf, _, _ = fitted(64, 1.0, 16, seed=3)
+        rows = clf.rows
+        before = state_digest(clf)
+        first, second = clf.gram_inv, clf.gram_inv
+        assert clf.rows is rows and state_digest(clf) == before
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+        assert np.array_equal(first, first.T)
+
+    def test_assigning_the_inverse_switches_to_the_dense_form(self):
+        clf, _, _ = fitted(64, 1.0, 16, seed=3)
+        inverse = clf.gram_inv
+        clf.gram_inv = inverse
+        assert clf.rows is None and clf.gram_inv is inverse
+
+    def test_diagonal_matches_the_inverse_in_either_form(self):
+        clf, _, _ = fitted(64, 1.0, 16, seed=3)
+        assert np.max(np.abs(clf.diagonal() - np.diag(clf.gram_inv))) < 1e-15
+        clf.gram_inv = clf.gram_inv
+        assert np.array_equal(clf.diagonal(), np.diag(clf.gram_inv))
+
+    def test_lost_definiteness_raises(self):
+        # a finite K entry whose square exceeds 1/lambda makes the implied diagonal negative
+        clf, z, y = fitted(300, 0.5, 16, seed=5)
+        sample_side = clf._sample_side
+
+        def blown(z, y):
+            k, e = sample_side(z, y)
+            k[0, 7] = 10.0
+            return k, e
+
+        clf._sample_side = blown
+        with pytest.raises(NumericalError, match="lost positive definiteness"):
+            clf.update(z, y)
+
+    def test_non_finite_rows_raise(self):
+        clf, z, y = fitted(300, 0.5, 16, seed=5)
+        sample_side = clf._sample_side
+
+        def blown(z, y):
+            k, e = sample_side(z, y)
+            k[3, 0] = np.nan
+            return k, e
+
+        clf._sample_side = blown
+        with pytest.raises(NumericalError, match="non-finite values in gram inverse"):
+            clf.update(z, y)
+
+    def test_commit_and_trial_make_no_square_array(self, traced_peak):
+        clf, z, y = fitted(4096, 1.0, 64, seed=6)
+        assert clf.rows.shape == (64, 4096)
+        square = 4096 * 4096 * 8
+        assert traced_peak(lambda: clf.trial_weights(z, y)) < square // 16
+        assert traced_peak(lambda: clf.update(z, y)) < square // 16
+        assert clf.rows.shape == (128, 4096)
 
 
 class TestDowndate:
@@ -316,6 +448,11 @@ class TestMemory:
     def test_wide_commit_holds_under_an_eighth_of_the_inverse(self, traced_peak):
         # at d = 4096 a d x d boolean temporary alone is an eighth of R
         clf, z, y = fitted(4096, 1.0, 64, seed=6)
+        assert traced_peak(lambda: clf.update(z, y)) < clf.gram_inv.nbytes // 8
+
+    def test_dense_commit_holds_under_an_eighth_of_the_inverse(self, traced_peak):
+        clf, z, y = fitted(4096, 1.0, 64, seed=6)
+        clf.gram_inv = clf.gram_inv  # assigning the inverse switches to the dense form
         assert traced_peak(lambda: clf.update(z, y)) < clf.gram_inv.nbytes // 8
 
     def test_feature_side_solve_adds_no_identity_temporary(self, traced_peak):

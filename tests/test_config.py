@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from noisemix.config import (
@@ -43,6 +44,37 @@ class TestValidation:
         set_key(cfg, key, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_synthetic_stream_needs_a_class_per_task(self):
+        cfg = RunConfig()
+        cfg.data.tasks = cfg.data.num_classes + 1
+        with pytest.raises(ConfigError, match="num_classes"):
+            cfg.validate()
+
+    def test_embedding_tasks_are_bounded_by_the_file_not_num_classes(self, tmp_path):
+        # data.num_classes (default 20) describes synthetic streams only; the
+        # 30 classes of the file are what 25 tasks must not exceed
+        from noisemix.experiment import run_training
+
+        rng = np.random.default_rng(4)
+        lines = ["label,f0,f1,f2,f3"]
+        for c in range(30):
+            for _ in range(6):
+                lines.append(f"{c}," + ",".join(f"{v:.3f}" for v in rng.standard_normal(4) + c % 5))
+        csv = tmp_path / "thirty.csv"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = apply_overrides(RunConfig(), [
+            "data.source=embedding", f"data.embedding_path={csv}", "data.tasks=25",
+            "backbone.depth=2", "backbone.feature_dim=8", "backbone.buffer_size=32",
+            "pinoise.latent_dim=4", "train.epochs=1",
+        ])
+        assert cfg.data.tasks > cfg.data.num_classes
+        cfg.validate()
+        summary = run_training(cfg, out_dir=tmp_path / "run", log=False)
+        assert len(summary.reports) == 25
+        cfg.data.tasks = 31
+        with pytest.raises(ValueError, match="fewer than 31 tasks"):
+            run_training(cfg, out_dir=tmp_path / "too-many", log=False)
 
     def test_unknown_keys_rejected(self):
         cfg = RunConfig()
