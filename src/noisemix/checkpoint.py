@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ContinualModel
-from .pinoise import NoiseGenerator
+from .pinoise import GeneratorBank, NoiseGenerator
 
 MAGIC = b"NMCP"
 VERSION = 1
@@ -296,7 +296,6 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
         shared_first: np.ndarray | None = None
         for l, layer in enumerate(model.layers):
             prefix = f"L{l:02d}"
-            layer.generators = []
             layer.prototypes = []
             if f"{prefix}.proto" in sections:
                 protos = _decode_array(sections, f"{prefix}.proto")
@@ -309,6 +308,7 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
                     layer.mix_weights = shared_first
                 else:
                     layer.mix_weights = omega
+            generators = []
             for i in range(sessions):
                 gp = f"{prefix}.G{i:02d}"
                 maps = [_decode_array(sections, f"{gp}.{m}") for m in ("mw", "mb", "sw", "sb")]
@@ -318,8 +318,9 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
                     raise CheckpointError(f"generator {gp} shape mismatch") from None
                 if gen.latent_dim != layer.latent_dim:
                     raise CheckpointError(f"generator {gp} shape mismatch")
-                layer.generators.append(gen)
-            if len(layer.prototypes) != sessions or len(layer.generators) != sessions:
+                generators.append(gen)
+            layer.generators = GeneratorBank(generators)
+            if len(layer.prototypes) != sessions:
                 raise CheckpointError("layer state length mismatch")
             if layer.mix_weights is not None and len(layer.mix_weights) != sessions:
                 raise CheckpointError("mix weight length mismatch")

@@ -131,7 +131,9 @@ def cmd_eval(args) -> int:
     cfg.validate()
     stream = build_stream(cfg)
     model = build_run_model(cfg, stream.feature_dim)
-    ckpt.load_into(model, run_dir / "checkpoint.nmcp")
+    meta = ckpt.load_into(model, run_dir / "checkpoint.nmcp")
+    if meta["config_hash"] != config_hash(cfg):
+        raise ckpt.CheckpointError("checkpoint was written by a different configuration")
     report = evaluate(model, stream, model.sessions_completed)
     print(
         f"sessions={model.sessions_completed} accuracy={100.0 * report.accuracy_seen:.2f}% "

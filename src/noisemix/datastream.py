@@ -195,7 +195,8 @@ def load_embedding_stream(path: str | Path, num_tasks: int, seed: int) -> TaskSt
     """Build a stream from a CSV of precomputed feature embeddings.
 
     Expected format: header ``label,f0,f1,...,f{d-1}``, then one row per
-    sample with an int64 label followed by d decimal reals, parsed by numpy.
+    sample with an int64 label followed by d finite decimal reals, parsed by
+    numpy.
     Blank lines are skipped; there are no comment lines. Labels must be the
     contiguous range 0..C-1. Classes are shuffled with ``seed`` and
     partitioned into ``num_tasks`` tasks. A sibling file with the ``.split``
@@ -258,7 +259,7 @@ def _parse_embedding_csv(path: Path) -> np.ndarray:
     dtype = record_dtype(dim)
     try:
         records = np.loadtxt(lines[1:], delimiter=",", dtype=dtype, comments=None, ndmin=1)
-        if not np.any(records["label"] < 0):
+        if not np.any(records["label"] < 0) and np.isfinite(records["features"]).all():
             return records
     except ValueError:
         pass
@@ -281,6 +282,8 @@ def _raise_at_first_bad_line(path: Path, lines: list[str], dtype: np.dtype) -> N
             raise ValueError(f"{path}:{lineno}: malformed value ({str(exc).replace('row 0, ', '')})") from None
         if row["label"][0] < 0:
             raise ValueError(f"{path}:{lineno}: labels must be non-negative")
+        if not np.isfinite(row["features"]).all():
+            raise ValueError(f"{path}:{lineno}: non-finite feature value")
     raise ValueError(f"{path}: malformed data rows")
 
 

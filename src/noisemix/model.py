@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +17,10 @@ from .pinoise import LayerCache, MixtureStrategy, PiNoiseLayer, build_layer, run
 @dataclass
 class ForwardTape:
     """What the backward pass reads of one forward pass: each block's tanh
-    output, each noise layer's cache, and the ReLU mask of the expansion."""
+    output (None for block 0 when the pass started from its output), each
+    noise layer's cache, and the ReLU mask of the expansion."""
 
-    block_tanh: list[np.ndarray]
+    block_tanh: list[np.ndarray | None]
     layer_caches: list[LayerCache | None]
     relu_mask: np.ndarray
 
@@ -152,31 +154,70 @@ def draw_noise(
     return eps_per_layer, picks_per_layer
 
 
+def draw_epoch_noise(
+    model: ContinualModel, sizes: list[int], eps_rng: SeededRng, pick_rng: SeededRng
+) -> list[tuple[list[np.ndarray | None] | None, list[int | None] | None]]:
+    """The :func:`draw_noise` draws of consecutive batches of ``sizes`` rows.
+
+    The values and the final states of both rngs equal one :func:`draw_noise`
+    call per batch, in order. The Gaussian draws of each run of equal batch
+    sizes come from one :meth:`SeededRng.standard_normal` call with one block
+    per batch and layer, so an epoch whose last batch is short makes two.
+    ``eps_rng`` and ``pick_rng`` must be separate streams, some layer must
+    have generators (as in training), and the layers share one latent
+    width, as :func:`build_model` makes them.
+    """
+    if eps_rng is pick_rng:
+        raise ValueError("epoch draws need separate draw and pick streams")
+    active = [l for l, layer in enumerate(model.layers) if layer.generators]
+    d2 = model.layers[active[0]].latent_dim
+    batches = []
+    for size, run in itertools.groupby(sizes):
+        count = len(list(run))
+        draws = eps_rng.standard_normal(size, d2, blocks=count * len(active))
+        for batch in draws.reshape(count, len(active), size, d2):
+            eps, picks = draw_noise(model, size, None, pick_rng)
+            for l, eps_l in zip(active, batch):
+                eps[l] = eps_l
+            batches.append((eps, picks))
+    return batches
+
+
 def forward_pass(
     model: ContinualModel,
     x: np.ndarray,
     eps_per_layer: list[np.ndarray | None] | None = None,
     picks_per_layer: list[int | None] | None = None,
     collect: bool = False,
+    from_block0: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], ForwardTape | None]:
     """Run the full feature pipeline on the given draws (:func:`draw_noise`).
 
     A layer without a draw follows the mean path (draw treated as zero).
-    Returns the expanded features, the per-block pre-noise outputs, and
-    optionally the tape.
+    With ``from_block0``, ``x`` is block 0's output for the batch's rows
+    (``pre_noise[0]`` of an earlier pass, which checked it) and the pass
+    starts at noise layer 0: nothing before it has a trainable parameter,
+    and the backward pass never reads block 0's tanh. Returns the expanded
+    features, the per-block pre-noise outputs, and optionally the tape.
     """
     x = as_matrix(x, "input batch")
-    if x.shape[1] != model.backbone.input_dim:
-        raise ValueError(f"input width {x.shape[1]} != backbone input {model.backbone.input_dim}")
-    require_finite(x, "input batch")
-    cur = x @ model.backbone.adapter
-    block_tanh: list[np.ndarray] = []
+    width = model.backbone.feature_dim if from_block0 else model.backbone.input_dim
+    if x.shape[1] != width:
+        expected = "block 0 output" if from_block0 else "backbone input"
+        raise ValueError(f"input width {x.shape[1]} != {expected} {width}")
+    if not from_block0:
+        require_finite(x, "input batch")
+        cur = x @ model.backbone.adapter
+    block_tanh: list[np.ndarray | None] = []
     layer_caches: list[LayerCache | None] = []
     pre_noise: list[np.ndarray] = []
     for l, block in enumerate(model.backbone.blocks):
-        u = np.tanh(cur @ block.weight)
-        r = cur + block.gain * u
-        require_finite(r, f"block {l} output")
+        if l == 0 and from_block0:
+            u, r = None, x
+        else:
+            u = np.tanh(cur @ block.weight)
+            r = cur + block.gain * u
+            require_finite(r, f"block {l} output")
         if collect:
             block_tanh.append(u)
         pre_noise.append(r)
@@ -191,8 +232,8 @@ def forward_pass(
         cur = nxt
     expanded = cur @ model.buffer.projection
     require_finite(expanded, "buffer expansion")
-    z = np.maximum(expanded, 0.0)
     tape = None
     if collect:
         tape = ForwardTape(block_tanh=block_tanh, layer_caches=layer_caches, relu_mask=expanded > 0)
+    z = np.maximum(expanded, 0.0, out=expanded)  # the mask is taken, so rectify in place
     return z, pre_noise, tape

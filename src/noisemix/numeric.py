@@ -24,7 +24,7 @@ def as_matrix(a, what: str = "matrix") -> np.ndarray:
 
 
 def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"non-finite values in {what}")
     return a
 
@@ -135,22 +135,29 @@ class SeededRng:
         """Uniform draws in (0, 1]; never zero, so log() is always safe."""
         return (self.next_uint64(count).astype(np.float64) + 1.0) * 2.0**-64
 
-    def standard_normal(self, rows: int, cols: int | None = None) -> np.ndarray:
+    def standard_normal(self, rows: int, cols: int | None = None, blocks: int | None = None) -> np.ndarray:
         """I.i.d. N(0,1) draws via the Box-Muller transform.
 
         Returns a vector of length ``rows`` or a ``rows x cols`` matrix. A
         call takes ceil(size / 2) words for the radii, then as many for the
-        angles, so an odd size wastes one word.
+        angles, so an odd size wastes one word. With ``blocks`` it returns
+        that many such arrays stacked on a new first axis, each made from its
+        own radius and angle words in turn: the values and the final
+        :attr:`state` equal ``blocks`` separate calls.
         """
         shape = (rows,) if cols is None else (rows, cols)
         count = int(np.prod(shape))
         if count < 1:
             raise ValueError(f"normal draw needs a positive size, got shape {shape}")
+        if blocks is not None and blocks < 1:
+            raise ValueError(f"blocks must be positive, got {blocks}")
+        k = 1 if blocks is None else blocks
         pairs = (count + 1) // 2
-        u1, u2 = self.uniform(2 * pairs).reshape(2, pairs)
+        u1, u2 = self.uniform(2 * pairs * k).reshape(k, 2, pairs).transpose(1, 0, 2)
         radius = np.sqrt(-2.0 * np.log(u1))
         angle = 2.0 * np.pi * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count].reshape(shape)
+        draws = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :count]
+        return draws.reshape(shape if blocks is None else (blocks, *shape))
 
     def integer(self, upper: int) -> int:
         """One draw uniform on [0, upper). Modulo bias is below 2**-50 for desk sizes."""

@@ -11,12 +11,14 @@ A mixing strategy is a pair of per-task coefficient vectors ``(c_mean,
 c_scale)`` (:func:`mixture_coefficients`). All tasks at a layer share one
 draw and every map is affine, so the mixture is itself one affine generator
 whose parameters are the coefficient-weighted sums of the tasks' parameters
-(:func:`mixed_generator`). With the k vectors stacked as the rows of a bank
-B, that generator is ``c_mean @ B[:, :m]`` joined to ``c_scale @ B[:, m:]``,
-and the gradient of the mixing weights is ``B @ g`` for the effective
-generator's gradient g. Per input row, the forward and backward pass of a
-layer then cost the same for any number of tasks, and the per-step work on
-the k generators is one product each way.
+(:func:`mixed_generator`). A layer holds its k vectors as the rows of one
+k x 2m bank B (:class:`GeneratorBank`), and each generator is a view of its
+row, so training a generator in place writes B. The mixture is then
+``c_mean @ B[:, :m]`` joined to ``c_scale @ B[:, m:]``, and the gradient of
+the mixing weights is ``B @ g`` for the effective generator's gradient g.
+Per input row, the forward and backward pass of a layer cost the same for
+any number of tasks, and the per-step work on the k generators is one
+product each way, on B as it stands.
 
 A layer's forward pass (:func:`run_layer`) is a function of its parameters
 and the draws it is given, the Gaussian draw and the random-task pick; it
@@ -26,6 +28,7 @@ draws nothing itself (:func:`noisemix.model.draw_noise` does).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +114,48 @@ class NoiseGenerator:
         return self.vector.tobytes()
 
 
+class GeneratorBank(Sequence):
+    """A layer's generators as the rows of one k x 2m array, ``matrix``.
+
+    Each generator is a view of its row. :meth:`append` grows the array by
+    one row, once per session, and rebinds every generator, the appended one
+    included, to its row of the new array. Array views taken from a
+    generator before an append no longer reach the bank, so parameter views
+    (:func:`noisemix.trainer.collect_trainable`) are taken after it.
+    """
+
+    def __init__(self, generators=()):
+        generators = list(generators)
+        self._generators: list[NoiseGenerator] = []
+        self.matrix = np.empty((0, 0))
+        if generators:  # np.stack rejects generators of different widths
+            self._bind_rows(generators, np.stack([g.vector for g in generators]))
+
+    def __len__(self) -> int:
+        return len(self._generators)
+
+    def __getitem__(self, index):
+        return self._generators[index]
+
+    def append(self, gen: NoiseGenerator) -> None:
+        k = len(self._generators)
+        if k and gen.vector.shape != self.matrix.shape[1:]:
+            raise ValueError(
+                f"generator of latent width {gen.latent_dim} does not fit a bank of latent width "
+                f"{self._generators[0].latent_dim}"
+            )
+        matrix = np.empty((k + 1, gen.vector.size))
+        if k:
+            matrix[:k] = self.matrix
+        matrix[k] = gen.vector
+        self._bind_rows(self._generators + [gen], matrix)
+
+    def _bind_rows(self, generators: list[NoiseGenerator], matrix: np.ndarray) -> None:
+        for gen, row in zip(generators, matrix):
+            gen._bind(row, gen.latent_dim)
+        self._generators, self.matrix = generators, matrix
+
+
 def new_generator(latent_dim: int, rng: SeededRng, init_scale: float = 0.0001) -> NoiseGenerator:
     """Fresh generator with near-zero output at initialization.
 
@@ -132,13 +177,14 @@ class PiNoiseLayer:
     """Noise injection point after one backbone block.
 
     The down/up projections are frozen random maps shared by every task;
-    generators, prototypes and mix weights grow by one entry per session.
+    generators (one bank row each), prototypes and mix weights grow by one
+    entry per session.
     """
 
     down_proj: np.ndarray  # d1 x d2, frozen N(0,1)
     up_proj: np.ndarray  # d2 x d1, frozen N(0,1)
     layer_index: int
-    generators: list[NoiseGenerator] = field(default_factory=list)
+    generators: GeneratorBank = field(default_factory=GeneratorBank)
     prototypes: list[np.ndarray] = field(default_factory=list)
     mix_weights: np.ndarray | None = None
 
@@ -198,17 +244,21 @@ def mixture_coefficients(
 
 
 def mixed_generator(
-    generators: list[NoiseGenerator], c_mean: np.ndarray, c_scale: np.ndarray
+    generators: Sequence[NoiseGenerator], c_mean: np.ndarray, c_scale: np.ndarray
 ) -> tuple[NoiseGenerator, np.ndarray]:
     """The single affine generator equal to the coefficient-weighted mixture.
 
     Every task at a layer shares one draw, so ``sum_i c_i (eps * scale_i(h)
     + mean_i(h))`` is ``eps * scale(h) + mean(h)`` of the weighted sums. The
-    k vectors are stacked once into a k x 2m bank, and the sums are one
-    product over its mean halves and one over its scale halves. Returns the
-    generator and the bank.
+    k vectors are the rows of a k x 2m bank, and the sums are one product
+    over its mean halves and one over its scale halves. A layer's
+    :class:`GeneratorBank` is read as it stands; any other sequence is
+    stacked. Returns the generator and the bank.
     """
-    bank = np.stack([g.vector for g in generators])
+    if isinstance(generators, GeneratorBank):
+        bank = generators.matrix
+    else:
+        bank = np.stack([g.vector for g in generators])
     half = bank.shape[1] // 2
     vector = np.concatenate([c_mean @ bank[:, :half], c_scale @ bank[:, half:]])
     return NoiseGenerator.from_vector(vector, generators[0].latent_dim), bank
@@ -223,7 +273,7 @@ class LayerCache:
     generator: NoiseGenerator  # the effective (mixed) generator
     c_mean: np.ndarray
     c_scale: np.ndarray
-    bank: np.ndarray  # k x 2m, one generator vector per row
+    bank: np.ndarray  # the layer's k x 2m bank itself, not a copy
 
 
 def run_layer(

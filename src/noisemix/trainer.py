@@ -8,6 +8,14 @@ descent on a residual loss, then redo the classifier update from the
 pre-session state with the freshly trained noise. The auxiliary classifier
 is discarded afterwards; the new generators are frozen from then on, since
 only a layer's generator past the model's session count trains.
+
+A training step does only per-step work. Nothing before noise layer 0
+trains, so each step starts from block 0's output for its rows, which the
+session's trial pass computed and checked once. Each epoch's noise is drawn
+in one go (:func:`noisemix.model.draw_epoch_noise`). The newest generators
+are row views of their layers' banks, so SGD on them writes the banks the
+next step mixes from. The backward pass writes each gradient once and
+reuses the feature gradient in place.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import LOSS_MODES, RunConfig
-from .model import ContinualModel, ForwardTape, build_model, draw_noise, forward_pass
+from .model import ContinualModel, ForwardTape, build_model, draw_epoch_noise, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient, softmax
 from .pinoise import (
     MixtureStrategy,
@@ -172,21 +180,26 @@ def _session_loss(z, params, targets, frozen_weights, loss_mode, offset=None):
     return residual_loss_grads(z, params["aux"], targets, offset, loss_mode)
 
 
-def gradient_step(model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode):
+def gradient_step(
+    model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode, from_block0=False
+):
     """Forward pass, loss and backward pass of one batch.
 
-    Returns the loss, the gradient of every array in ``params`` and the
-    features the loss was taken on.
+    ``x`` holds the batch's inputs, or with ``from_block0`` block 0's output
+    for them (see :func:`noisemix.model.forward_pass`). Returns the loss, the
+    gradient of every array in ``params`` and the features the loss was
+    taken on.
     """
     z, _, tape = forward_pass(
-        model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True
+        model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True,
+        from_block0=from_block0,
     )
     loss, d_aux, d_z = _session_loss(z, params, targets, frozen_weights, loss_mode)
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")
     grads = backward(model, tape, d_z, params)
     if d_aux is not None:
-        grads["aux"] += d_aux
+        grads["aux"] = d_aux  # keeps its place in params order
     return loss, grads, z
 
 
@@ -199,18 +212,23 @@ def backward(
     """Reverse-mode gradients of the loss through the recorded forward pass.
 
     Gradients flow through every frozen map (buffer projection, blocks,
-    up/down projections, old generators) but accumulate only into the arrays
-    named in ``params``: the newest generator per layer, the mix weights,
-    and the auxiliary classifier (whose gradient the loss supplies directly).
+    up/down projections, old generators) but are kept only for the arrays
+    named in ``params``: the newest generator per layer and the mix weights.
+    The auxiliary classifier's gradient comes from the loss, not from here.
     Nothing below the lowest noise layer trains, so the pass stops once that
     layer's generator and mix-weight gradients are taken.
+
+    ``d_features`` is consumed: it is multiplied by the ReLU mask in place.
+    Each gradient is written once, and the result lists them in ``params``
+    order (the order :func:`clip_gradients` sums in); an array the pass does
+    not reach gets zeros.
     """
-    grads = {key: np.zeros_like(p) for key, p in params.items()}
-    lowest = next((l for l, cache in enumerate(tape.layer_caches) if cache is not None), None)
-    if lowest is None:
-        return grads
-    d_cur = (d_features * tape.relu_mask) @ model.buffer.projection.T
-    for l in reversed(range(lowest, model.backbone.depth)):
+    grads: dict[str, np.ndarray] = {}
+    depth = model.backbone.depth
+    lowest = next((l for l, cache in enumerate(tape.layer_caches) if cache is not None), depth)
+    d_features *= tape.relu_mask
+    d_cur = d_features @ model.buffer.projection.T
+    for l in reversed(range(lowest, depth)):
         cache = tape.layer_caches[l]
         d_r = d_cur
         if cache is not None:
@@ -222,21 +240,23 @@ def backward(
             # gradients of the effective generator's four parameters; task i
             # receives them scaled by its coefficient on that map
             d_gen = (cache.h.T @ d_mean, d_mean.sum(axis=0), cache.h.T @ d_scale, d_scale.sum(axis=0))
-            if f"gen{l}.mean_w" in grads:
+            if f"gen{l}.mean_w" in params:
                 coeffs = (cache.c_mean[-1], cache.c_mean[-1], cache.c_scale[-1], cache.c_scale[-1])
                 for name, c, d in zip(("mean_w", "mean_b", "scale_w", "scale_b"), coeffs, d_gen):
-                    grads[f"gen{l}.{name}"] += c * d
-            # omega is trainable only under learned-omega, where it is both c_mean and c_scale
+                    grads[f"gen{l}.{name}"] = c * d
+            # omega is trainable only under learned-omega, where it is both c_mean and c_scale;
+            # shared weights sum the layers' gradients, top layer first
             omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
-            if omega_key in grads:
-                grads[omega_key] += cache.bank @ np.concatenate([d.ravel() for d in d_gen])
+            if omega_key in params:
+                d_omega = cache.bank @ np.concatenate([d.ravel() for d in d_gen])
+                grads[omega_key] = grads[omega_key] + d_omega if omega_key in grads else d_omega
             if l == lowest:
                 break
             d_r = d_r + d_h @ layer.down_proj.T
         u = tape.block_tanh[l]
         block = model.backbone.blocks[l]
         d_cur = d_r + block.gain * ((d_r * (1.0 - u * u)) @ block.weight.T)
-    return grads
+    return {key: grads[key] if key in grads else np.zeros_like(p) for key, p in params.items()}
 
 
 def run_session(
@@ -277,7 +297,9 @@ def run_session(
             layer.prototypes.append(compute_prototype(layer, [block_feats]))
         _init_session_mix_weights(model, cfg.pinoise.tau)
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
-        epoch_losses = _train_epochs(model, x_train, targets, frozen_weights, aux, cfg.train, session_rng)
+        epoch_losses = _train_epochs(
+            model, pre_noise[0], targets, frozen_weights, aux, cfg.train, session_rng
+        )
         feats_final = model.features(x_train, rng=session_rng.split("clf-final"), eval_mode=True)
         model.classifier.update(feats_final, targets)
 
@@ -299,22 +321,25 @@ def _init_session_mix_weights(model: ContinualModel, tau: float) -> None:
             layer.mix_weights = init_mix_weights(layer.prototypes, tau)
 
 
-def _train_epochs(model, x_train, targets, frozen_weights, aux, train, session_rng):
+def _train_epochs(model, block0_out, targets, frozen_weights, aux, train, session_rng):
+    """SGD epochs over the session's rows, each step starting from block 0's
+    output for its rows (``block0_out``, from the session's trial pass)."""
     params = collect_trainable(model, aux)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    n = x_train.shape[0]
+    n = block0_out.shape[0]
     losses = []
     for epoch in range(train.epochs):
         lr = cosine_lr(epoch, train.epochs, train.lr_init)
         order = session_rng.split("order", epoch).permutation(n)
-        eps_rng = session_rng.split("eps", epoch)
-        pick_rng = session_rng.split("pick", epoch)
+        batches = [order[start : start + train.batch_size] for start in range(0, n, train.batch_size)]
+        noise = draw_epoch_noise(
+            model, [len(rows) for rows in batches], session_rng.split("eps", epoch), session_rng.split("pick", epoch)
+        )
         batch_losses = []
-        for start in range(0, n, train.batch_size):
-            rows = order[start : start + train.batch_size]
-            eps, picks = draw_noise(model, len(rows), eps_rng, pick_rng)
+        for rows, (eps, picks) in zip(batches, noise):
             loss, grads, _ = gradient_step(
-                model, params, x_train[rows], targets[rows], frozen_weights, eps, picks, train.loss_mode
+                model, params, block0_out[rows], targets[rows], frozen_weights, eps, picks, train.loss_mode,
+                from_block0=True,
             )
             clip_gradients(grads, train.grad_clip)
             sgd_step(params, grads, velocity, lr, train.momentum)

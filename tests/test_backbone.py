@@ -3,7 +3,7 @@ import pytest
 
 from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
 from noisemix.classifier import RidgeClassifier
-from noisemix.model import ContinualModel, build_model, draw_noise, forward_pass
+from noisemix.model import ContinualModel, build_model, draw_epoch_noise, draw_noise, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
 from noisemix.pinoise import MixtureStrategy, init_mix_weights, new_generator
 
@@ -151,6 +151,27 @@ class TestDrawNoise:
             assert np.array_equal(eps[l], twin.standard_normal(5, 6))
             assert picks[l] == twin.integer(k)
         assert rng.state == twin.state
+
+    @pytest.mark.parametrize("counts", [[3, 3, 3], [2, 0, 1]])
+    @pytest.mark.parametrize("sizes", [[5, 5, 5, 3], [4, 4], [7], [1, 2, 2, 1]])
+    def test_epoch_draw_equals_per_batch_draws(self, counts, sizes):
+        model = self.random_task_model(counts)
+        eps_rng, pick_rng = SeededRng(1), SeededRng(2)
+        eps_twin, pick_twin = SeededRng(1), SeededRng(2)
+        batches = draw_epoch_noise(model, sizes, eps_rng, pick_rng)
+        assert len(batches) == len(sizes)
+        for size, (eps, picks) in zip(sizes, batches):
+            want_eps, want_picks = draw_noise(model, size, eps_twin, pick_twin)
+            assert picks == want_picks
+            assert [e is None for e in eps] == [e is None for e in want_eps]
+            assert all(e is None or np.array_equal(e, w) for e, w in zip(eps, want_eps))
+        assert (eps_rng.state, pick_rng.state) == (eps_twin.state, pick_twin.state)
+
+    def test_epoch_draw_needs_separate_streams(self):
+        model = self.random_task_model([1, 1, 1])
+        rng = SeededRng(1)
+        with pytest.raises(ValueError, match="separate"):
+            draw_epoch_noise(model, [2, 2], rng, rng)
 
     def test_separate_rngs_and_mean_path(self):
         model = self.random_task_model([3, 3, 3])

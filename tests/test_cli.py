@@ -159,6 +159,17 @@ class TestEval:
         out = capsys.readouterr().out
         assert "sessions=5" in out
 
+    def test_eval_rejects_checkpoint_of_other_config(self, tmp_path, capsys):
+        for seed in (11, 12):
+            run_cli("train", *FAST, "--set", f"data.class_seed={seed}", "--out", str(tmp_path / str(seed)))
+        (tmp_path / "11" / "checkpoint.nmcp").write_bytes((tmp_path / "12" / "checkpoint.nmcp").read_bytes())
+        capsys.readouterr()
+        rc = run_cli("eval", "--run", str(tmp_path / "11"))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "different configuration" in captured.err
+
 
 class TestAblate:
     def test_rows_match_variants(self, tmp_path, capsys):

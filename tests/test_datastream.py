@@ -282,6 +282,12 @@ class TestEmbeddingParser:
         with pytest.raises(ValueError, match=r"rows\.csv:3: malformed value"):
             _parse_embedding_csv(self.write(tmp_path, f"0,1,2\n{row}\n"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cells_rejected(self, tmp_path, cell):
+        path = self.write(tmp_path, f"0,1,2\n\n1,{cell},4\n")
+        with pytest.raises(ValueError, match=r"rows\.csv:4: non-finite feature value"):
+            load_embedding_stream(path, 1, 1)
+
     @pytest.mark.parametrize(
         "row, message",
         [("0,1", "expected 3 fields, got 2"), ("0,1,x", "malformed value"), ("-1,1,2", "labels must be non-negative")],

@@ -114,6 +114,20 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(1).standard_normal(0, 3)
 
+    @pytest.mark.parametrize("rows, cols, blocks", [(128, 8, 15), (3, 3, 4), (1, 1, 5), (5, None, 3), (7, 5, 1)])
+    def test_blocks_equal_separate_calls(self, rows, cols, blocks):
+        # odd sizes waste one word per block, as a separate call does
+        one, many = SeededRng(9), SeededRng(9)
+        drawn = one.standard_normal(rows, cols, blocks=blocks)
+        separate = np.stack([many.standard_normal(rows, cols) for _ in range(blocks)])
+        assert drawn.shape == separate.shape
+        assert np.array_equal(drawn, separate)
+        assert one.state == many.state
+
+    def test_blocks_must_be_positive(self):
+        with pytest.raises(ValueError, match="blocks"):
+            SeededRng(1).standard_normal(2, 3, blocks=0)
+
     def test_call_sequence_matters_but_is_reproducible(self):
         r1 = SeededRng(9)
         r1.uniform(3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
+    GeneratorBank,
     MixtureStrategy,
     NoiseGenerator,
     PiNoiseLayer,
@@ -45,7 +46,7 @@ def make_layer(d1=6, d2=3, gens=0, seed=5, scale=1.0):
 
 def layer_of(generators, weights=None, d1=6, seed=5):
     layer = build_layer(d1, generators[0].mean_weight.shape[0], 0, SeededRng(seed))
-    layer.generators = list(generators)
+    layer.generators = GeneratorBank(generators)
     layer.mix_weights = None if weights is None else np.asarray(weights, dtype=float)
     return layer
 
@@ -132,8 +133,7 @@ class TestMix:
 
     def test_identical_noises_affine_combination(self):
         gen = make_gen(3)
-        layer = layer_of([gen, make_gen(3)], weights=[0.3, 0.7])
-        layer.generators[1] = gen
+        layer = layer_of([gen, NoiseGenerator(*gen.params())], weights=[0.3, 0.7])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
         out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
@@ -169,9 +169,10 @@ class TestMix:
         with pytest.raises(ValueError, match="pick"):
             run_layer(layer, np.zeros((2, 6)), MixtureStrategy.RANDOM_TASK, None)
         mismatched = make_layer(gens=1)
-        mismatched.generators.append(make_gen(4))
+        with pytest.raises(ValueError, match="latent width 4"):
+            mismatched.generators.append(make_gen(4))
         with pytest.raises(ValueError):
-            run_layer(mismatched, np.zeros((2, 6)), MixtureStrategy.AVERAGE, None)
+            GeneratorBank([make_gen(3), make_gen(4)])
 
     @given(st.floats(min_value=-5, max_value=5))
     @settings(max_examples=25)
@@ -432,3 +433,76 @@ class TestGeneratorVector:
         mixed, bank = mixed_generator([gen], np.ones(1), np.ones(1))
         assert np.array_equal(bank, gen.vector[None, :])
         assert mixed.param_bytes() == gen.param_bytes()
+
+
+class TestGeneratorBank:
+    """A layer's generators are the rows of one bank that grows once per session."""
+
+    @staticmethod
+    def assert_rows(layer):
+        bank = layer.generators.matrix
+        assert bank.shape[0] == len(layer.generators)
+        for row, gen in zip(bank, layer.generators):
+            assert np.shares_memory(gen.vector, bank)
+            assert gen.vector.tobytes() == row.tobytes()
+
+    def test_append_grows_and_rebinds(self):
+        layer = make_layer(gens=2)
+        first = layer.generators[0]
+        before = [g.param_bytes() for g in layer.generators]
+        gen = make_gen(3, seed=40)
+        added = gen.param_bytes()
+        layer.generators.append(gen)
+        assert layer.generators[0] is first and layer.generators[-1] is gen
+        assert [g.param_bytes() for g in layer.generators] == before + [added]
+        self.assert_rows(layer)
+
+    def test_mixture_reads_the_bank_itself(self):
+        layer = make_layer(gens=3)
+        feats = SeededRng(1).standard_normal(4, 6)
+        _, cache = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, None, collect=True)
+        assert cache.bank is layer.generators.matrix
+
+    def test_in_place_sgd_writes_the_bank(self):
+        model = build_model(12, 24, 2, 0.5, 48, 4, 10.0, seed=3)
+        for layer in model.layers:
+            for t in range(2):
+                layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.5))
+                layer.prototypes.append(SeededRng(20 + t).standard_normal(4))
+            layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
+        model.sessions_completed = 1
+        params = collect_trainable(model, np.zeros((48, 2)))
+        frozen = [layer.generators.matrix[0].copy() for layer in model.layers]
+        for key, p in params.items():
+            p -= 0.25 * (1.0 + np.arange(p.size).reshape(p.shape))
+        maps = ("mean_w", "mean_b", "scale_w", "scale_b")
+        for l, layer in enumerate(model.layers):
+            newest = layer.generators.matrix[-1]
+            assert np.array_equal(newest, np.concatenate([params[f"gen{l}.{m}"].ravel() for m in maps]))
+            assert np.array_equal(layer.generators.matrix[0], frozen[l])
+            coefficients = mixture_coefficients(MixtureStrategy.AVERAGE, 2)
+            mixed, bank = mixed_generator(layer.generators, *coefficients)
+            assert bank is layer.generators.matrix
+            np.testing.assert_allclose(mixed.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
+
+    def test_checkpoint_round_trip_rebuilds_the_bank(self, tmp_path):
+        from noisemix.checkpoint import load_into, save_checkpoint
+
+        def model():
+            return build_model(6, 8, 2, 0.5, 16, 4, 1.0, seed=3)
+
+        saved = model()
+        for layer in saved.layers:
+            for t in range(3):
+                layer.generators.append(new_generator(4, SeededRng(10 * layer.layer_index + t), init_scale=1.0))
+                layer.prototypes.append(np.ones(4) + t)
+            layer.mix_weights = np.full(3, 1.0 / 3.0)
+        saved.sessions_completed = 3
+        save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3)
+        loaded = model()
+        load_into(loaded, tmp_path / "b.nmcp")
+        for before, layer in zip(saved.layers, loaded.layers):
+            assert isinstance(layer.generators, GeneratorBank)
+            assert layer.generators.matrix.tobytes() == before.generators.matrix.tobytes()
+            self.assert_rows(layer)
+        assert loaded.state_hash() == saved.state_hash()

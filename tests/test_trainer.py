@@ -11,6 +11,7 @@ from noisemix.numeric import SeededRng, derive_seed, ridge_solve
 from noisemix.pinoise import MixtureStrategy
 from noisemix.trainer import (
     backward,
+    gradient_step,
     clip_gradients,
     collect_trainable,
     cosine_lr,
@@ -203,6 +204,58 @@ class TestBackward:
             assert grads[f"omega{l}"].shape == (k,)
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(grads[f"omega{l}"] - reference)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("strategy", ["learned-omega", "random-task"])
+    def test_step_from_block0_output_equals_step_from_inputs(self, strategy):
+        # training steps start from the trial pass's block-0 output for a
+        # batch's rows, taken over more rows than the batch
+        model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance(batch=6, strategy=strategy)
+        params = collect_trainable(model, aux)
+        wider = np.vstack([x, SeededRng(5).standard_normal(4, x.shape[1])])
+        _, pre_noise, _ = forward_pass(model, wider, picks_per_layer=picks)
+        rows = np.arange(6)[::-1]
+        args = (targets[rows], frozen_w, [e[rows] for e in eps], picks, "residual-corrected-ce")
+        loss, grads, z = gradient_step(model, params, x[rows], *args)
+        loss0, grads0, z0 = gradient_step(model, params, pre_noise[0][rows], *args, from_block0=True)
+        assert loss0 == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(z0, z, rtol=1e-12, atol=1e-12)
+        assert list(grads0) == list(grads) == list(params)
+        for key in params:
+            np.testing.assert_allclose(grads0[key], grads[key], rtol=1e-10, atol=1e-14)
+
+    def test_block0_output_width_checked(self):
+        model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
+        with pytest.raises(ValueError, match="!= block 0 output"):
+            forward_pass(model, x, eps_per_layer=eps, from_block0=True)
+
+    def test_backward_consumes_feature_gradient_in_place(self):
+        model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance()
+        params = collect_trainable(model, aux)
+        z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
+        d_z = SeededRng(3).standard_normal(*z.shape)
+        masked = d_z * tape.relu_mask
+        grads = backward(model, tape, d_z, params)
+        assert np.array_equal(d_z, masked)
+        assert list(grads) == list(params) and not grads["aux"].any()
+
+    def test_gradient_step_allocation_stays_bounded(self, traced_peak):
+        # one training step at batch 128 and buffer width 2048 holds the
+        # features, their gradient and the ReLU mask, and not the four
+        # batch x width temporaries it once made (a 3.53x peak here)
+        batch, width = 128, 2048
+        model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance(
+            input_dim=32, feature_dim=64, latent_dim=16, depth=4, buffer_size=width,
+            batch=batch, num_classes=4, num_tasks=1,
+        )
+        params = collect_trainable(model, aux)
+        _, pre_noise, _ = forward_pass(model, x, eps_per_layer=eps)
+        peak = traced_peak(
+            lambda: gradient_step(
+                model, params, pre_noise[0], targets, frozen_w, eps, picks, "residual-corrected-ce",
+                from_block0=True,
+            )
+        )
+        assert peak < 3.0 * batch * width * 8, peak / (batch * width * 8)
 
     def test_classifier_weights_never_trainable(self):
         model, aux, *_ = make_gradcheck_instance()
