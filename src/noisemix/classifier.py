@@ -17,22 +17,31 @@ row form returns such a fold, a fresh dense copy, and leaves the form as it
 is; assigning it switches to the dense form.
 
 A batch of at most d rows is folded in on the sample side. With ``P = Z R``,
-``L L' = I + P Z'`` (Cholesky), ``K = L^-1 P`` and ``E = L^-1 (Y - Z W)``, the
-new solution is ``W + K' E`` and the new inverse is ``R - K' K``. K and E are
-products with the n x n inverse of L, made once, so both triangular solves
-run as matrix products. :meth:`RidgeClassifier.trial_weights` returns the
-first without writing anything; :meth:`RidgeClassifier.update` commits both.
-In the row form the commit appends K to the rows, and checks the implied
-diagonal ``1/lambda - sum K^2``: it must be finite, which also holds K finite,
-and positive, which bounds every entry of R by 1/lambda. In the dense form
-the inverse is downdated in place: its lower triangle one panel of rows at a
-time, its upper triangle copied from the lower tile by tile, so no d x d
-temporary is made and R stays exactly symmetric; each panel is checked for
-non-finite entries where it is written. A batch of more rows takes the
-feature-side Woodbury form on the dense inverse: the trial solves
-``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns ``W + X``; the commit makes the
-same solve against ``[R | R Z'(Y - Z W)]``, takes ``W + X`` from its last c
-columns and the new inverse, checked and symmetrized, from its first d.
+``L L' = I + P Z'`` (Cholesky) and ``V = L^-T L^-1 (Y - Z W)``, the new
+solution is ``W + P'V`` and the new inverse is ``R - K'K`` with ``K = L^-1 P``.
+The n x n inverse of L is made once, so both triangular solves run as
+matrix products. In the row form, with ``Q = Z K_s'`` over the stored rows
+K_s, ``P Z' = (Z/lambda) Z' - Q Q'`` and ``P'V = (Z/lambda)'V - K_s'(Q'V)``,
+so the weight step needs neither P nor K: :meth:`RidgeClassifier.trial_weights`
+stops there and writes nothing, and :meth:`RidgeClassifier.update` makes the
+same step, then forms P and K. Both forms write the step with the same
+expressions, so with no rows the row form equals the dense form at
+``R = I/lambda`` bit for bit. Every product that reads a transposed view is
+written in the orientation OpenBLAS was measured to run faster, ``(V' P)'``
+for ``P'V``; the transpose holds the same values. In the row form the
+commit writes K straight into the spare capacity of the row store, which is
+regrown to twice the rows it must hold, at most d/2, only when full. It
+checks the implied diagonal ``1/lambda - sum K^2``: it must be finite, which
+also holds K finite, and positive, which bounds every entry of R by
+1/lambda. In the dense form the inverse is downdated in place: its lower
+triangle one panel of rows at a time, its upper triangle copied from the
+lower tile by tile, so no d x d temporary is made and R stays exactly
+symmetric; each panel is checked for non-finite entries where it is
+written. A batch of more rows takes the feature-side Woodbury form on the
+dense inverse: the trial solves ``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns
+``W + X``; the commit makes the same solve against ``[R | R Z'(Y - Z W)]``,
+takes ``W + X`` from its last c columns and the new inverse, checked and
+symmetrized, from its first d.
 """
 
 from __future__ import annotations
@@ -71,7 +80,8 @@ class RidgeClassifier:
 
     @rows.setter
     def rows(self, value: np.ndarray | None) -> None:
-        self._rows, self._inverse = value, None
+        # the given array is the whole store: rows appended later go to a new one
+        self._rows, self._store, self._inverse = value, value, None
 
     @property
     def gram_inv(self) -> np.ndarray | None:
@@ -80,7 +90,7 @@ class RidgeClassifier:
 
     @gram_inv.setter
     def gram_inv(self, value: np.ndarray | None) -> None:
-        self._inverse, self._rows = value, None
+        self._inverse, self._rows, self._store = value, None, None
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of R, in either form; no d x d array is made."""
@@ -116,8 +126,7 @@ class RidgeClassifier:
         """The weights :meth:`update` would commit for this batch; nothing is written."""
         z, y = self._checked(feats, targets)
         if z.shape[0] <= self.feature_dim:
-            k, e = self._sample_side(z, y)
-            return self.weights + k.T @ e
+            return self.weights + self._weight_step(z, y)[0]
         r = self.gram_inv
         return self.weights + self._feature_solve(z, self._residual_rhs(z, y, r), r)
 
@@ -127,24 +136,27 @@ class RidgeClassifier:
         ``targets`` must already span every registered class (call
         :meth:`expand_classes` first when the batch introduces new ones).
         On the sample side the row form appends K while the rows stay within
-        d/2, and folds them into a dense inverse with K when they would not;
-        the dense form is downdated in place, ``R -= K' K``, one panel of rows
-        at a time. On the feature side the row form is folded first, and the
-        inverse is replaced. Either way the weights committed are exactly
+        d/2 (K is written straight into the row store, which is regrown only
+        when full), and folds them into a dense inverse with K when they
+        would not; the dense form is downdated in place, ``R -= K' K``, one
+        panel of rows at a time. On the feature side the row form is folded
+        first, and the inverse is replaced. Either way the weights committed are exactly
         :meth:`trial_weights`'s, and the diagonal of the new inverse is
         checked to be finite and positive.
         """
         z, y = self._checked(feats, targets)
         d = self.feature_dim
         if z.shape[0] <= d:
-            k, e = self._sample_side(z, y)
+            k, step = self._sample_side(z, y)
             if self._rows is None:
                 _downdate(self._inverse, k)
             elif 2 * (len(self._rows) + len(k)) <= d:
-                self.rows = np.vstack([self._rows, k])
+                spare = self._spare(len(k))
+                if not np.may_share_memory(k, spare):  # K was made elsewhere
+                    spare[...] = k
+                self._rows = self._store[: len(self._rows) + len(k)]
             else:
                 self.gram_inv = self._fold(self._rows, k)
-            step = k.T @ e
         else:
             if self._rows is not None:
                 self.gram_inv = self._fold(self._rows)
@@ -180,15 +192,23 @@ class RidgeClassifier:
             raise ValueError(f"target width {y.shape[1]} != classes seen {self.num_classes}")
         return z, y
 
-    def _sample_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``K = L^-1 Z R`` and ``E = L^-1 (Y - Z W)`` with ``L L' = I + Z R Z'``."""
+    def _weight_step(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The sample-side weight step ``P'V``, ``V = L^-T L^-1 (Y - Z W)`` with
+        ``L L' = I + Z R Z'``, and what the commit forms K from: returns
+        ``(step, L^-1, P0, Q)``.
+
+        In the dense form ``P0 = Z R = P`` and Q is None; in the row form
+        ``P0 = Z/lambda`` and ``Q = Z K_s'``, so that ``P = P0 - Q K_s``.
+        """
         if self._rows is None:
-            p = z @ self._inverse
+            p, q = z @ self._inverse, None
         else:
             # with no rows yet this is z @ (I/lambda) bit for bit
-            p = z * (1.0 / self.regularization)
-            p -= (z @ self._rows.T) @ self._rows
-        correction = p @ z.T
+            p, q = z * (1.0 / self.regularization), z @ self._rows.T
+        # (Z P')' for P Z' and (V'P)' for P'V: the orientations OpenBLAS runs faster
+        correction = (z @ p.T).T
+        if q is not None:
+            correction -= q @ q.T
         correction[np.diag_indices_from(correction)] += 1.0
         try:
             factor = np.linalg.cholesky(correction)
@@ -197,11 +217,40 @@ class RidgeClassifier:
         # L is n x n with a diagonal of at least 1 (I + Z R Z' >= I), so its
         # inverse is accurate, and both triangular solves become products
         factor_inv = np.linalg.inv(factor)
-        return factor_inv @ p, factor_inv @ (y - z @ self.weights)
+        v_t = (factor_inv @ (y - z @ self.weights)).T @ factor_inv
+        step_t = v_t @ p
+        if q is not None:
+            step_t -= (v_t @ q) @ self._rows
+        return step_t.T, factor_inv, p, q
+
+    def _sample_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The commit's ``K = L^-1 P`` and weight step (:meth:`_weight_step`).
+
+        In the row form K is written into the row store's spare capacity when
+        the rows it joins stay within d/2.
+        """
+        step, factor_inv, p, q = self._weight_step(z, y)
+        if q is not None:
+            p -= q @ self._rows
+        return np.matmul(factor_inv, p, out=self._spare(len(z))), step
+
+    def _spare(self, n: int) -> np.ndarray | None:
+        """The row store's next n rows; if they do not fit, the store is first
+        regrown to twice the rows it must hold, at most d/2. None in the dense
+        form or past d/2 rows."""
+        if self._rows is None or 2 * (len(self._rows) + n) > self.feature_dim:
+            return None
+        m = len(self._rows)
+        if m + n > len(self._store):
+            capacity = min(2 * (m + n), self.feature_dim // 2)
+            store = np.empty((capacity, self.feature_dim))
+            store[:m] = self._rows
+            self._store, self._rows = store, store[:m]
+        return self._store[m : m + n]
 
     def _residual_rhs(self, z: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``R Z'(Y - Z W)``, whose feature-side solve is the weight step."""
-        return r @ (z.T @ (y - z @ self.weights))
+        return r @ ((y - z @ self.weights).T @ z).T
 
     def _feature_solve(self, z: np.ndarray, rhs: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
         """``(I + R Z'Z)^-1 rhs``, the Woodbury step ``(R^-1 + Z'Z)^-1 R^-1 rhs``; R is

@@ -47,20 +47,24 @@ class ContinualModel:
         rng: SeededRng | None = None,
         eval_mode: bool = True,
         collect_blocks: bool = False,
+        from_block0: bool = False,
     ):
         """Expanded features for the classifier.
 
         ``eval_mode`` follows the mean noise path unless stochastic
         evaluation was requested; the sampling path and random-task picks
-        draw from ``rng``, per layer the draw first, then the pick. Returns
-        the feature matrix, plus the per-block pre-noise outputs when
-        ``collect_blocks`` is set.
+        draw from ``rng``, per layer the draw first, then the pick. With
+        ``from_block0``, ``x`` is block 0's output for the rows (see
+        :func:`forward_pass`). Returns the feature matrix, plus the per-block
+        pre-noise outputs when ``collect_blocks`` is set.
         """
         sample = (self.stochastic_eval if eval_mode else True)
         if sample and rng is None:
             raise ValueError("sampling path needs an rng")
         eps, picks = draw_noise(self, len(x), rng if sample else None, rng)
-        z, pre_noise, _ = forward_pass(self, x, eps_per_layer=eps, picks_per_layer=picks)
+        z, pre_noise, _ = forward_pass(
+            self, x, eps_per_layer=eps, picks_per_layer=picks, from_block0=from_block0
+        )
         if collect_blocks:
             return z, pre_noise
         return z

@@ -11,7 +11,8 @@ only a layer's generator past the model's session count trains.
 
 A training step does only per-step work. Nothing before noise layer 0
 trains, so each step starts from block 0's output for its rows, which the
-session's trial pass computed and checked once. Each epoch's noise is drawn
+session's trial pass computed and checked once; so does the pass that
+makes the features of the classifier commit. Each epoch's noise is drawn
 in one go (:func:`noisemix.model.draw_epoch_noise`). The newest generators
 are row views of their layers' banks, so SGD on them writes the banks the
 next step mixes from. The backward pass writes each gradient once and
@@ -300,7 +301,9 @@ def run_session(
         epoch_losses = _train_epochs(
             model, pre_noise[0], targets, frozen_weights, aux, cfg.train, session_rng
         )
-        feats_final = model.features(x_train, rng=session_rng.split("clf-final"), eval_mode=True)
+        feats_final = model.features(
+            pre_noise[0], rng=session_rng.split("clf-final"), eval_mode=True, from_block0=True
+        )
         model.classifier.update(feats_final, targets)
 
     model.sessions_completed = t

@@ -2,11 +2,16 @@
 
 ``bench/tracer.py`` wraps noisemix functions and methods by name, and
 ``bench/child.py`` replaces ``experiment.run_session``; a rename or a loop
-that bypasses the module global would silently drop those probes.
+that bypasses the module global would silently drop those probes, and so
+would a call path rerouted around a wrapped function.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +73,43 @@ def test_session_loops_call_the_module_global(entry, tmp_path, monkeypatch):
     else:
         experiment.run_sweep(tiny_cfg(), "tau", [1.0, 2.0], out_dir=tmp_path)
     assert calls == [1, 2, 1, 2]
+
+
+# Runs in a fresh interpreter: installing the tracer rebinds names in every
+# imported noisemix module, which must not leak into the rest of the suite.
+TRACED_RUN = """
+import json, sys, importlib.util
+import noisemix.cli, noisemix.experiment
+from noisemix.config import RunConfig, apply_overrides
+
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer_module.install(tracer)
+cfg = apply_overrides(RunConfig(), [
+    "data.num_classes=4", "data.samples_per_class=10", "data.dim=8", "data.tasks=2",
+    "backbone.feature_dim=8", "backbone.depth=2", "backbone.buffer_size=16",
+    "pinoise.latent_dim=4", "train.epochs=1",
+])
+noisemix.experiment.run_training(cfg, out_dir=sys.argv[2], log=False)
+print(json.dumps(tracer_module.layer_metrics(tracer, 0)))
+"""
+
+
+def test_a_traced_training_run_reaches_every_training_probe(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER_PATH), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    probes = [
+        "model.features_rows", "classifier.update_calls", "trainer.backward_s", "trainer.loss_s",
+        "trainer.step_s",
+    ]
+    assert {name: metrics[name] for name in probes if not metrics[name] > 0} == {}
+    # two sessions, each one commit over its 16 training rows (8 per class)
+    assert metrics["classifier.update_calls"] == 2 and metrics["classifier.update_rows"] == 32

@@ -294,6 +294,27 @@ class TestClassifierForms:
         assert (fresh.classifier.rows is None) == (buffer_size == 128)
         assert fresh.state_hash() == model.state_hash()
 
+    def test_rows_appended_in_place_round_trip_and_keep_growing(self, tmp_path):
+        # three sessions of 32 rows at d = 256 leave 96 rows in a store with room for 128
+        cfg = small_cfg()
+        cfg.backbone.buffer_size = 256
+        stream, model, _ = trained_model(cfg)
+        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
+        path = tmp_path / "model.nmcp"
+        save_checkpoint(path, model, "h", cfg.train.seed, 4)
+        fresh = build_run_model(cfg, stream.feature_dim)
+        load_into(fresh, path)
+        assert fresh.classifier.rows.shape == model.classifier.rows.shape == (96, 256)
+        assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
+        assert fresh.state_hash() == model.state_hash()
+        rng = SeededRng(9)
+        z = rng.standard_normal(24, 256)
+        labels = [model.classifier.classes_seen[rng.integer(6)] for _ in range(24)]
+        for clf in (model.classifier, fresh.classifier):
+            clf.update(z, clf.one_hot(labels))
+        assert fresh.classifier.rows.shape == (120, 256)
+        assert fresh.state_hash() == model.state_hash()
+
     def test_dense_form_is_stored_as_the_inverse(self, tmp_path):
         cfg, stream, model, path = self.checkpoint(tmp_path, 96)
         assert model.classifier.rows is None

@@ -400,6 +400,50 @@ class TestRowForm:
         assert traced_peak(lambda: clf.update(z, y)) < square // 16
         assert clf.rows.shape == (128, 4096)
 
+    def test_a_commit_that_fits_the_store_appends_in_place(self):
+        # a store that is too small is regrown to twice the rows it must hold,
+        # at most d/2: to 8, 24 and 32 rows at d = 64, so the other commits fit
+        rng = SeededRng(23)
+        clf = RidgeClassifier(64, 0.5)
+        clf.expand_classes([0, 1])
+        chunks, in_place = [], []
+        for _ in range(8):
+            old, z = clf.rows, rng.standard_normal(4, 64)
+            before = old.tobytes()
+            chunks.append((z, [rng.integer(2) for _ in range(4)]))
+            clf.update(z, one_hot(chunks[-1][1], [0, 1]))
+            assert clf.rows.shape == (len(old) + 4, 64) and clf.rows.flags.c_contiguous
+            assert old.tobytes() == before and np.array_equal(clf.rows[: len(old)], old)
+            in_place.append(np.shares_memory(old, clf.rows))
+        assert in_place == [False, True, False, True, True, True, False, True]
+        w_oracle, r_oracle = self.oracle(chunks, [0, 1], 0.5)
+        assert np.linalg.norm(clf.weights - w_oracle) / np.linalg.norm(w_oracle) < 1e-10
+        assert np.linalg.norm(clf.gram_inv - r_oracle) / np.linalg.norm(r_oracle) < 1e-10
+
+    def test_the_returned_factor_is_appended_wherever_it_was_made(self):
+        (plain, z, y), (patched, _, _) = fitted(64, 1.0, 8, seed=7), fitted(64, 1.0, 8, seed=7)
+        sample_side = patched._sample_side
+
+        def elsewhere(z, y):
+            k, step = sample_side(z, y)
+            moved = k.copy()
+            k[...] = np.nan  # the rows it was written to must not be taken as K
+            return moved, step
+
+        patched._sample_side = elsewhere
+        plain.update(z, y)
+        patched.update(z, y)
+        assert np.array_equal(patched.rows, plain.rows) and np.array_equal(patched.weights, plain.weights)
+
+    def test_a_clone_appends_like_its_original(self):
+        clf, z, y = fitted(64, 1.0, 4, seed=8)
+        clf.update(z, y)
+        clf.update(z[:2], y[:2])  # 10 rows in a store of 20
+        twin = clf.clone()
+        for c in (clf, twin):
+            c.update(z, y)
+        assert np.array_equal(twin.rows, clf.rows) and np.array_equal(twin.weights, clf.weights)
+
 
 class TestDowndate:
     # widths that are not a multiple of the panel height, and n = d, the
@@ -432,10 +476,12 @@ class TestSampleSide:
         clf, z, y = fitted(d, 0.5, rows, seed=d + rows)
         p = z @ clf.gram_inv
         factor = np.linalg.cholesky(np.eye(rows) + p @ z.T)
-        k, e = clf._sample_side(z, y)
-        for got, rhs in ((k, p), (e, y - z @ clf.weights)):
-            want = np.linalg.solve(factor, rhs)
-            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        k, step = clf._sample_side(z, y)
+        want = np.linalg.solve(factor, p)
+        assert np.max(np.abs(k - want)) < 1e-12 * np.max(np.abs(want))
+        # the step P'V is K'E with E = L^-1 (Y - Z W)
+        want = want.T @ np.linalg.solve(factor, y - z @ clf.weights)
+        assert np.max(np.abs(step - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestMemory:
@@ -444,6 +490,13 @@ class TestMemory:
         limit = clf.gram_inv.nbytes // 2
         assert traced_peak(lambda: clf.trial_weights(z, y)) < limit
         assert traced_peak(lambda: clf.update(z, y)) < limit
+
+    def test_row_form_trial_holds_about_one_batch(self, traced_peak):
+        # the trial stops at the weight step: it makes Z/lambda, but neither P nor K
+        clf, z, y = fitted(4096, 1.0, 64, seed=6)
+        assert clf.rows.shape == (64, 4096)
+        peak = traced_peak(lambda: clf.trial_weights(z, y))
+        assert peak < 1.5 * z.nbytes, peak / z.nbytes
 
     def test_wide_commit_holds_under_an_eighth_of_the_inverse(self, traced_peak):
         # at d = 4096 a d x d boolean temporary alone is an eighth of R

@@ -282,6 +282,16 @@ class TestSession:
         for rep in reports:
             assert rep.epoch_losses[-1] <= rep.epoch_losses[0]
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_features_from_block0_output_equal_features_from_inputs(self, stochastic):
+        # the commit's features start from the trial pass's block-0 output
+        cfg = small_cfg()
+        stream, model, _ = run_all_sessions(cfg)
+        model.stochastic_eval = stochastic
+        x, _ = stream.tasks[-1].train_arrays()
+        z, pre_noise = model.features(x, rng=SeededRng(4), collect_blocks=True)
+        assert np.array_equal(model.features(pre_noise[0], rng=SeededRng(4), from_block0=True), z)
+
     def test_session_order_enforced(self):
         cfg = small_cfg()
         stream = build_stream(cfg)
