@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+import types
 import zlib
 from pathlib import Path
 
@@ -30,10 +31,15 @@ VERSION = 1
 _NAME_LEN = 24
 _HEADER = struct.Struct("<4sIII")
 _ENTRY = struct.Struct(f"<{_NAME_LEN}sQQII")
-# the meta keys a load or a resume reads
-_META_KEYS = (
-    "classes_seen", "config_hash", "eval_seed", "frozen_hash", "has_noise", "num_layers", "sessions_completed",
-)
+# the meta keys a load or a resume reads, and the keys of one history entry, with their JSON types
+_META_TYPES = {
+    "classes_seen": list[int], "config_hash": str, "eval_seed": int, "frozen_hash": str,
+    "has_noise": bool, "num_layers": int, "sessions_completed": int,
+}
+_HISTORY_TYPES = {
+    "task_index": int, "accuracy_seen": float, "per_class_accuracy": dict[str, float],
+    "epoch_losses": list[float], "n_test": int,
+}
 
 
 class CheckpointError(RuntimeError):
@@ -205,6 +211,27 @@ def _asymmetry(r: np.ndarray) -> float:
     return worst
 
 
+def _is_json(value, kind) -> bool:
+    """Whether a parsed JSON value is of ``kind``: bool, int, float (an integer
+    passes), str, ``list[T]`` or ``dict[str, T]``."""
+    if isinstance(kind, types.GenericAlias):
+        container, item = kind.__origin__, kind.__args__[-1]
+        items = value.values() if type(value) is dict else value
+        return type(value) is container and all(_is_json(v, item) for v in items)
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _check_keys(entry: dict, kinds: dict, what: str) -> None:
+    """Raise :class:`CheckpointError` naming the keys of ``kinds`` that ``entry``
+    lacks, or else those whose values have another JSON type."""
+    missing = [key for key in kinds if key not in entry]
+    if missing:
+        raise CheckpointError(f"{what} has no {', '.join(map(repr, missing))} key")
+    wrong = [key for key, kind in kinds.items() if not _is_json(entry[key], kind)]
+    if wrong:
+        raise CheckpointError(f"{what} {', '.join(map(repr, wrong))} has the wrong JSON type")
+
+
 def load_history(path: str | Path) -> list:
     """Per-session reports recorded in the checkpoint (may be empty)."""
     from .report import report_from_dict
@@ -215,10 +242,9 @@ def load_history(path: str | Path) -> list:
     entries = json.loads(sections["history"].decode("utf-8"))
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise CheckpointError("checkpoint history is not a list of JSON objects")
-    try:
-        return [report_from_dict(d) for d in entries]
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint history entry has no {exc.args[0]!r} key") from None
+    for entry in entries:
+        _check_keys(entry, _HISTORY_TYPES, "checkpoint history entry")
+    return [report_from_dict(d) for d in entries]
 
 
 def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> None:
@@ -271,9 +297,7 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     meta = json.loads(sections["meta"].decode("utf-8"))
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint meta is not a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise CheckpointError(f"checkpoint meta has no {', '.join(map(repr, missing))} key")
+    _check_keys(meta, _META_TYPES, "checkpoint meta")
     if meta["frozen_hash"] != model.frozen_param_hash():
         raise CheckpointError("frozen parameter hash mismatch; model/config drifted")
     if meta["has_noise"] != model.has_noise:
@@ -282,14 +306,14 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     clf = model.classifier
     clf.gram_inv = None
     sections = read_container(path)
-    classes = [int(c) for c in meta["classes_seen"]]
+    classes = list(meta["classes_seen"])
     clf.classes_seen = classes
     clf.weights = _decode_array(sections, "clf.weights")
     if clf.weights.shape != (clf.feature_dim, len(classes)):
         raise CheckpointError("classifier weight shape mismatch")
     _load_classifier_form(clf, sections, meta)
 
-    sessions = int(meta["sessions_completed"])
+    sessions = meta["sessions_completed"]
     if model.layers is not None:
         if meta["num_layers"] != len(model.layers):
             raise CheckpointError("layer count mismatch")
@@ -325,5 +349,5 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
             if layer.mix_weights is not None and len(layer.mix_weights) != sessions:
                 raise CheckpointError("mix weight length mismatch")
     model.sessions_completed = sessions
-    model.eval_seed = int(meta["eval_seed"])
+    model.eval_seed = meta["eval_seed"]
     return meta

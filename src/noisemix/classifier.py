@@ -5,43 +5,43 @@ so each new batch of (features Z, one-hot targets Y) updates the exact batch
 ridge solution without ever revisiting old data. New classes append zero
 columns to the weight matrix before the update that introduces them.
 
-R is held in one of two forms, and the sizes the classifier is given decide
-which. In the row form, used while at most d/2 rows have been folded in (d
-the feature width), the classifier keeps the stacked sample-side factors K
-(m x d), with ``R = I/lambda - K'K``, and no d x d array: ``Z R`` is
-``Z/lambda - (Z K') K``, at 4nmd flops instead of 2nd^2. In the dense form it
-keeps R itself. The first commit that would take the rows past d/2, or the
-first batch of more than d rows, folds them once: a fresh 1/lambda diagonal
-is downdated by all of them. Reading :attr:`RidgeClassifier.gram_inv` in the
-row form returns such a fold, a fresh dense copy, and leaves the form as it
-is; assigning it switches to the dense form.
+R is held as ``R = B - K'K``: a base B and the stacked sample-side factors K
+(m x d, d the feature width) in a row store. In the row form, used while at
+most d/2 rows have been folded in, B is I/lambda and no d x d array is
+kept: ``Z R`` is ``Z/lambda - (Z K') K``, at 4nmd flops instead of 2nd^2. In
+the dense form B is R itself and the row store is empty. The first commit
+that would take the rows past d/2, or the first batch of more than d rows,
+folds them once: a fresh 1/lambda diagonal is downdated by all of them.
+Reading :attr:`RidgeClassifier.gram_inv` in the row form returns such a
+fold, a fresh dense copy, and leaves the form as it is; assigning it
+switches to the dense form.
 
-A batch of at most d rows is folded in on the sample side. With ``P = Z R``,
-``L L' = I + P Z'`` (Cholesky) and ``V = L^-T L^-1 (Y - Z W)``, the new
-solution is ``W + P'V`` and the new inverse is ``R - K'K`` with ``K = L^-1 P``.
-The n x n inverse of L is made once, so both triangular solves run as
-matrix products. In the row form, with ``Q = Z K_s'`` over the stored rows
-K_s, ``P Z' = (Z/lambda) Z' - Q Q'`` and ``P'V = (Z/lambda)'V - K_s'(Q'V)``,
-so the weight step needs neither P nor K: :meth:`RidgeClassifier.trial_weights`
-stops there and writes nothing, and :meth:`RidgeClassifier.update` makes the
-same step, then forms P and K. Both forms write the step with the same
-expressions, so with no rows the row form equals the dense form at
-``R = I/lambda`` bit for bit. Every product that reads a transposed view is
-written in the orientation OpenBLAS was measured to run faster, ``(V' P)'``
-for ``P'V``; the transpose holds the same values. In the row form the
-commit writes K straight into the spare capacity of the row store, which is
-regrown to twice the rows it must hold, at most d/2, only when full. It
-checks the implied diagonal ``1/lambda - sum K^2``: it must be finite, which
-also holds K finite, and positive, which bounds every entry of R by
-1/lambda. In the dense form the inverse is downdated in place: its lower
-triangle one panel of rows at a time, its upper triangle copied from the
-lower tile by tile, so no d x d temporary is made and R stays exactly
-symmetric; each panel is checked for non-finite entries where it is
-written. A batch of more rows takes the feature-side Woodbury form on the
-dense inverse: the trial solves ``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns
-``W + X``; the commit makes the same solve against ``[R | R Z'(Y - Z W)]``,
-takes ``W + X`` from its last c columns and the new inverse, checked and
-symmetrized, from its first d.
+A batch of at most d rows is folded in on the sample side, by one step for
+both forms. With ``P = Z R``, ``L L' = I + P Z'`` (Cholesky) and
+``V = L^-T L^-1 (Y - Z W)``, the new solution is ``W + P'V`` and the new
+inverse is ``R - K'K`` with ``K = L^-1 P``. The n x n inverse of L is made
+once, so both triangular solves run as matrix products. With ``P0 = Z B``
+and ``Q = Z K_s'`` over the stored rows K_s, ``P Z' = P0 Z' - Q Q'`` and
+``P'V = P0'V - K_s'(Q'V)``, so the weight step needs neither P nor K:
+:meth:`RidgeClassifier.trial_weights` stops there and writes nothing, and
+:meth:`RidgeClassifier.update` makes the same step, then forms P and K. In
+the dense form Q is n x 0 and its products are exact zeros, and with no rows
+the row form equals the dense form at ``R = I/lambda`` bit for bit. Every
+product that reads a transposed view is written in the orientation OpenBLAS
+was measured to run faster, ``(V' P)'`` for ``P'V``; the transpose holds the
+same values. In the row form the commit writes K straight into the spare
+capacity of the row store, which is regrown to twice the rows it must hold,
+at most d/2, only when full. Every commit checks the diagonal
+``diag(B) - sum K^2``: it must be finite, which also holds K finite, and
+positive, which bounds every entry of R by 1/lambda in the row form. A dense
+R is downdated in place: its lower triangle one panel of rows at a time,
+its upper triangle copied from the lower tile by tile, so no d x d temporary
+is made and R stays exactly symmetric; each panel is checked for non-finite
+entries where it is written. A batch of more rows takes the feature-side
+Woodbury form on the dense inverse: the trial solves
+``(I + R Z'Z) X = R Z'(Y - Z W)`` and returns ``W + X``; the commit makes the
+same solve against ``[R | R Z'(Y - Z W)]``, takes ``W + X`` from its last c
+columns and the new inverse, checked and symmetrized, from its first d.
 """
 
 from __future__ import annotations
@@ -76,27 +76,28 @@ class RidgeClassifier:
     @property
     def rows(self) -> np.ndarray | None:
         """The stacked factors K of the row form, ``R = I/lambda - K'K``; None in the dense form."""
-        return self._rows
+        return self._rows if self._inverse is None else None
 
     @rows.setter
-    def rows(self, value: np.ndarray | None) -> None:
+    def rows(self, value: np.ndarray) -> None:
         # the given array is the whole store: rows appended later go to a new one
         self._rows, self._store, self._inverse = value, value, None
 
     @property
-    def gram_inv(self) -> np.ndarray | None:
+    def gram_inv(self) -> np.ndarray:
         """R as a dense array; in the row form a fresh fold of the rows, and the form stays."""
-        return self._inverse if self._rows is None else self._fold(self._rows)
+        return self._dense()
 
     @gram_inv.setter
     def gram_inv(self, value: np.ndarray | None) -> None:
-        self._inverse, self._rows, self._store = value, None, None
+        # None drops the state: the row form with no rows
+        self.rows = np.zeros((0, self.feature_dim))
+        self._inverse = value
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of R, in either form; no d x d array is made."""
-        if self._rows is None:
-            return np.diag(self._inverse)
-        return 1.0 / self.regularization - np.einsum("ij,ij->j", self._rows, self._rows)
+        base = 1.0 / self.regularization if self._inverse is None else np.diag(self._inverse)
+        return base - np.einsum("ij,ij->j", self._rows, self._rows)
 
     def clone(self) -> "RidgeClassifier":
         return copy.deepcopy(self)
@@ -137,30 +138,25 @@ class RidgeClassifier:
         :meth:`expand_classes` first when the batch introduces new ones).
         On the sample side the row form appends K while the rows stay within
         d/2 (K is written straight into the row store, which is regrown only
-        when full), and folds them into a dense inverse with K when they
-        would not; the dense form is downdated in place, ``R -= K' K``, one
-        panel of rows at a time. On the feature side the row form is folded
-        first, and the inverse is replaced. Either way the weights committed are exactly
-        :meth:`trial_weights`'s, and the diagonal of the new inverse is
-        checked to be finite and positive.
+        when full); otherwise R is made or kept dense and downdated,
+        ``R -= K' K``, in place one panel of rows at a time. On the feature
+        side R is made dense first, and the inverse is replaced. Either way
+        the weights committed are exactly :meth:`trial_weights`'s, and the
+        diagonal of the new inverse is checked to be finite and positive.
         """
         z, y = self._checked(feats, targets)
         d = self.feature_dim
         if z.shape[0] <= d:
             k, step = self._sample_side(z, y)
-            if self._rows is None:
-                _downdate(self._inverse, k)
-            elif 2 * (len(self._rows) + len(k)) <= d:
-                spare = self._spare(len(k))
+            spare = self._spare(len(k))
+            if spare is None:
+                self.gram_inv = self._dense(k)
+            else:
                 if not np.may_share_memory(k, spare):  # K was made elsewhere
                     spare[...] = k
                 self._rows = self._store[: len(self._rows) + len(k)]
-            else:
-                self.gram_inv = self._fold(self._rows, k)
         else:
-            if self._rows is not None:
-                self.gram_inv = self._fold(self._rows)
-            r = self._inverse
+            self.gram_inv = r = self._dense()
             solved = self._feature_solve(z, np.hstack([r, self._residual_rhs(z, y, r)]))
             r_new = require_finite(solved[:, :d], "gram inverse")
             self.gram_inv = (r_new + r_new.T) / 2.0
@@ -171,13 +167,17 @@ class RidgeClassifier:
             raise NumericalError("gram inverse lost positive definiteness")
         require_finite(self.weights, "classifier weights")
 
-    def _fold(self, *blocks: np.ndarray) -> np.ndarray:
-        """A fresh dense ``R = I/lambda - sum K'K`` over the blocks of rows."""
-        d = self.feature_dim
-        # only the diagonal is written here; the other pages of np.zeros stay untouched until used
-        r = np.zeros((d, d))
-        np.fill_diagonal(r, 1.0 / self.regularization)
-        if any(len(k) for k in blocks):
+    def _dense(self, *blocks: np.ndarray) -> np.ndarray:
+        """``R - sum K'K`` over the blocks as a dense array, the only place one is
+        made or downdated: the dense form's inverse is downdated in place, the
+        row form's rows and blocks are folded into a fresh 1/lambda diagonal."""
+        r = self._inverse
+        if r is None:
+            # only the diagonal is written here; the other pages of np.zeros stay untouched until used
+            r = np.zeros((self.feature_dim, self.feature_dim))
+            np.fill_diagonal(r, 1.0 / self.regularization)
+        blocks = [k for k in (self._rows, *blocks) if len(k)]
+        if blocks:
             _downdate(r, *blocks)
         return r
 
@@ -195,20 +195,17 @@ class RidgeClassifier:
     def _weight_step(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """The sample-side weight step ``P'V``, ``V = L^-T L^-1 (Y - Z W)`` with
         ``L L' = I + Z R Z'``, and what the commit forms K from: returns
-        ``(step, L^-1, P0, Q)``.
+        ``(step, L^-1, P0, Q)`` with ``P = P0 - Q K_s``.
 
-        In the dense form ``P0 = Z R = P`` and Q is None; in the row form
-        ``P0 = Z/lambda`` and ``Q = Z K_s'``, so that ``P = P0 - Q K_s``.
+        ``P0`` is Z times the dense inverse, or ``Z/lambda`` in the row form;
+        ``Q = Z K_s'`` over the stored rows, n x 0 in the dense form, where
+        its zero products are subtracted exactly.
         """
-        if self._rows is None:
-            p, q = z @ self._inverse, None
-        else:
-            # with no rows yet this is z @ (I/lambda) bit for bit
-            p, q = z * (1.0 / self.regularization), z @ self._rows.T
+        # with no rows yet Z/lambda is z @ (I/lambda) bit for bit
+        p = z * (1.0 / self.regularization) if self._inverse is None else z @ self._inverse
+        q = z @ self._rows.T
         # (Z P')' for P Z' and (V'P)' for P'V: the orientations OpenBLAS runs faster
-        correction = (z @ p.T).T
-        if q is not None:
-            correction -= q @ q.T
+        correction = (z @ p.T).T - q @ q.T
         correction[np.diag_indices_from(correction)] += 1.0
         try:
             factor = np.linalg.cholesky(correction)
@@ -218,9 +215,7 @@ class RidgeClassifier:
         # inverse is accurate, and both triangular solves become products
         factor_inv = np.linalg.inv(factor)
         v_t = (factor_inv @ (y - z @ self.weights)).T @ factor_inv
-        step_t = v_t @ p
-        if q is not None:
-            step_t -= (v_t @ q) @ self._rows
+        step_t = v_t @ p - (v_t @ q) @ self._rows
         return step_t.T, factor_inv, p, q
 
     def _sample_side(self, z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,17 +225,16 @@ class RidgeClassifier:
         the rows it joins stay within d/2.
         """
         step, factor_inv, p, q = self._weight_step(z, y)
-        if q is not None:
-            p -= q @ self._rows
+        p -= q @ self._rows
         return np.matmul(factor_inv, p, out=self._spare(len(z))), step
 
     def _spare(self, n: int) -> np.ndarray | None:
         """The row store's next n rows; if they do not fit, the store is first
         regrown to twice the rows it must hold, at most d/2. None in the dense
         form or past d/2 rows."""
-        if self._rows is None or 2 * (len(self._rows) + n) > self.feature_dim:
-            return None
         m = len(self._rows)
+        if self._inverse is not None or 2 * (m + n) > self.feature_dim:
+            return None
         if m + n > len(self._store):
             capacity = min(2 * (m + n), self.feature_dim // 2)
             store = np.empty((capacity, self.feature_dim))
@@ -279,12 +273,12 @@ class RidgeClassifier:
         return lookup[picks]
 
     def state_buffers(self) -> tuple[np.ndarray, ...]:
-        """Width, class count, classes, weights and whichever of the rows and the
-        inverse holds R, as contiguous buffers, in hash order."""
+        """Width, class count, classes, weights, the dense inverse if there is one
+        and the rows, as contiguous buffers, in hash order."""
         head = np.array([self.feature_dim, self.num_classes], dtype=np.int64)
         classes = np.array(self.classes_seen, dtype=np.int64)
-        state = self._inverse if self._rows is None else self._rows
-        return head, classes, np.ascontiguousarray(self.weights), np.ascontiguousarray(state)
+        state = [s for s in (self.weights, self._inverse, self._rows) if s is not None]
+        return head, classes, *map(np.ascontiguousarray, state)
 
 
 def _downdate(r: np.ndarray, *blocks: np.ndarray) -> None:

@@ -109,6 +109,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 
 def cmd_train(args) -> int:
+    if args.class_seeds and (args.resume is not None or args.stop_after is not None):
+        raise ConfigError("--class-seeds runs every seed in full; it takes neither --resume nor --stop-after")
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     if args.class_seeds:

@@ -232,7 +232,10 @@ def run_sweep(
     values: list[float],
     out_dir: str | Path | None = None,
 ) -> list[dict]:
-    """One full run per value of a single hyperparameter, shared data seed."""
+    """One full run per value of a single hyperparameter, shared data seed.
+
+    Every value's config is validated before the first run starts.
+    """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r} (valid: {sorted(SWEEP_PARAMETERS)})")
     if not values:
@@ -241,16 +244,17 @@ def run_sweep(
     if integral and not all(float(v).is_integer() for v in values):
         raise ConfigError(f"sweep values of {parameter} must be integers, got {list(values)}")
     cfg.validate()
+    configs = []
+    for value in values:
+        vcfg = copy.deepcopy(cfg)
+        set_key(vcfg, SWEEP_PARAMETERS[parameter], str(int(value)) if integral else str(value))
+        vcfg.validate()
+        configs.append((value, vcfg))
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    key = SWEEP_PARAMETERS[parameter]
     rows = []
-    for value in values:
-        vcfg = copy.deepcopy(cfg)
-        raw = str(int(value)) if integral else str(value)
-        set_key(vcfg, key, raw)
-        vcfg.validate()
+    for value, vcfg in configs:
         stream, summary = _run_stream(vcfg)
         rows.append(
             {
@@ -270,7 +274,8 @@ def run_sweep(
     (out / f"sweep_{parameter}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     points = [(float(r["value"]), r["avg_pct"]) for r in rows]
     svg = render_line_chart(
-        [(parameter, points)],
+        parameter,
+        points,
         x_label=parameter,
         y_label="average accuracy (%)",
         annotation=f"sweep {parameter}",

@@ -244,21 +244,17 @@ def mixture_coefficients(
 
 
 def mixed_generator(
-    generators: Sequence[NoiseGenerator], c_mean: np.ndarray, c_scale: np.ndarray
+    generators: GeneratorBank, c_mean: np.ndarray, c_scale: np.ndarray
 ) -> tuple[NoiseGenerator, np.ndarray]:
     """The single affine generator equal to the coefficient-weighted mixture.
 
     Every task at a layer shares one draw, so ``sum_i c_i (eps * scale_i(h)
     + mean_i(h))`` is ``eps * scale(h) + mean(h)`` of the weighted sums. The
-    k vectors are the rows of a k x 2m bank, and the sums are one product
-    over its mean halves and one over its scale halves. A layer's
-    :class:`GeneratorBank` is read as it stands; any other sequence is
-    stacked. Returns the generator and the bank.
+    layer's k vectors are the rows of its k x 2m bank, read as it stands, and
+    the sums are one product over its mean halves and one over its scale
+    halves. Returns the generator and the bank.
     """
-    if isinstance(generators, GeneratorBank):
-        bank = generators.matrix
-    else:
-        bank = np.stack([g.vector for g in generators])
+    bank = generators.matrix
     half = bank.shape[1] // 2
     vector = np.concatenate([c_mean @ bank[:, :half], c_scale @ bank[:, half:]])
     return NoiseGenerator.from_vector(vector, generators[0].latent_dim), bank
@@ -300,17 +296,12 @@ def run_layer(
     return out, cache
 
 
-def compute_prototype(layer: PiNoiseLayer, feature_batches) -> np.ndarray:
-    """Mean down-projected feature over a task's training samples."""
-    total = np.zeros(layer.latent_dim)
-    count = 0
-    for batch in feature_batches:
-        b = as_matrix(batch, "feature batch")
-        total += (b @ layer.down_proj).sum(axis=0)
-        count += b.shape[0]
-    if count == 0:
+def compute_prototype(layer: PiNoiseLayer, feats: np.ndarray) -> np.ndarray:
+    """Mean down-projected feature over a task's training samples, the rows of ``feats``."""
+    b = as_matrix(feats, "features")
+    if b.shape[0] == 0:
         raise ValueError("prototype needs at least one training sample")
-    return total / count
+    return (b @ layer.down_proj).sum(axis=0) / b.shape[0]
 
 
 def prototype_similarities(prototypes: list[np.ndarray]) -> np.ndarray:

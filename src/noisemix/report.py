@@ -130,23 +130,21 @@ def summary_json_text(summary: RunSummary) -> str:
 
 
 def render_line_chart(
-    series: list[tuple[str, list[tuple[float, float]]]],
+    name: str,
+    points: list[tuple[float, float]],
     x_label: str,
     y_label: str,
     annotation: str = "",
     y_range: tuple[float, float] | None = None,
 ) -> str:
-    """Static 800x500 SVG line chart, byte-stable for identical inputs."""
+    """Static 800x500 SVG chart of one named line through ``points``, byte-stable
+    for identical inputs."""
     width, height, margin = 800, 500, 60
-    xs = [p[0] for _, pts in series for p in pts]
-    ys = [p[1] for _, pts in series for p in pts]
-    if not xs:
+    if not points:
         raise ValueError("chart needs at least one point")
+    xs, ys = zip(*points)
     x_lo, x_hi = min(xs), max(xs)
-    if y_range is not None:
-        y_lo, y_hi = y_range
-    else:
-        y_lo, y_hi = min(ys), max(ys)
+    y_lo, y_hi = y_range if y_range is not None else (min(ys), max(ys))
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -156,7 +154,8 @@ def render_line_chart(
     def sy(y):
         return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
 
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#e377c2"]
+    color = "#1f77b4"
+    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
         f"<desc>{annotation}</desc>" if annotation else "<desc>line chart</desc>",
@@ -167,22 +166,18 @@ def render_line_chart(
         f'<text x="18" y="{height // 2}" text-anchor="middle" font-size="16" transform="rotate(-90 18 {height // 2})">{y_label}</text>',
         f'<text x="{margin - 8}" y="{height - margin + 5}" text-anchor="end" font-size="12">{y_lo:.2f}</text>',
         f'<text x="{margin - 8}" y="{margin + 5}" text-anchor="end" font-size="12">{y_hi:.2f}</text>',
+        f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>',
+        f'<text x="{width - margin + 5}" y="{margin + 12}" font-size="12" fill="{color}">{name}</text>',
+        "</svg>",
     ]
-    for k, (name, pts) in enumerate(series):
-        color = colors[k % len(colors)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>')
-        parts.append(
-            f'<text x="{width - margin + 5}" y="{margin + 18 * k + 12}" font-size="12" fill="{color}">{name}</text>'
-        )
-    parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def accuracy_svg_text(summary: RunSummary) -> str:
     points = [(float(r.task_index), r.accuracy_seen * 100.0) for r in summary.reports]
     return render_line_chart(
-        [("accuracy", points)],
+        "accuracy",
+        points,
         x_label="session",
         y_label="accuracy (%)",
         annotation=f"config {summary.config_hash}",
@@ -190,15 +185,15 @@ def accuracy_svg_text(summary: RunSummary) -> str:
     )
 
 
-def emit(summary: RunSummary, out_dir: str | Path, stem: str = "accuracy") -> list[Path]:
-    """Write the CSV, JSON and SVG artifacts for one run; returns the paths."""
+def emit(summary: RunSummary, out_dir: str | Path) -> list[Path]:
+    """Write ``accuracy.csv``, ``summary.json`` and ``accuracy.svg`` for one run; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, text in (
-        (f"{stem}.csv", accuracy_csv_text(summary)),
+        ("accuracy.csv", accuracy_csv_text(summary)),
         ("summary.json", summary_json_text(summary)),
-        (f"{stem}.svg", accuracy_svg_text(summary)),
+        ("accuracy.svg", accuracy_svg_text(summary)),
     ):
         path = out / name
         path.write_text(text, encoding="utf-8")

@@ -295,7 +295,7 @@ def run_session(
             gen_rng = session_rng.split("generator", layer.layer_index)
             layer.generators.append(new_generator(layer.latent_dim, gen_rng, cfg.pinoise.init_scale))
         for layer, block_feats in zip(model.layers, pre_noise):
-            layer.prototypes.append(compute_prototype(layer, [block_feats]))
+            layer.prototypes.append(compute_prototype(layer, block_feats))
         _init_session_mix_weights(model, cfg.pinoise.tau)
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
         epoch_losses = _train_epochs(

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` wraps noisemix functions and methods by name, and
 ``bench/child.py`` replaces ``experiment.run_session``; a rename or a loop
 that bypasses the module global would silently drop those probes, and so
-would a call path rerouted around a wrapped function.
+would a call path rerouted around a wrapped function. The overrides
+``bench/child.py`` sets for each workload in ``BENCHMARK.json`` must keep
+giving a valid config, so a renamed or tightened key fails here first.
 """
 
 import importlib
@@ -17,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from noisemix import experiment
-from noisemix.config import RunConfig
+from noisemix.config import RunConfig, apply_overrides
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+CHILD_PATH = TRACER_PATH.parent / "child.py"
+WORKLOADS = [w["name"] for w in json.loads((TRACER_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_tracer():
@@ -41,6 +45,21 @@ def test_traced_methods_resolve():
         cls = getattr(importlib.import_module(f"noisemix.{module}"), cls_name, None)
         assert cls is not None, (module, cls_name)
         assert callable(getattr(cls, attr, None)), (module, cls_name, attr)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_configs_validate(workload, tmp_path, monkeypatch):
+    # child.py imports its sibling as ``tracer``; that name is given the loaded file for this test only
+    monkeypatch.setitem(sys.modules, "tracer", load_tracer())
+    spec = importlib.util.spec_from_file_location("bench_child", CHILD_PATH)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    cfg = apply_overrides(RunConfig(), child.overrides(workload, 1, str(tmp_path / "embedding.csv")))
+    cfg.validate()
+    if workload in ("desk", "wide-buffer"):
+        stream = experiment.build_stream(cfg)
+        model = experiment.build_run_model(cfg, stream.feature_dim)
+        assert model.classifier.feature_dim == cfg.backbone.buffer_size
 
 
 def tiny_cfg():

@@ -214,6 +214,9 @@ class TestModelCheckpoint:
             ("meta-without-eval-seed", "eval_seed"),
             ("meta-not-an-object", "meta"),
             ("short-generator-payload", "L00.G00.mw"),
+            ("meta:classes_seen=5", "classes_seen"),
+            ("meta:sessions_completed=[1]", "sessions_completed"),
+            ("meta:eval_seed=null", "eval_seed"),
         ],
     )
     def test_malformed_file_is_one_error_line(self, tmp_path, capsys, damage, named):
@@ -228,6 +231,11 @@ class TestModelCheckpoint:
             sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
         elif damage == "meta-not-an-object":
             sections["meta"] = b"7"
+        elif damage.startswith("meta:"):  # one meta value of the wrong JSON type
+            key, value = damage[len("meta:") :].split("=")
+            meta = json.loads(sections["meta"])
+            meta[key] = json.loads(value)
+            sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
         else:
             sections["L00.G00.mw"] = bytes(4)
         bad = tmp_path / "bad.nmcp"
@@ -244,8 +252,16 @@ class TestModelCheckpoint:
 
     @pytest.mark.parametrize(
         "history, named",
-        [(b"[1]", "JSON objects"), (b'[{"n_test": 1}]', "task_index")],
-        ids=["entry-not-an-object", "entry-without-task-index"],
+        [
+            (b"[1]", "JSON objects"),
+            (b'[{"n_test": 1}]', "task_index"),
+            (
+                b'[{"task_index": 1, "accuracy_seen": 1.0, "per_class_accuracy": 5, '
+                b'"epoch_losses": [], "n_test": 1}]',
+                "per_class_accuracy",
+            ),
+        ],
+        ids=["entry-not-an-object", "entry-without-task-index", "per-class-accuracy-not-an-object"],
     )
     def test_malformed_history_rejected(self, tmp_path, history, named):
         path = tmp_path / "h.nmcp"

@@ -107,6 +107,16 @@ class TestTrain:
         assert (tmp_path / "ms" / "seed_1993" / "accuracy.csv").exists()
         assert "±" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [("--resume", "x.nmcp"), ("--stop-after", "1")])
+    def test_multi_seed_batch_rejects_resume_and_stop_after(self, tmp_path, capsys, flags):
+        rc = run_cli(
+            "train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "1993", "1994", *flags
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flags[0] in err[0]
+        assert not (tmp_path / "ms").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
         # absurd feature magnitudes overflow the forward pass
@@ -230,14 +240,23 @@ class TestSweep:
         rc = run_cli("sweep", *FAST, "--parameter", "gamma", "--values", "1")
         assert rc == 1
 
-    @pytest.mark.parametrize("parameter, value", [("d2", "2.5"), ("buffer_size", "64.9")])
-    def test_non_integral_value_rejected_before_any_run(self, tmp_path, capsys, parameter, value):
+    @pytest.mark.parametrize(
+        "parameter, values, named",
+        [
+            ("d2", ("4", "2.5"), "integers"),
+            ("buffer_size", ("4", "64.9"), "integers"),
+            # the first run's config is valid, the second's buffer is narrower than the features
+            ("buffer_size", ("128", "16"), "buffer_size must be >= feature_dim"),
+        ],
+        ids=["d2-2.5", "buffer_size-64.9", "buffer_size-16"],
+    )
+    def test_non_integral_value_rejected_before_any_run(self, tmp_path, capsys, parameter, values, named):
         rc = run_cli(
-            "sweep", *FAST, "--parameter", parameter, "--values", "4", value,
+            "sweep", *FAST, "--parameter", parameter, "--values", *values,
             "--out", str(tmp_path / "sw"),
         )
         assert rc == 1
-        assert "integers" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
 

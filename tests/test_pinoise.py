@@ -285,15 +285,14 @@ class TestPrototypes:
     def test_single_sample_prototype(self):
         layer = build_layer(4, 2, 0, SeededRng(1))
         feats = SeededRng(2).standard_normal(1, 4)
-        proto = compute_prototype(layer, [feats])
+        proto = compute_prototype(layer, feats)
         np.testing.assert_allclose(proto, (feats @ layer.down_proj)[0], rtol=1e-15)
 
-    def test_duplicated_batch_same_prototype(self):
+    def test_prototype_is_the_mean_projected_row(self):
         layer = build_layer(4, 2, 0, SeededRng(1))
         feats = SeededRng(2).standard_normal(5, 4)
-        once = compute_prototype(layer, [feats])
-        twice = compute_prototype(layer, [feats, feats])
-        np.testing.assert_allclose(once, twice, rtol=1e-12)
+        proto = compute_prototype(layer, feats)
+        np.testing.assert_allclose(proto, (feats @ layer.down_proj).mean(axis=0), rtol=1e-12)
 
     def test_empty_stream_rejected(self):
         layer = build_layer(4, 2, 0, SeededRng(1))
@@ -430,7 +429,7 @@ class TestGeneratorVector:
 
     def test_mixture_of_one_generator_is_that_generator(self):
         gen = make_gen(4)
-        mixed, bank = mixed_generator([gen], np.ones(1), np.ones(1))
+        mixed, bank = mixed_generator(GeneratorBank([gen]), np.ones(1), np.ones(1))
         assert np.array_equal(bank, gen.vector[None, :])
         assert mixed.param_bytes() == gen.param_bytes()
 
