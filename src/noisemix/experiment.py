@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import string
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +70,14 @@ def run_training(
     out_dir: str | Path | None = None,
     resume_path: str | Path | None = None,
     stop_after: int | None = None,
-    log: bool = True,
 ) -> RunSummary:
     """Run all sessions of the configured stream, emitting artifacts.
 
     With ``resume_path`` the model state is restored from a checkpoint and
     training continues at the next session; ``stop_after`` halts early (the
-    checkpoint still gets written, so a later resume completes the run).
+    checkpoint still gets written, so a later resume completes the run). A
+    ``stop_after`` that leaves no session to run is refused before the
+    output directory is made.
     """
     cfg.validate()
     stream = build_stream(cfg)
@@ -94,19 +96,20 @@ def run_training(
             raise ckpt.CheckpointError("checkpoint history does not match completed sessions")
 
     last_task = stream.num_tasks if stop_after is None else min(stop_after, stream.num_tasks)
+    if stop_after is not None and last_task < start_task:
+        raise ConfigError(f"--stop-after {stop_after} leaves no session to run: the next one is {start_task}")
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "train_log.csv"
-    if log and (start_task == 1 or not log_path.exists()):
+    if start_task == 1 or not log_path.exists():
         log_path.write_text("session,epoch,lr,mean_loss\n", encoding="utf-8")
 
     reports = _run_sessions(model, stream, cfg, start_task, last_task)
-    if log:
-        with open(log_path, "a", encoding="utf-8") as fh:
-            for report in reports:
-                for epoch, loss in enumerate(report.epoch_losses):
-                    lr = cosine_lr(epoch, cfg.train.epochs, cfg.train.lr_init)
-                    fh.write(f"{report.task_index},{epoch},{lr:.8f},{loss:.8f}\n")
+    with open(log_path, "a", encoding="utf-8") as fh:
+        for report in reports:
+            for epoch, loss in enumerate(report.epoch_losses):
+                lr = cosine_lr(epoch, cfg.train.epochs, cfg.train.lr_init)
+                fh.write(f"{report.task_index},{epoch},{lr:.8f},{loss:.8f}\n")
 
     reports = earlier_reports + reports
     summary = summarize(reports, hash_)
@@ -144,6 +147,17 @@ def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
     return stream, summarize(reports, config_hash(cfg))
 
 
+def _require_distinct(what: str, values) -> None:
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate {what}: {list(values)}")
+
+
+def _write_csv(path: Path, line: str, rows: list[dict]) -> None:
+    """A header of the fields the format string ``line`` names, then ``line`` filled from each row."""
+    header = ",".join(name for _, name, _, _ in string.Formatter().parse(line) if name)
+    path.write_text("\n".join([header, *(line.format(**r) for r in rows)]) + "\n", encoding="utf-8")
+
+
 def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
     if variant not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {variant!r} (valid: {ABLATION_VARIANTS})")
@@ -179,6 +193,8 @@ def run_ablation(
     if len(variants) < 2:
         raise ValueError("ablation needs at least 2 variants")
     seeds = class_seeds or [cfg.data.class_seed]
+    _require_distinct("variants", variants)
+    _require_distinct("class seeds", seeds)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -198,13 +214,11 @@ def run_ablation(
         if len(hashes) != 1:
             raise RuntimeError(f"variants saw different streams for seed {seed}")
 
-    lines = ["variant,seeds,avg_pct_mean,avg_pct_std,last_pct_mean,last_pct_std"]
-    for r in rows:
-        lines.append(
-            f"{r['variant']},{r['seeds']},{r['avg_pct_mean']:.2f},{r['avg_pct_std']:.2f},"
-            f"{r['last_pct_mean']:.2f},{r['last_pct_std']:.2f}"
-        )
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        out / "ablation.csv",
+        "{variant},{seeds},{avg_pct_mean:.2f},{avg_pct_std:.2f},{last_pct_mean:.2f},{last_pct_std:.2f}",
+        rows,
+    )
     return rows
 
 
@@ -243,6 +257,7 @@ def run_sweep(
     integral = parameter in ("buffer_size", "d2")
     if integral and not all(float(v).is_integer() for v in values):
         raise ConfigError(f"sweep values of {parameter} must be integers, got {list(values)}")
+    _require_distinct(f"sweep values of {parameter}", values)
     cfg.validate()
     configs = []
     for value in values:
@@ -266,12 +281,7 @@ def run_sweep(
             }
         )
 
-    lines = ["parameter,value,avg_pct,last_pct,trainable_params"]
-    for r in rows:
-        lines.append(
-            f"{r['parameter']},{r['value']},{r['avg_pct']:.2f},{r['last_pct']:.2f},{r['trainable_params']}"
-        )
-    (out / f"sweep_{parameter}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out / f"sweep_{parameter}.csv", "{parameter},{value},{avg_pct:.2f},{last_pct:.2f},{trainable_params}", rows)
     points = [(float(r["value"]), r["avg_pct"]) for r in rows]
     svg = render_line_chart(
         parameter,
@@ -291,18 +301,17 @@ def run_multi_seed(
     cfg.validate()
     if not class_seeds:
         raise ValueError("need at least one seed")
+    _require_distinct("class seeds", class_seeds)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     avg, last = [], []
     for seed in class_seeds:
         vcfg = copy.deepcopy(cfg)
         vcfg.data.class_seed = seed
-        summary = run_training(vcfg, out_dir=out / f"seed_{seed}", log=False)
+        summary = run_training(vcfg, out_dir=out / f"seed_{seed}")
         avg.append(summary.average_accuracy)
         last.append(summary.last_accuracy)
     agg = {"seeds": class_seeds, **_pct_stats(avg, last)}
-    lines = ["seed,avg_pct,last_pct"]
-    for seed, a, l in zip(class_seeds, avg, last):
-        lines.append(f"{seed},{100.0 * a:.2f},{100.0 * l:.2f}")
-    (out / "seeds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [{"seed": s, "avg_pct": 100.0 * a, "last_pct": 100.0 * l} for s, a, l in zip(class_seeds, avg, last)]
+    _write_csv(out / "seeds.csv", "{seed},{avg_pct:.2f},{last_pct:.2f}", rows)
     return agg

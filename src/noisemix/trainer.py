@@ -1,13 +1,18 @@
 """Per-session training: classifier updates, noise-generator optimization.
 
-A session runs in a fixed order: fold the task into the classifier with the
-noise state carried over from previous sessions, grow one noise generator
-per layer, initialize the mix weights from prototype similarity, train the
-new generators (plus mix weights and an auxiliary classifier) by gradient
-descent on a residual loss, then redo the classifier update from the
-pre-session state with the freshly trained noise. The auxiliary classifier
-is discarded afterwards; the new generators are frozen from then on, since
-only a layer's generator past the model's session count trains.
+A session (:func:`run_session`) runs its phases in order. With noise layers
+it first takes the frozen classifier weights from a trial update under the
+noise state carried over from previous sessions
+(``RidgeClassifier.trial_weights``), grows every layer by a generator, a
+prototype and mix weights initialized from prototype similarity
+(:func:`_grow_layers`), trains the new generators (plus mix weights and an
+auxiliary classifier) by gradient descent on a residual loss
+(:func:`_train_epochs`), and recomputes the features under the trained
+noise. Then, for the baseline model too, the task is committed to the
+classifier once (``RidgeClassifier.update``) and the model is evaluated on
+every class seen so far. The auxiliary classifier lives only inside
+``_train_epochs``; the new generators are frozen from then on, since only a
+layer's generator past the model's session count trains.
 
 A training step does only per-step work. Nothing before noise layer 0
 trains, so each step starts from block 0's output for its rows, which the
@@ -279,54 +284,47 @@ def run_session(
         raise ValueError(f"session order violation: expected task {t}, got {task.task_index}")
     x_train, y_train = task.train_arrays()
 
-    feats_initial, pre_noise = model.features(
+    feats, pre_noise = model.features(
         x_train, rng=session_rng.split("clf-initial"), eval_mode=True, collect_blocks=True
     )
     model.classifier.expand_classes(task.class_set)
     targets = model.classifier.one_hot(y_train)
     epoch_losses: list[float] = []
-    if not model.has_noise:
-        model.classifier.update(feats_initial, targets)
-    else:
+    if model.has_noise:
         # the frozen logits come from a trial update on the initial features;
         # the task's data enters the running solution once, with its final features
-        frozen_weights = model.classifier.trial_weights(feats_initial, targets)
-        for layer in model.layers:
-            gen_rng = session_rng.split("generator", layer.layer_index)
-            layer.generators.append(new_generator(layer.latent_dim, gen_rng, cfg.pinoise.init_scale))
-        for layer, block_feats in zip(model.layers, pre_noise):
-            layer.prototypes.append(compute_prototype(layer, block_feats))
-        _init_session_mix_weights(model, cfg.pinoise.tau)
-        aux = np.zeros((model.buffer.width, model.classifier.num_classes))
-        epoch_losses = _train_epochs(
-            model, pre_noise[0], targets, frozen_weights, aux, cfg.train, session_rng
-        )
-        feats_final = model.features(
+        frozen_weights = model.classifier.trial_weights(feats, targets)
+        _grow_layers(model, pre_noise, cfg.pinoise, session_rng)
+        epoch_losses = _train_epochs(model, pre_noise[0], targets, frozen_weights, cfg.train, session_rng)
+        feats = model.features(
             pre_noise[0], rng=session_rng.split("clf-final"), eval_mode=True, from_block0=True
         )
-        model.classifier.update(feats_final, targets)
-
+    model.classifier.update(feats, targets)
     model.sessions_completed = t
     report = evaluate(model, stream, t)
     return replace(report, epoch_losses=tuple(epoch_losses))
 
 
-def _init_session_mix_weights(model: ContinualModel, tau: float) -> None:
-    if model.shared_mix_weights:
-        sims = np.zeros(len(model.layers[0].prototypes))
-        for layer in model.layers:
-            sims += prototype_similarities(layer.prototypes)
-        shared = softmax(sims / len(model.layers), tau)
-        for layer in model.layers:
-            layer.mix_weights = shared
-    else:
-        for layer in model.layers:
-            layer.mix_weights = init_mix_weights(layer.prototypes, tau)
+def _grow_layers(model, pre_noise, pinoise, session_rng):
+    """Give every layer the session's generator and prototype, then its mix
+    weights: the softmax of its prototype similarities, or with shared mix
+    weights one array, of the layers' mean similarities, held by all."""
+    sims = []
+    for layer, block_feats in zip(model.layers, pre_noise):
+        gen_rng = session_rng.split("generator", layer.layer_index)
+        layer.generators.append(new_generator(layer.latent_dim, gen_rng, pinoise.init_scale))
+        layer.prototypes.append(compute_prototype(layer, block_feats))
+        sims.append(prototype_similarities(layer.prototypes))
+    shared = softmax(sum(sims) / len(sims), pinoise.tau) if model.shared_mix_weights else None
+    for layer, s in zip(model.layers, sims):
+        layer.mix_weights = softmax(s, pinoise.tau) if shared is None else shared
 
 
-def _train_epochs(model, block0_out, targets, frozen_weights, aux, train, session_rng):
+def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng):
     """SGD epochs over the session's rows, each step starting from block 0's
-    output for its rows (``block0_out``, from the session's trial pass)."""
+    output for its rows (``block0_out``, from the session's trial pass). The
+    auxiliary classifier starts at zero and is dropped afterwards."""
+    aux = np.zeros((model.buffer.width, model.classifier.num_classes))
     params = collect_trainable(model, aux)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     n = block0_out.shape[0]

@@ -253,8 +253,8 @@ def test_determinism(tmp_path):
         backbone__buffer_size=256,
         train__epochs=3,
     )
-    run_training(default_cfg(**cfg_sets), out_dir=tmp_path / "a", log=True)
-    run_training(default_cfg(**cfg_sets), out_dir=tmp_path / "b", log=True)
+    run_training(default_cfg(**cfg_sets), out_dir=tmp_path / "a")
+    run_training(default_cfg(**cfg_sets), out_dir=tmp_path / "b")
     identical = (tmp_path / "a" / "accuracy.csv").read_bytes() == (
         tmp_path / "b" / "accuracy.csv"
     ).read_bytes()

@@ -111,7 +111,7 @@ cfg = apply_overrides(RunConfig(), [
     "backbone.feature_dim=8", "backbone.depth=2", "backbone.buffer_size=16",
     "pinoise.latent_dim=4", "train.epochs=1",
 ])
-noisemix.experiment.run_training(cfg, out_dir=sys.argv[2], log=False)
+noisemix.experiment.run_training(cfg, out_dir=sys.argv[2])
 print(json.dumps(tracer_module.layer_metrics(tracer, 0)))
 """
 

@@ -117,6 +117,35 @@ class TestTrain:
         assert len(err) == 1 and err[0].startswith("error: ") and flags[0] in err[0]
         assert not (tmp_path / "ms").exists()
 
+    def test_multi_seed_batch_rejects_duplicate_seeds(self, tmp_path, capsys):
+        rc = run_cli("train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "5", "5")
+        assert rc == 1
+        assert "duplicate class seeds" in capsys.readouterr().err
+        assert not (tmp_path / "ms").exists()
+
+    @pytest.mark.parametrize("stop_after", ["0", "-2"])
+    def test_stop_after_with_nothing_to_run_rejected(self, tmp_path, capsys, stop_after):
+        rc = run_cli("train", *FAST, "--out", str(tmp_path / "run"), "--stop-after", stop_after)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--stop-after" in err[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("stop_after", ["1", "2"])
+    def test_resume_stop_after_at_or_below_completed_rejected(self, tmp_path, capsys, stop_after):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", *FAST, "--out", str(run_dir), "--stop-after", "2") == 0
+        written = {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()}
+        capsys.readouterr()
+        rc = run_cli(
+            "train", *FAST, "--out", str(run_dir), "--resume", str(run_dir / "checkpoint.nmcp"),
+            "--stop-after", stop_after,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--stop-after" in err[0]
+        assert {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()} == written
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_numerical_breakdown_exit_code(self, tmp_path, capsys):
         # absurd feature magnitudes overflow the forward pass
@@ -207,6 +236,15 @@ class TestAblate:
         rc = run_cli("ablate", *FAST, "--variants", "full", "--out", str(tmp_path / "x"))
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flags", [("--class-seeds", "5", "5"), ("--variants", "baseline", "full", "baseline")], ids=["seeds", "variants"]
+    )
+    def test_duplicates_rejected_before_any_run(self, tmp_path, capsys, flags):
+        rc = run_cli("ablate", *FAST, *flags, "--out", str(tmp_path / "abl"))
+        assert rc == 1
+        assert "duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "abl").exists()
+
     def test_unknown_variant_rejected(self, tmp_path):
         rc = run_cli(
             "ablate", *FAST, "--variants", "full", "bogus", "--out", str(tmp_path / "x")
@@ -247,8 +285,9 @@ class TestSweep:
             ("buffer_size", ("4", "64.9"), "integers"),
             # the first run's config is valid, the second's buffer is narrower than the features
             ("buffer_size", ("128", "16"), "buffer_size must be >= feature_dim"),
+            ("tau", ("1", "1"), "duplicate"),
         ],
-        ids=["d2-2.5", "buffer_size-64.9", "buffer_size-16"],
+        ids=["d2-2.5", "buffer_size-64.9", "buffer_size-16", "tau-duplicate"],
     )
     def test_non_integral_value_rejected_before_any_run(self, tmp_path, capsys, parameter, values, named):
         rc = run_cli(

@@ -70,11 +70,11 @@ class TestValidation:
         ])
         assert cfg.data.tasks > cfg.data.num_classes
         cfg.validate()
-        summary = run_training(cfg, out_dir=tmp_path / "run", log=False)
+        summary = run_training(cfg, out_dir=tmp_path / "run")
         assert len(summary.reports) == 25
         cfg.data.tasks = 31
         with pytest.raises(ValueError, match="fewer than 31 tasks"):
-            run_training(cfg, out_dir=tmp_path / "too-many", log=False)
+            run_training(cfg, out_dir=tmp_path / "too-many")
 
     def test_unknown_keys_rejected(self):
         cfg = RunConfig()

@@ -24,7 +24,7 @@ cfg = apply_overrides(RunConfig(), [
     "data.num_classes=4", "data.samples_per_class=20", "data.dim=8", "data.tasks=2",
     "backbone.feature_dim=16", "backbone.buffer_size=64", "pinoise.latent_dim=4", "train.epochs=1",
 ])
-noisemix.experiment.run_training(cfg, out_dir=sys.argv[1], log=False)
+noisemix.experiment.run_training(cfg, out_dir=sys.argv[1])
 print(sample_side)
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import noisemix.trainer as trainer_mod
+from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
 from noisemix.experiment import build_run_model, build_stream, trainable_param_count
 from noisemix.model import forward_pass
@@ -392,6 +393,30 @@ class TestSession:
         _, model, _ = run_all_sessions(cfg)
         first = model.layers[0].mix_weights
         assert all(layer.mix_weights is first for layer in model.layers[1:])
+
+    @pytest.mark.parametrize("strategy", ["learned-omega", "random-task"])
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_each_session_commits_once(self, monkeypatch, enabled, strategy):
+        # the noise model takes its frozen weights from one trial; both models commit once
+        calls = []
+        for name in ("trial_weights", "update"):
+            original = getattr(RidgeClassifier, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(RidgeClassifier, name, spy)
+        cfg = small_cfg()
+        cfg.pinoise.enabled = enabled
+        cfg.pinoise.strategy = strategy
+        cfg.train.epochs = 1
+        stream = build_stream(cfg)
+        model = build_run_model(cfg, stream.feature_dim)
+        for t in range(1, stream.num_tasks + 1):
+            calls.clear()
+            run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
+            assert calls == (["trial_weights", "update"] if enabled else ["update"]), t
 
 
 class TestVariantTraining:
