@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,6 +81,9 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
+        for key, value in _section_items(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         d, b, p, c, t = self.data, self.backbone, self.pinoise, self.classifier, self.train
         checks = [
             (d.source in ("synthetic", "embedding"), "data.source must be synthetic or embedding"),
@@ -191,14 +195,18 @@ def apply_profile(cfg: RunConfig, profile: str) -> RunConfig:
     return cfg
 
 
+def _section_items(cfg: RunConfig):
+    """``(dotted key, value)`` of every section field, sections and fields in name order."""
+    for section in sorted(_SECTIONS):
+        obj = getattr(cfg, section)
+        for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
+            yield f"{section}.{f.name}", getattr(obj, f.name)
+
+
 def resolved_text(cfg: RunConfig) -> str:
     """Canonical flat rendering of the configuration, parseable by
     :func:`load_config_file` and stable for hashing."""
-    lines = []
-    for section, _ in sorted(_SECTIONS.items()):
-        obj = getattr(cfg, section)
-        for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
-            lines.append(f"{section}.{f.name} = {getattr(obj, f.name)}")
+    lines = [f"{key} = {value}" for key, value in _section_items(cfg)]
     lines.append(f"output_dir = {cfg.output_dir}")
     return "\n".join(lines) + "\n"
 

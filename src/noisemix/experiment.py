@@ -139,12 +139,16 @@ def _run_sessions(
     return reports
 
 
-def _run_stream(cfg: RunConfig) -> tuple[TaskStream, RunSummary]:
-    """Every session of the configured stream on a fresh model, no artifacts."""
-    stream = build_stream(cfg)
+def _run_stream(cfg: RunConfig, stream: TaskStream) -> RunSummary:
+    """Every session of ``stream`` on a fresh model of ``cfg``, no artifacts."""
     model = build_run_model(cfg, stream.feature_dim)
-    reports = _run_sessions(model, stream, cfg, 1, stream.num_tasks)
-    return stream, summarize(reports, config_hash(cfg))
+    return summarize(_run_sessions(model, stream, cfg, 1, stream.num_tasks), config_hash(cfg))
+
+
+def _with_class_seed(cfg: RunConfig, seed: int) -> RunConfig:
+    v = copy.deepcopy(cfg)
+    v.data.class_seed = seed
+    return v
 
 
 def _require_distinct(what: str, values) -> None:
@@ -168,10 +172,11 @@ def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
     return v
 
 
-def _pct_stats(avg: list[float], last: list[float]) -> dict:
+def _pct_stats(summaries: list[RunSummary]) -> dict:
     """Mean and sample standard deviation of both accuracies in percent, 0 deviation for one run."""
     stats = {}
-    for name, fractions in (("avg", avg), ("last", last)):
+    for name, attr in (("avg", "average_accuracy"), ("last", "last_accuracy")):
+        fractions = [getattr(s, attr) for s in summaries]
         stats[f"{name}_pct_mean"] = 100.0 * float(np.mean(fractions))
         stats[f"{name}_pct_std"] = 100.0 * float(np.std(fractions, ddof=1)) if len(fractions) > 1 else 0.0
     return stats
@@ -183,10 +188,11 @@ def run_ablation(
     class_seeds: list[int] | None = None,
     out_dir: str | Path | None = None,
 ) -> list[dict]:
-    """Run every variant on identical streams and emit a comparative CSV.
+    """Run every variant on one stream per class-order seed and emit a comparative CSV.
 
     With several class-order seeds each variant is run once per seed and the
-    table reports mean and sample standard deviation of both metrics.
+    table reports mean and sample standard deviation of both metrics. Every
+    variant name is checked before the first run starts.
     """
     cfg.validate()
     variants = list(variants) if variants else list(ABLATION_VARIANTS)
@@ -195,24 +201,17 @@ def run_ablation(
     seeds = class_seeds or [cfg.data.class_seed]
     _require_distinct("variants", variants)
     _require_distinct("class seeds", seeds)
+    plan = [_variant_config(cfg, variant) for variant in variants]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    stream_hashes: dict[int, set[str]] = {s: set() for s in seeds}
-    rows = []
-    for variant in variants:
-        avg_accs, last_accs = [], []
-        for seed in seeds:
-            vcfg = _variant_config(cfg, variant)
-            vcfg.data.class_seed = seed
-            stream, summary = _run_stream(vcfg)
-            stream_hashes[seed].add(stream.content_hash())
-            avg_accs.append(summary.average_accuracy)
-            last_accs.append(summary.last_accuracy)
-        rows.append({"variant": variant, "seeds": len(seeds), **_pct_stats(avg_accs, last_accs)})
-    for seed, hashes in stream_hashes.items():
-        if len(hashes) != 1:
-            raise RuntimeError(f"variants saw different streams for seed {seed}")
+    summaries = {variant: [] for variant in variants}
+    for seed in seeds:
+        seeded = [_with_class_seed(vcfg, seed) for vcfg in plan]
+        stream = build_stream(seeded[0])  # variants differ in pinoise.* only
+        for variant, vcfg in zip(variants, seeded):
+            summaries[variant].append(_run_stream(vcfg, stream))
+    rows = [{"variant": variant, "seeds": len(seeds), **_pct_stats(runs)} for variant, runs in summaries.items()]
 
     _write_csv(
         out / "ablation.csv",
@@ -246,9 +245,10 @@ def run_sweep(
     values: list[float],
     out_dir: str | Path | None = None,
 ) -> list[dict]:
-    """One full run per value of a single hyperparameter, shared data seed.
+    """One full run per value of a single hyperparameter, all on one stream.
 
-    Every value's config is validated before the first run starts.
+    Every value's config is validated and the stream is built before the
+    output directory is made.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r} (valid: {sorted(SWEEP_PARAMETERS)})")
@@ -265,12 +265,13 @@ def run_sweep(
         set_key(vcfg, SWEEP_PARAMETERS[parameter], str(int(value)) if integral else str(value))
         vcfg.validate()
         configs.append((value, vcfg))
+    stream = build_stream(cfg)  # no sweep parameter is a data.* key
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for value, vcfg in configs:
-        stream, summary = _run_stream(vcfg)
+        summary = _run_stream(vcfg, stream)
         rows.append(
             {
                 "parameter": parameter,
@@ -304,14 +305,11 @@ def run_multi_seed(
     _require_distinct("class seeds", class_seeds)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    avg, last = [], []
-    for seed in class_seeds:
-        vcfg = copy.deepcopy(cfg)
-        vcfg.data.class_seed = seed
-        summary = run_training(vcfg, out_dir=out / f"seed_{seed}")
-        avg.append(summary.average_accuracy)
-        last.append(summary.last_accuracy)
-    agg = {"seeds": class_seeds, **_pct_stats(avg, last)}
-    rows = [{"seed": s, "avg_pct": 100.0 * a, "last_pct": 100.0 * l} for s, a, l in zip(class_seeds, avg, last)]
+    summaries = [run_training(_with_class_seed(cfg, seed), out_dir=out / f"seed_{seed}") for seed in class_seeds]
+    agg = {"seeds": class_seeds, **_pct_stats(summaries)}
+    rows = [
+        {"seed": seed, "avg_pct": 100.0 * s.average_accuracy, "last_pct": 100.0 * s.last_accuracy}
+        for seed, s in zip(class_seeds, summaries)
+    ]
     _write_csv(out / "seeds.csv", "{seed},{avg_pct:.2f},{last_pct:.2f}", rows)
     return agg

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from noisemix import cli
+from noisemix import cli, experiment
 from noisemix.cli import main
 from noisemix.pinoise import MixtureStrategy
 
@@ -49,6 +49,13 @@ class TestTrain:
         rc = run_cli("train", "--set", "pinoise.tau=-2", "--out", str(tmp_path / "x"))
         assert rc == 1
         assert "tau" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_value_rejected_before_compute(self, tmp_path, capsys):
+        rc = run_cli("train", "--set", "pinoise.tau=inf", "--out", str(tmp_path / "x"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: pinoise.tau must be finite, got inf"]
         assert not (tmp_path / "x").exists()
 
     def test_unknown_flag_gives_validation_exit(self, capsys):
@@ -245,11 +252,16 @@ class TestAblate:
         assert "duplicate" in capsys.readouterr().err
         assert not (tmp_path / "abl").exists()
 
-    def test_unknown_variant_rejected(self, tmp_path):
+    def test_unknown_variant_rejected(self, tmp_path, capsys, monkeypatch):
+        sessions = []
+        monkeypatch.setattr(experiment, "run_session", lambda *args: sessions.append(args))
         rc = run_cli(
             "ablate", *FAST, "--variants", "full", "bogus", "--out", str(tmp_path / "x")
         )
         assert rc == 1
+        assert "bogus" in capsys.readouterr().err
+        assert sessions == []
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweep:

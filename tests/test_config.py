@@ -37,6 +37,12 @@ class TestValidation:
             ("pinoise.tau", "0"),
             ("train.grad_clip", "-1"),
             ("pinoise.init_scale", "-1"),
+            # each passes its range check, so only the finiteness check refuses it
+            ("pinoise.tau", "inf"),
+            ("classifier.regularization", "inf"),
+            ("train.lr_init", "inf"),
+            ("pinoise.init_scale", "inf"),
+            ("data.separation", "inf"),
         ],
     )
     def test_out_of_range_rejected(self, key, value):
