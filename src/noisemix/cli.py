@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     common(p_grad)
-    p_grad.add_argument("--corrupt", help=argparse.SUPPRESS)  # negative-control hook
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_snap = sub.add_parser("snapshot", help="content hash of all frozen parameters")
@@ -183,9 +182,7 @@ def cmd_gradcheck(args) -> int:
         strategy=cfg.pinoise.strategy,
         seed=cfg.train.seed,
     )
-    report = gradient_check(
-        *instance, loss_mode=cfg.train.loss_mode, corrupt_group=args.corrupt
-    )
+    report = gradient_check(*instance, loss_mode=cfg.train.loss_mode)
     print(f"instance: {dims}")
     for line in report.lines():
         print(line)

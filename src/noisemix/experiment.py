@@ -75,9 +75,10 @@ def run_training(
 
     With ``resume_path`` the model state is restored from a checkpoint and
     training continues at the next session; ``stop_after`` halts early (the
-    checkpoint still gets written, so a later resume completes the run). A
-    ``stop_after`` that leaves no session to run is refused before the
-    output directory is made.
+    checkpoint still gets written, so a later resume completes the run). Every
+    artifact is written after the sessions, whole: ``train_log.csv`` holds
+    every session's losses, the earlier ones from the checkpoint history, so
+    a resumed run writes the uninterrupted run's files in any directory.
     """
     cfg.validate()
     stream = build_stream(cfg)
@@ -98,22 +99,17 @@ def run_training(
     last_task = stream.num_tasks if stop_after is None else min(stop_after, stream.num_tasks)
     if stop_after is not None and last_task < start_task:
         raise ConfigError(f"--stop-after {stop_after} leaves no session to run: the next one is {start_task}")
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "train_log.csv"
-    if start_task == 1 or not log_path.exists():
-        log_path.write_text("session,epoch,lr,mean_loss\n", encoding="utf-8")
-
-    reports = _run_sessions(model, stream, cfg, start_task, last_task)
-    with open(log_path, "a", encoding="utf-8") as fh:
-        for report in reports:
-            for epoch, loss in enumerate(report.epoch_losses):
-                lr = cosine_lr(epoch, cfg.train.epochs, cfg.train.lr_init)
-                fh.write(f"{report.task_index},{epoch},{lr:.8f},{loss:.8f}\n")
-
-    reports = earlier_reports + reports
+    reports = earlier_reports + _run_sessions(model, stream, cfg, start_task, last_task)
     summary = summarize(reports, hash_)
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     emit(summary, out)
+    t = cfg.train
+    log = [
+        {"session": r.task_index, "epoch": e, "lr": cosine_lr(e, t.epochs, t.lr_init), "mean_loss": loss}
+        for r in reports
+        for e, loss in enumerate(r.epoch_losses)
+    ]
+    _write_csv(out / "train_log.csv", "{session},{epoch},{lr:.8f},{mean_loss:.8f}", log)
     ckpt.save_checkpoint(
         out / "checkpoint.nmcp", model, hash_, cfg.train.seed, stream.num_tasks, history=reports
     )
@@ -159,6 +155,7 @@ def _require_distinct(what: str, values) -> None:
 def _write_csv(path: Path, line: str, rows: list[dict]) -> None:
     """A header of the fields the format string ``line`` names, then ``line`` filled from each row."""
     header = ",".join(name for _, name, _, _ in string.Formatter().parse(line) if name)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([header, *(line.format(**r) for r in rows)]) + "\n", encoding="utf-8")
 
 
@@ -203,7 +200,6 @@ def run_ablation(
     _require_distinct("class seeds", seeds)
     plan = [_variant_config(cfg, variant) for variant in variants]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     summaries = {variant: [] for variant in variants}
     for seed in seeds:
@@ -247,8 +243,7 @@ def run_sweep(
 ) -> list[dict]:
     """One full run per value of a single hyperparameter, all on one stream.
 
-    Every value's config is validated and the stream is built before the
-    output directory is made.
+    Every value's config is validated before the first run starts.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r} (valid: {sorted(SWEEP_PARAMETERS)})")
@@ -267,7 +262,6 @@ def run_sweep(
         configs.append((value, vcfg))
     stream = build_stream(cfg)  # no sweep parameter is a data.* key
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for value, vcfg in configs:
@@ -304,7 +298,6 @@ def run_multi_seed(
         raise ValueError("need at least one seed")
     _require_distinct("class seeds", class_seeds)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summaries = [run_training(_with_class_seed(cfg, seed), out_dir=out / f"seed_{seed}") for seed in class_seeds]
     agg = {"seeds": class_seeds, **_pct_stats(summaries)}
     rows = [

@@ -453,25 +453,18 @@ def gradient_check(
     fd_epsilon: float = 1e-5,
     tolerance: float = 1e-4,
     floor: float = 1e-7,
-    corrupt_group: str | None = None,
 ) -> GradcheckReport:
     """Compare analytic gradients against central finite differences.
 
     The loss is evaluated with the frozen-classifier offset captured at the
     unperturbed parameters, matching its constant treatment in the analytic
-    backward pass. ``corrupt_group`` perturbs one analytic gradient group,
-    which must make the check fail (negative control for tests).
+    backward pass.
     """
     params = collect_trainable(model, aux_weights)
     _, analytic, z0 = gradient_step(
         model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode
     )
     offset0 = z0 @ frozen_weights
-    if corrupt_group is not None:
-        if corrupt_group not in analytic:
-            raise ValueError(f"no gradient group named {corrupt_group!r}")
-        analytic[corrupt_group] *= 1.5
-        analytic[corrupt_group].ravel()[0] += 1e-3
 
     def loss_at(key: str, flat: np.ndarray) -> float:
         saved = params[key].copy()

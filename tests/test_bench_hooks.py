@@ -21,26 +21,26 @@ import pytest
 from noisemix import experiment
 from noisemix.config import RunConfig, apply_overrides
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-CHILD_PATH = TRACER_PATH.parent / "child.py"
-WORKLOADS = [w["name"] for w in json.loads((TRACER_PATH.parent.parent / "BENCHMARK.json").read_text())["workloads"]]
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
+WORKLOADS = [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_bench(stem):
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH_DIR / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_resolve():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     for module, attr, _ in tracer.FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"noisemix.{module}"), attr, None)), (module, attr)
 
 
 def test_traced_methods_resolve():
-    tracer = load_tracer()
+    tracer = load_bench("tracer")
     for module, cls_name, attr, _ in tracer.METHODS:
         cls = getattr(importlib.import_module(f"noisemix.{module}"), cls_name, None)
         assert cls is not None, (module, cls_name)
@@ -50,16 +50,23 @@ def test_traced_methods_resolve():
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_workload_configs_validate(workload, tmp_path, monkeypatch):
     # child.py imports its sibling as ``tracer``; that name is given the loaded file for this test only
-    monkeypatch.setitem(sys.modules, "tracer", load_tracer())
-    spec = importlib.util.spec_from_file_location("bench_child", CHILD_PATH)
-    child = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(child)
+    monkeypatch.setitem(sys.modules, "tracer", load_bench("tracer"))
+    child = load_bench("child")
     cfg = apply_overrides(RunConfig(), child.overrides(workload, 1, str(tmp_path / "embedding.csv")))
     cfg.validate()
     if workload in ("desk", "wide-buffer"):
         stream = experiment.build_stream(cfg)
         model = experiment.build_run_model(cfg, stream.feature_dim)
         assert model.classifier.feature_dim == cfg.backbone.buffer_size
+
+
+def test_benchmark_negative_controls_hold(tmp_path, monkeypatch):
+    # selftest.py imports its siblings by bare name and puts src/ on sys.path; both are undone after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for stem in ("checks", "gen_embedding"):
+        monkeypatch.setitem(sys.modules, stem, load_bench(stem))
+    selftest = load_bench("selftest")
+    assert selftest.ridge_controls(16, 5) + selftest.ridge_controls(4, 7) + selftest.coverage_controls(tmp_path) == []
 
 
 def tiny_cfg():

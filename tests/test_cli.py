@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from noisemix import cli, experiment
+from noisemix import cli, experiment, trainer
 from noisemix.cli import main
 from noisemix.pinoise import MixtureStrategy
 
@@ -18,6 +18,9 @@ FAST = [
     "--set", "backbone.buffer_size=128",
     "--set", "train.epochs=2",
 ]
+
+# every artifact of a run that a resumed run must reproduce byte for byte
+RESUMED_ARTIFACTS = ("accuracy.csv", "summary.json", "accuracy.svg", "train_log.csv", "checkpoint.nmcp", "run.json")
 
 
 def run_cli(*args, capsys=None):
@@ -77,6 +80,32 @@ class TestTrain:
         assert rc == 0
         for name in ("accuracy.csv", "summary.json", "train_log.csv"):
             assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "part" / name).read_bytes()
+
+    @pytest.mark.parametrize("resumes", [["fresh"], ["part", "part"]], ids=["fresh-dir", "twice"])
+    def test_resume_anywhere_matches_uninterrupted(self, tmp_path, resumes):
+        run_cli("train", *FAST, "--out", str(tmp_path / "full"))
+        run_cli("train", *FAST, "--out", str(tmp_path / "part"), "--stop-after", "2")
+        saved = tmp_path / "session2.nmcp"
+        saved.write_bytes((tmp_path / "part" / "checkpoint.nmcp").read_bytes())
+        for out in resumes:
+            assert run_cli("train", *FAST, "--out", str(tmp_path / out), "--resume", str(saved)) == 0
+        for name in RESUMED_ARTIFACTS:
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / resumes[-1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "command", [["ablate"], ["train", "--class-seeds", "1", "2"]], ids=["ablate", "train-class-seeds"]
+    )
+    def test_unreadable_embedding_leaves_no_directory(self, tmp_path, capsys, command):
+        rc = run_cli(
+            *command, *FAST,
+            "--set", "data.source=embedding",
+            "--set", f"data.embedding_path={tmp_path / 'missing.csv'}",
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_resume_rejects_other_config(self, tmp_path, capsys):
         run_cli("train", *FAST, "--out", str(tmp_path / "a"), "--stop-after", "1")
@@ -174,6 +203,7 @@ class TestTrain:
         )
         assert rc == 2
         assert "numerical" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "boom").exists()
 
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -324,8 +354,18 @@ class TestGradcheckAndSnapshot:
         assert run_cli("gradcheck", "--set", f"pinoise.strategy={strategy}") == 0
         assert "gradcheck: PASS" in capsys.readouterr().out
 
-    def test_gradcheck_corruption_fails(self, capsys):
-        rc = run_cli("gradcheck", "--corrupt", "aux")
+    def test_gradcheck_corruption_fails(self, capsys, monkeypatch):
+        # perturb the analytic "aux" gradient; the finite differences never call gradient_step
+        real = trainer.gradient_step
+
+        def corrupted(*args, **kwargs):
+            loss, grads, z = real(*args, **kwargs)
+            grads["aux"] = grads["aux"] * 1.5
+            grads["aux"].ravel()[0] += 1e-3
+            return loss, grads, z
+
+        monkeypatch.setattr(trainer, "gradient_step", corrupted)
+        rc = run_cli("gradcheck")
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
