@@ -27,13 +27,14 @@ from .config import (
 from .experiment import (
     ABLATION_VARIANTS,
     SWEEP_PARAMETERS,
-    build_run_model,
     build_stream,
+    restore,
     run_ablation,
     run_multi_seed,
     run_sweep,
     run_training,
 )
+from .model import build_model
 from .numeric import NumericalError
 from .report import evaluate
 from .trainer import gradient_check, make_gradcheck_instance
@@ -131,10 +132,8 @@ def cmd_eval(args) -> int:
     cfg = load_config_file(run_dir / "config.resolved")
     cfg.validate()
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
-    meta = ckpt.load_into(model, run_dir / "checkpoint.nmcp")
-    if meta["config_hash"] != config_hash(cfg):
-        raise ckpt.CheckpointError("checkpoint was written by a different configuration")
+    model = build_model(cfg, stream.feature_dim)
+    restore(model, stream, cfg, run_dir / "checkpoint.nmcp")
     report = evaluate(model, stream, model.sessions_completed)
     print(
         f"sessions={model.sessions_completed} accuracy={100.0 * report.accuracy_seen:.2f}% "
@@ -192,7 +191,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_snapshot(args) -> int:
     cfg = _load_config(args)
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     digest = model.frozen_param_hash()
     print(f"config {config_hash(cfg)}")
     print(f"frozen {digest}")

@@ -47,27 +47,33 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     )
 
 
-def build_run_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
-    p, b = cfg.pinoise, cfg.backbone
-    return build_model(
-        input_dim=input_dim,
-        feature_dim=b.feature_dim,
-        depth=b.depth,
-        gain=b.gain,
-        buffer_size=b.buffer_size,
-        latent_dim=p.latent_dim,
-        regularization=cfg.classifier.regularization,
-        seed=b.seed,
-        with_noise=p.enabled,
-        strategy=MixtureStrategy.from_string(p.strategy),
-        shared_mix_weights=p.shared_omega,
-        stochastic_eval=p.stochastic_eval,
-    )
+def restore(
+    model: ContinualModel, stream: TaskStream, cfg: RunConfig, path: str | Path
+) -> list[SessionReport]:
+    """Load the checkpoint at ``path`` into ``model``, a fresh build of ``cfg``
+    for ``stream``, and return its session reports.
+
+    The checkpoint must have been written under ``cfg``, hold one history
+    report per completed session, and have completed no more sessions than
+    ``stream`` has tasks.
+    """
+    meta = ckpt.load_into(model, path)
+    if meta["config_hash"] != config_hash(cfg):
+        raise ckpt.CheckpointError("checkpoint was written by a different configuration")
+    reports = ckpt.load_history(path)
+    if len(reports) != model.sessions_completed:
+        raise ckpt.CheckpointError("checkpoint history does not match completed sessions")
+    if model.sessions_completed > stream.num_tasks:
+        raise ckpt.CheckpointError(
+            f"checkpoint completed {model.sessions_completed} sessions, "
+            f"but the stream has {stream.num_tasks} tasks"
+        )
+    return reports
 
 
 def run_training(
     cfg: RunConfig,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     resume_path: str | Path | None = None,
     stop_after: int | None = None,
 ) -> RunSummary:
@@ -82,26 +88,17 @@ def run_training(
     """
     cfg.validate()
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     hash_ = config_hash(cfg)
-
-    start_task = 1
-    earlier_reports = []
-    if resume_path is not None:
-        meta = ckpt.load_into(model, resume_path)
-        if meta["config_hash"] != hash_:
-            raise ckpt.CheckpointError("checkpoint was written by a different configuration")
-        earlier_reports = ckpt.load_history(resume_path)
-        start_task = model.sessions_completed + 1
-        if len(earlier_reports) != model.sessions_completed:
-            raise ckpt.CheckpointError("checkpoint history does not match completed sessions")
+    earlier_reports = [] if resume_path is None else restore(model, stream, cfg, resume_path)
+    start_task = model.sessions_completed + 1
 
     last_task = stream.num_tasks if stop_after is None else min(stop_after, stream.num_tasks)
     if stop_after is not None and last_task < start_task:
         raise ConfigError(f"--stop-after {stop_after} leaves no session to run: the next one is {start_task}")
     reports = earlier_reports + _run_sessions(model, stream, cfg, start_task, last_task)
     summary = summarize(reports, hash_)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out = Path(out_dir)
     emit(summary, out)
     t = cfg.train
     log = [
@@ -137,7 +134,7 @@ def _run_sessions(
 
 def _run_stream(cfg: RunConfig, stream: TaskStream) -> RunSummary:
     """Every session of ``stream`` on a fresh model of ``cfg``, no artifacts."""
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     return summarize(_run_sessions(model, stream, cfg, 1, stream.num_tasks), config_hash(cfg))
 
 
@@ -183,7 +180,8 @@ def run_ablation(
     cfg: RunConfig,
     variants: list[str] | None = None,
     class_seeds: list[int] | None = None,
-    out_dir: str | Path | None = None,
+    *,
+    out_dir: str | Path,
 ) -> list[dict]:
     """Run every variant on one stream per class-order seed and emit a comparative CSV.
 
@@ -199,7 +197,7 @@ def run_ablation(
     _require_distinct("variants", variants)
     _require_distinct("class seeds", seeds)
     plan = [_variant_config(cfg, variant) for variant in variants]
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out = Path(out_dir)
 
     summaries = {variant: [] for variant in variants}
     for seed in seeds:
@@ -239,7 +237,7 @@ def run_sweep(
     cfg: RunConfig,
     parameter: str,
     values: list[float],
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> list[dict]:
     """One full run per value of a single hyperparameter, all on one stream.
 
@@ -261,7 +259,7 @@ def run_sweep(
         vcfg.validate()
         configs.append((value, vcfg))
     stream = build_stream(cfg)  # no sweep parameter is a data.* key
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out = Path(out_dir)
 
     rows = []
     for value, vcfg in configs:
@@ -289,15 +287,13 @@ def run_sweep(
     return rows
 
 
-def run_multi_seed(
-    cfg: RunConfig, class_seeds: list[int], out_dir: str | Path | None = None
-) -> dict:
+def run_multi_seed(cfg: RunConfig, class_seeds: list[int], out_dir: str | Path) -> dict:
     """Independent full runs over class-order seeds, aggregated mean and std."""
     cfg.validate()
     if not class_seeds:
         raise ValueError("need at least one seed")
     _require_distinct("class seeds", class_seeds)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    out = Path(out_dir)
     summaries = [run_training(_with_class_seed(cfg, seed), out_dir=out / f"seed_{seed}") for seed in class_seeds]
     agg = {"seeds": class_seeds, **_pct_stats(summaries)}
     rows = [

@@ -10,6 +10,7 @@ import numpy as np
 
 from .backbone import Backbone, BufferExpansion, build_backbone, build_buffer
 from .classifier import RidgeClassifier
+from .config import RunConfig
 from .numeric import SeededRng, as_matrix, derive_seed, require_finite
 from .pinoise import LayerCache, MixtureStrategy, PiNoiseLayer, build_layer, run_layer
 
@@ -100,38 +101,24 @@ class ContinualModel:
         return h.hexdigest()
 
 
-def build_model(
-    input_dim: int,
-    feature_dim: int,
-    depth: int,
-    gain: float,
-    buffer_size: int,
-    latent_dim: int,
-    regularization: float,
-    seed: int,
-    with_noise: bool = True,
-    strategy: MixtureStrategy = MixtureStrategy.LEARNED_OMEGA,
-    shared_mix_weights: bool = False,
-    stochastic_eval: bool = False,
-) -> ContinualModel:
-    backbone = build_backbone(input_dim, feature_dim, depth, gain, seed)
-    buffer = build_buffer(feature_dim, buffer_size, seed)
+def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
+    """A fresh model of the ``backbone``, ``pinoise`` and ``classifier`` sections of ``cfg``."""
+    b, p = cfg.backbone, cfg.pinoise
     layers = None
-    if with_noise:
+    if p.enabled:
         layers = [
-            build_layer(feature_dim, latent_dim, l, SeededRng(derive_seed(seed, "pinoise", l)))
-            for l in range(depth)
+            build_layer(b.feature_dim, p.latent_dim, l, SeededRng(derive_seed(b.seed, "pinoise", l)))
+            for l in range(b.depth)
         ]
-    classifier = RidgeClassifier(buffer_size, regularization)
     return ContinualModel(
-        backbone=backbone,
-        buffer=buffer,
+        backbone=build_backbone(input_dim, b.feature_dim, b.depth, b.gain, b.seed),
+        buffer=build_buffer(b.feature_dim, b.buffer_size, b.seed),
         layers=layers,
-        classifier=classifier,
-        strategy=strategy,
-        shared_mix_weights=shared_mix_weights,
-        stochastic_eval=stochastic_eval,
-        eval_seed=derive_seed(seed, "eval"),
+        classifier=RidgeClassifier(b.buffer_size, cfg.classifier.regularization),
+        strategy=MixtureStrategy.from_string(p.strategy),
+        shared_mix_weights=p.shared_omega,
+        stochastic_eval=p.stochastic_eval,
+        eval_seed=derive_seed(b.seed, "eval"),
     )
 
 

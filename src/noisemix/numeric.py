@@ -105,8 +105,6 @@ class SeededRng:
     are single-owner: share seeds via :meth:`split`, never the object.
     """
 
-    algorithm = "splitmix64/box-muller"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._state = self.seed

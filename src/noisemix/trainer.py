@@ -361,8 +361,6 @@ class GradcheckGroup:
 @dataclass
 class GradcheckReport:
     groups: list[GradcheckGroup] = field(default_factory=list)
-    tolerance: float = 1e-4
-    floor: float = 1e-7
 
     @property
     def passed(self) -> bool:
@@ -390,7 +388,7 @@ def make_gradcheck_instance(
     num_classes: int = 4,
     num_tasks: int = 2,
     seed: int = 11,
-    strategy: str | MixtureStrategy = MixtureStrategy.LEARNED_OMEGA,
+    strategy: str = MixtureStrategy.LEARNED_OMEGA.value,
 ):
     """Small multi-task state with full-scale random parameters on every path.
 
@@ -400,19 +398,13 @@ def make_gradcheck_instance(
     accumulating into them), one trainable generator per layer, random mix
     weights, a nonzero auxiliary classifier, and fixed noise draws.
     """
-    if isinstance(strategy, str):
-        strategy = MixtureStrategy.from_string(strategy)
-    model = build_model(
-        input_dim=input_dim,
-        feature_dim=feature_dim,
-        depth=depth,
-        gain=0.5,
-        buffer_size=max(buffer_size, feature_dim),
-        latent_dim=latent_dim,
-        regularization=10.0,
-        seed=seed,
-        strategy=strategy,
-    )
+    cfg = RunConfig()
+    b = cfg.backbone
+    b.feature_dim, b.depth, b.gain, b.seed = feature_dim, depth, 0.5, seed
+    b.buffer_size = max(buffer_size, feature_dim)
+    cfg.pinoise.latent_dim, cfg.pinoise.strategy = latent_dim, strategy
+    cfg.classifier.regularization = 10.0
+    model = build_model(cfg, input_dim)
     rng = SeededRng(derive_seed(seed, "gradcheck"))
     scale = 1.0 / np.sqrt(latent_dim)
     for layer in model.layers:
@@ -436,7 +428,7 @@ def make_gradcheck_instance(
     aux = rng.standard_normal(model.buffer.width, num_classes) * 0.05
     eps = [rng.standard_normal(batch, latent_dim) for _ in model.layers]
     picks = None
-    if strategy is MixtureStrategy.RANDOM_TASK:
+    if model.strategy is MixtureStrategy.RANDOM_TASK:
         picks = [rng.integer(num_tasks) for _ in model.layers]
     return model, aux, x, targets, frozen_weights, eps, picks
 
@@ -477,7 +469,7 @@ def gradient_check(
         finally:
             params[key][...] = saved
 
-    report = GradcheckReport(tolerance=tolerance, floor=floor)
+    report = GradcheckReport()
     for key in sorted(params):
         fd = finite_difference_gradient(
             lambda flat, key=key: loss_at(key, flat), params[key].ravel(), fd_epsilon

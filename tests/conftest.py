@@ -15,6 +15,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from noisemix.config import RunConfig  # noqa: E402  (needs SRC on the path)
+
+
+def model_config(feature_dim, depth, buffer_size, latent_dim, regularization, seed, **pinoise) -> RunConfig:
+    """A default config with these model-level keys; ``pinoise`` sets ``pinoise.*`` keys by name."""
+    cfg = RunConfig()
+    b = cfg.backbone
+    b.feature_dim, b.depth, b.buffer_size, b.seed = feature_dim, depth, buffer_size, seed
+    cfg.pinoise.latent_dim = latent_dim
+    cfg.classifier.regularization = regularization
+    for key, value in pinoise.items():
+        setattr(cfg.pinoise, key, value)
+    return cfg
+
 
 @pytest.fixture
 def traced_peak():

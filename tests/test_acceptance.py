@@ -11,12 +11,12 @@ import noisemix.trainer as trainer_mod
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
 from noisemix.experiment import (
-    build_run_model,
     build_stream,
     run_ablation,
     run_sweep,
     run_training,
 )
+from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve, softmax
 from noisemix.pinoise import init_mix_weights
 from noisemix.trainer import gradient_check, make_gradcheck_instance, run_session
@@ -47,7 +47,7 @@ def default_cfg(**sets):
 
 def full_run(cfg):
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     reports = []
     for t in range(1, stream.num_tasks + 1):
         rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
@@ -122,7 +122,7 @@ def test_zero_noise_reduction():
 def test_freeze_invariants():
     cfg = default_cfg()
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
 
     backbone_bytes = model.frozen_param_hash()
     projection_bytes = [layer.frozen_bytes() for layer in model.layers]
@@ -175,7 +175,7 @@ def test_no_forgetting_at_separability():
     last = reports[-1].accuracy_seen
 
     base_cfg = default_cfg(pinoise__enabled=False)
-    oracle_model = build_run_model(base_cfg, stream.feature_dim)
+    oracle_model = build_model(base_cfg, stream.feature_dim)
     xs, ys = [], []
     for task in stream.tasks:
         x, y = task.train_arrays()

@@ -1,25 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import model_config
 from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
 from noisemix.classifier import RidgeClassifier
+from noisemix.config import set_key
 from noisemix.model import ContinualModel, build_model, draw_epoch_noise, draw_noise, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
 from noisemix.pinoise import MixtureStrategy, init_mix_weights, new_generator
 
 
 def small_model(with_noise=True, seed=3):
-    return build_model(
-        input_dim=12,
-        feature_dim=24,
-        depth=3,
-        gain=0.5,
-        buffer_size=48,
-        latent_dim=6,
-        regularization=10.0,
-        seed=seed,
-        with_noise=with_noise,
-    )
+    return build_model(model_config(24, 3, 48, 6, 10.0, seed, enabled=with_noise), 12)
 
 
 class TestConstruction:
@@ -38,6 +30,35 @@ class TestConstruction:
         bb2 = build_backbone(10, 16, 2, 0.5, 1)
         assert np.array_equal(bb1.adapter, bb2.adapter)
         assert not np.array_equal(bb1.blocks[0].weight, bb1.blocks[1].weight)
+
+
+# each model-level key with a value apart from model_config's, and what the
+# value must do to the built model; None: it changes the frozen parameters
+MODEL_KEYS = [
+    ("backbone.depth", "2", None),
+    ("backbone.feature_dim", "16", None),
+    ("backbone.gain", "0.25", None),
+    ("backbone.buffer_size", "64", None),
+    ("backbone.seed", "8", None),
+    ("pinoise.enabled", "false", lambda m: m.layers is None),
+    ("pinoise.latent_dim", "5", lambda m: [layer.latent_dim for layer in m.layers] == [5, 5, 5]),
+    ("classifier.regularization", "2.5", lambda m: m.classifier.regularization == 2.5),
+    ("pinoise.strategy", "average", lambda m: m.strategy is MixtureStrategy.AVERAGE),
+    ("pinoise.shared_omega", "true", lambda m: m.shared_mix_weights),
+    ("pinoise.stochastic_eval", "true", lambda m: m.stochastic_eval),
+]
+
+
+@pytest.mark.parametrize("key, value, holds", MODEL_KEYS, ids=[key for key, _, _ in MODEL_KEYS])
+def test_build_model_honours_every_model_level_key(key, value, holds):
+    cfg = model_config(24, 3, 48, 6, 10.0, 3)
+    before = build_model(cfg, 12)
+    set_key(cfg, key, value)
+    model = build_model(cfg, 12)
+    if holds is None:
+        assert model.frozen_param_hash() != before.frozen_param_hash()
+    else:
+        assert holds(model) and not holds(before)
 
 
 class TestForward:
@@ -64,17 +85,7 @@ class TestForward:
     def test_golden_snapshot(self):
         # values generated once from this implementation and pinned; the rng
         # is version-independent so these must never drift
-        model = build_model(
-            input_dim=32,
-            feature_dim=64,
-            depth=4,
-            gain=0.5,
-            buffer_size=128,
-            latent_dim=16,
-            regularization=100.0,
-            seed=7,
-            with_noise=False,
-        )
+        model = build_model(model_config(64, 4, 128, 16, 100.0, 7, enabled=False), 32)
         x = SeededRng(123).standard_normal(4, 32)
         z, pre, _ = forward_pass(model, x)
         assert float(z.mean()) == pytest.approx(3.6249102681634393, abs=1e-9)

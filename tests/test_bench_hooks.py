@@ -20,6 +20,7 @@ import pytest
 
 from noisemix import experiment
 from noisemix.config import RunConfig, apply_overrides
+from noisemix.model import build_model
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 TRACER_PATH = BENCH_DIR / "tracer.py"
@@ -56,7 +57,7 @@ def test_benchmark_workload_configs_validate(workload, tmp_path, monkeypatch):
     cfg.validate()
     if workload in ("desk", "wide-buffer"):
         stream = experiment.build_stream(cfg)
-        model = experiment.build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         assert model.classifier.feature_dim == cfg.backbone.buffer_size
 
 
@@ -139,3 +140,18 @@ def test_a_traced_training_run_reaches_every_training_probe(tmp_path):
     assert {name: metrics[name] for name in probes if not metrics[name] > 0} == {}
     # two sessions, each one commit over its 16 training rows (8 per class)
     assert metrics["classifier.update_calls"] == 2 and metrics["classifier.update_rows"] == 32
+
+
+def test_the_benchmark_child_runs_the_desk_workload(tmp_path):
+    # the package details the child relies on (features' eval_mode, layers None as the
+    # baseline marker, the classifier's gram_inv, run_session looked up at call time)
+    result = tmp_path / "result.json"
+    done = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "child.py"), "--workload", "desk", "--seed", "1",
+         "--out", str(tmp_path / "run"), "--result", str(result)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    outcome = json.loads(result.read_text())
+    assert outcome["failures"] == [] and outcome["attempted"] == 5
+    assert outcome["ridge_rel_error"] < 1e-8

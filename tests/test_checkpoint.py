@@ -17,7 +17,8 @@ from noisemix.checkpoint import (
 )
 from noisemix.cli import main
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream, run_training
+from noisemix.experiment import build_stream, run_training
+from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.pinoise import NoiseGenerator
 from noisemix.trainer import run_session
@@ -59,7 +60,7 @@ def handmade_model(cfg):
     """A tiny_cfg model whose mutable state comes from uniform draws and exact
     elementwise arithmetic, so its bytes do not depend on BLAS."""
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     rng = SeededRng(5)
 
     def draw(*shape):
@@ -83,7 +84,7 @@ def handmade_model(cfg):
 
 def trained_model(cfg):
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     reports = []
     for t in range(1, 3):
         reports.append(
@@ -152,7 +153,7 @@ class TestModelCheckpoint:
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "deadbeef", cfg.train.seed, 3, history=reports)
 
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         meta = load_into(fresh, path)
         assert meta["config_hash"] == "deadbeef"
         assert fresh.sessions_completed == 2
@@ -166,7 +167,7 @@ class TestModelCheckpoint:
         stream, model, _ = trained_model(cfg)
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3)
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         rng_a = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rng_b = SeededRng(derive_seed(cfg.train.seed, "session", 3))
@@ -182,7 +183,7 @@ class TestModelCheckpoint:
         save_checkpoint(path, model, "h", cfg.train.seed, 3)
         other_cfg = small_cfg()
         other_cfg.backbone.seed = 99
-        other = build_run_model(other_cfg, stream.feature_dim)
+        other = build_model(other_cfg, stream.feature_dim)
         with pytest.raises(CheckpointError, match="frozen"):
             load_into(other, path)
 
@@ -191,7 +192,7 @@ class TestModelCheckpoint:
         stream, model, _ = trained_model(cfg)
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "abc", cfg.train.seed, 3)
-        meta = load_into(build_run_model(cfg, stream.feature_dim), path)
+        meta = load_into(build_model(cfg, stream.feature_dim), path)
         assert meta["config_hash"] == "abc"
         assert meta["sessions_completed"] == 2
         assert meta["rng"]["train_seed"] == cfg.train.seed
@@ -205,7 +206,7 @@ class TestModelCheckpoint:
         del sections["meta"]
         write_container(path, sections)
         with pytest.raises(CheckpointError, match="meta"):
-            load_into(build_run_model(cfg, stream.feature_dim), path)
+            load_into(build_model(cfg, stream.feature_dim), path)
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -242,7 +243,7 @@ class TestModelCheckpoint:
         write_container(bad, sections)
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
-            load_into(build_run_model(cfg, stream.feature_dim), bad)
+            load_into(build_model(cfg, stream.feature_dim), bad)
         capsys.readouterr()
         config = str(tmp_path / "run" / "config.resolved")
         rc = main(["train", "--config", config, "--out", str(tmp_path / "resumed"), "--resume", str(bad)])
@@ -275,7 +276,7 @@ class TestModelCheckpoint:
         stream, model, reports = trained_model(cfg)
         path = tmp_path / "base.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         assert fresh.state_hash() == model.state_hash()
 
@@ -285,7 +286,7 @@ class TestModelCheckpoint:
         run_training(cfg, out_dir=tmp_path / "full")
         run_training(cfg, out_dir=tmp_path / "part", stop_after=2)
         path = tmp_path / "part" / "checkpoint.nmcp"
-        fresh = build_run_model(cfg, build_stream(cfg).feature_dim)
+        fresh = build_model(cfg, build_stream(cfg).feature_dim)
         load_into(fresh, path)
         omega = fresh.layers[0].mix_weights
         assert len(omega) == 2 and all(layer.mix_weights is omega for layer in fresh.layers)
@@ -312,7 +313,7 @@ class TestClassifierForms:
         assert model.classifier.rows.shape == (64, buffer_size)
         sections = read_container(path)
         assert "clf.rows" in sections and "clf.graminv" not in sections
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
         assert fresh.state_hash() == model.state_hash()
@@ -332,7 +333,7 @@ class TestClassifierForms:
         run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 4)
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         assert fresh.classifier.rows.shape == model.classifier.rows.shape == (96, 256)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
@@ -350,7 +351,7 @@ class TestClassifierForms:
         assert model.classifier.rows is None
         sections = read_container(path)
         assert "clf.graminv" in sections and "clf.rows" not in sections
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         assert fresh.classifier.rows is None and fresh.state_hash() == model.state_hash()
 
@@ -392,7 +393,7 @@ class TestClassifierForms:
                 sections["clf.graminv"] = read_container(tmp_path / "dense.nmcp")["clf.graminv"]
             write_container(path, sections)
         with pytest.raises(CheckpointError, match=named):
-            load_into(build_run_model(cfg, stream.feature_dim), path)
+            load_into(build_model(cfg, stream.feature_dim), path)
 
 
 class TestFormatPinned:
@@ -411,7 +412,7 @@ class TestFormatPinned:
     def test_reads_v1_fixture_and_writes_it_back_identically(self, tmp_path):
         cfg = tiny_cfg()
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         meta = load_into(model, V1_FIXTURE)
         assert meta["config_hash"] == "parent"
         assert model.sessions_completed == 2
@@ -449,7 +450,7 @@ class TestLoadMemory:
 
     def test_load_holds_the_inverse_once(self, tmp_path, traced_peak):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         peak = traced_peak(lambda: load_into(fresh, path))
         assert fresh.state_hash() == model.state_hash()
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
@@ -461,7 +462,7 @@ class TestLoadMemory:
 
     def test_loaded_inverse_is_downdated_in_place(self, tmp_path):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        fresh = build_run_model(cfg, stream.feature_dim)
+        fresh = build_model(cfg, stream.feature_dim)
         load_into(fresh, path)
         clf = fresh.classifier
         assert clf.gram_inv.flags.writeable and clf.gram_inv.flags.aligned
@@ -474,7 +475,7 @@ class TestLoadMemory:
         # a resumed run builds its model, whose inverse starts as eye(d) / lambda,
         # and then loads into it
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        peak = traced_peak(lambda: load_into(build_run_model(cfg, stream.feature_dim), path))
+        peak = traced_peak(lambda: load_into(build_model(cfg, stream.feature_dim), path))
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
     @pytest.mark.parametrize("row", [0, 700, 1023])
@@ -492,4 +493,4 @@ class TestLoadMemory:
             clf.gram_inv[row, row] = np.nan
         save_checkpoint(path, model, "h", cfg.train.seed, 3)
         with pytest.raises(CheckpointError, match="symmetry"):
-            load_into(build_run_model(cfg, stream.feature_dim), path)
+            load_into(build_model(cfg, stream.feature_dim), path)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from noisemix import cli, experiment, trainer
+from noisemix.checkpoint import read_container, write_container
 from noisemix.cli import main
 from noisemix.pinoise import MixtureStrategy
 
@@ -245,6 +247,45 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "different configuration" in captured.err
+
+
+class TestRestoreChecks:
+    """``eval --run`` and ``train --resume`` refuse the same checkpoints."""
+
+    BASELINE_2TASK = [*FAST, "--set", "pinoise.enabled=false", "--set", "data.tasks=2"]
+
+    @staticmethod
+    def rewrite(path, sessions, reports):
+        """The checkpoint claims ``sessions`` completed sessions and holds ``reports`` history entries."""
+        sections = read_container(path)
+        meta, history = json.loads(sections["meta"]), json.loads(sections["history"])
+        meta["sessions_completed"] = sessions
+        history = [dict(history[i % len(history)], task_index=i + 1) for i in range(reports)]
+        sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
+        sections["history"] = json.dumps(history, sort_keys=True).encode("utf-8")
+        write_container(path, sections)
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "sessions, reports, named",
+        [(7, 7, "completed 7 sessions, but the stream has 2 tasks"), (1, 2, "history")],
+        ids=["more-sessions-than-tasks", "history-longer-than-sessions"],
+    )
+    def test_refused_with_one_error_line(self, tmp_path, capsys, command, sessions, reports, named):
+        run_dir = tmp_path / "run"
+        assert run_cli("train", *self.BASELINE_2TASK, "--out", str(run_dir)) == 0
+        self.rewrite(run_dir / "checkpoint.nmcp", sessions, reports)
+        capsys.readouterr()
+        if command == "eval":
+            rc = run_cli("eval", "--run", str(run_dir))
+        else:
+            resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
+            rc = run_cli("train", *self.BASELINE_2TASK, "--out", str(tmp_path / "fresh"), *resume)
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestAblate:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import model_config
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
@@ -193,7 +194,7 @@ class TestMix:
 class TestApplyLayer:
     def test_no_generators_is_identity(self):
         def model(with_noise):
-            return build_model(12, 24, 3, 0.5, 48, 6, 10.0, seed=3, with_noise=with_noise)
+            return build_model(model_config(24, 3, 48, 6, 10.0, seed=3, enabled=with_noise), 12)
 
         x = SeededRng(1).standard_normal(4, 12)
         z_noise, pre_noise, tape = forward_pass(model(True), x, collect=True)
@@ -227,7 +228,7 @@ class TestApplyLayer:
         assert np.array_equal(out, single_generator_path(layer, layer.generators[0], feats, eps))
 
     def test_sampling_needs_rng(self):
-        model = build_model(12, 24, 3, 0.5, 48, 6, 10.0, seed=3)
+        model = build_model(model_config(24, 3, 48, 6, 10.0, seed=3), 12)
         for layer in model.layers:
             layer.generators.append(make_gen(6))
             layer.mix_weights = np.array([1.0])
@@ -355,7 +356,7 @@ class TestFreezeSemantics:
         assert float(np.abs(gen.mean_weight).max()) < 0.01
 
     def test_only_the_generator_past_the_session_count_trains(self):
-        model = build_model(12, 24, 2, 0.5, 48, 4, 10.0, seed=3, strategy=MixtureStrategy.AVERAGE)
+        model = build_model(model_config(24, 2, 48, 4, 10.0, seed=3, strategy=MixtureStrategy.AVERAGE.value), 12)
         for layer in model.layers:
             for t in range(2):
                 layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.001))
@@ -408,7 +409,7 @@ class TestGeneratorVector:
         from noisemix.checkpoint import load_into, save_checkpoint
 
         def model():
-            return build_model(6, 8, 2, 0.5, 16, 4, 1.0, seed=3)
+            return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
 
         saved = model()
         for layer in saved.layers:
@@ -463,7 +464,7 @@ class TestGeneratorBank:
         assert cache.bank is layer.generators.matrix
 
     def test_in_place_sgd_writes_the_bank(self):
-        model = build_model(12, 24, 2, 0.5, 48, 4, 10.0, seed=3)
+        model = build_model(model_config(24, 2, 48, 4, 10.0, seed=3), 12)
         for layer in model.layers:
             for t in range(2):
                 layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.5))
@@ -488,7 +489,7 @@ class TestGeneratorBank:
         from noisemix.checkpoint import load_into, save_checkpoint
 
         def model():
-            return build_model(6, 8, 2, 0.5, 16, 4, 1.0, seed=3)
+            return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
 
         saved = model()
         for layer in saved.layers:

@@ -4,7 +4,8 @@ import xml.dom.minidom
 import pytest
 
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream
+from noisemix.experiment import build_stream
+from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed
 from noisemix.report import (
     EVAL_BATCH,
@@ -29,7 +30,7 @@ def trained_setup(num_tasks=3):
     cfg.backbone.feature_dim = 32
     cfg.validate()
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     for t in range(1, num_tasks + 1):
         run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
     return stream, model

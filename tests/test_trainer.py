@@ -6,8 +6,8 @@ import pytest
 import noisemix.trainer as trainer_mod
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
-from noisemix.experiment import build_run_model, build_stream, trainable_param_count
-from noisemix.model import forward_pass
+from noisemix.experiment import build_stream, trainable_param_count
+from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve
 from noisemix.pinoise import MixtureStrategy
 from noisemix.trainer import (
@@ -39,7 +39,7 @@ def small_cfg(**data_overrides):
 
 def run_all_sessions(cfg):
     stream = build_stream(cfg)
-    model = build_run_model(cfg, stream.feature_dim)
+    model = build_model(cfg, stream.feature_dim)
     reports = []
     for t in range(1, stream.num_tasks + 1):
         rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
@@ -277,7 +277,7 @@ class TestSession:
     def test_first_task_reaches_train_accuracy(self):
         cfg = small_cfg()
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         rng = SeededRng(derive_seed(cfg.train.seed, "session", 1))
         run_session(model, stream, cfg, rng)
         x, y = stream.tasks[0].train_arrays()
@@ -304,7 +304,7 @@ class TestSession:
     def test_session_order_enforced(self):
         cfg = small_cfg()
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         model.sessions_completed = 99
         with pytest.raises(ValueError):
             run_session(model, stream, cfg, SeededRng(1))
@@ -329,9 +329,9 @@ class TestSession:
         cfg.train.epochs = 0
         cfg.pinoise.init_scale = 0.0
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
 
-        probe = build_run_model(cfg, stream.feature_dim)
+        probe = build_model(cfg, stream.feature_dim)
         x, y = stream.tasks[0].train_arrays()
         feats = probe.features(x, rng=SeededRng(0), eval_mode=True)
         probe.classifier.expand_classes(stream.tasks[0].class_set)
@@ -344,7 +344,7 @@ class TestSession:
     def test_frozen_state_bit_identical_across_later_sessions(self):
         cfg = small_cfg()
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         frozen_snapshots = {}
         backbone_hash = model.frozen_param_hash()
         for t in range(1, stream.num_tasks + 1):
@@ -381,7 +381,7 @@ class TestSession:
         cfg.pinoise.strategy = "random-task"
         cfg.pinoise.stochastic_eval = stochastic
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         feats, labels = [], []
         for t in (1, 2):
             session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
@@ -420,7 +420,7 @@ class TestSession:
         cfg.pinoise.strategy = strategy
         cfg.train.epochs = 1
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         for t in range(1, stream.num_tasks + 1):
             calls.clear()
             run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
@@ -460,7 +460,7 @@ class TestTrainableParamCount:
         cfg.pinoise.shared_omega = shared
         cfg.train.epochs = 0
         stream = build_stream(cfg)
-        model = build_run_model(cfg, stream.feature_dim)
+        model = build_model(cfg, stream.feature_dim)
         sizes = []
 
         def counted(model, aux):
