@@ -2,14 +2,12 @@
 
 Run as ``noisemix`` or ``python -m noisemix``. Subcommands: train, eval,
 ablate, sweep, gradcheck, snapshot. Exit code 0 on success, 1 on validation
-errors, 2 on numerical breakdown, 3 when memory runs out. The NOISEMIX_OUT
-environment variable supplies the root for relative output directories.
+errors, 2 on numerical breakdown, 3 when memory runs out.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -53,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--profile", choices=list(PROFILES), default="desk")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--out", help="output directory (relative paths go under NOISEMIX_OUT)")
+        p.add_argument("--out", help="output directory (default: the output_dir key)")
         p.add_argument("--print-config", action="store_true", help="dump the resolved config and exit")
 
     p_train = sub.add_parser("train", help="run all incremental sessions")
@@ -101,11 +99,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out) if getattr(args, "out", None) else Path(cfg.output_dir)
-    root = os.environ.get("NOISEMIX_OUT")
-    if root and not out.is_absolute():
-        out = Path(root) / out
-    return out
+    return Path(args.out or cfg.output_dir)
 
 
 def cmd_train(args) -> int:
@@ -181,7 +175,7 @@ def cmd_gradcheck(args) -> int:
         strategy=cfg.pinoise.strategy,
         seed=cfg.train.seed,
     )
-    report = gradient_check(*instance, loss_mode=cfg.train.loss_mode)
+    report = gradient_check(*instance)
     print(f"instance: {dims}")
     for line in report.lines():
         print(line)

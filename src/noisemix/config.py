@@ -15,8 +15,6 @@ from pathlib import Path
 
 from .pinoise import MixtureStrategy
 
-LOSS_MODES = ("residual-corrected-ce", "residual-mse")
-
 
 class ConfigError(ValueError):
     """Invalid configuration value or unknown key."""
@@ -66,7 +64,6 @@ class TrainSection:
     batch_size: int = 128
     lr_init: float = 0.001
     momentum: float = 0.9
-    loss_mode: str = "residual-corrected-ce"
     grad_clip: float = 10.0
     seed: int = 2024
 
@@ -107,7 +104,6 @@ class RunConfig:
             (t.batch_size >= 1, "train.batch_size must be positive"),
             (t.lr_init > 0, "train.lr_init must be positive"),
             (0 <= t.momentum < 1, "train.momentum must be in [0, 1)"),
-            (t.loss_mode in LOSS_MODES, f"train.loss_mode must be one of {LOSS_MODES}"),
             (t.grad_clip >= 0, "train.grad_clip must be non-negative"),
         ]
         for ok, message in checks:

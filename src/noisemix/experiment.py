@@ -1,4 +1,5 @@
-"""Experiment orchestration: full runs, ablations, sweeps, multi-seed batches."""
+"""Experiment orchestration: full runs, and ablations, sweeps and multi-seed
+batches as presets of one run planner."""
 
 from __future__ import annotations
 
@@ -81,15 +82,11 @@ def run_training(
 
     With ``resume_path`` the model state is restored from a checkpoint and
     training continues at the next session; ``stop_after`` halts early (the
-    checkpoint still gets written, so a later resume completes the run). Every
-    artifact is written after the sessions, whole: ``train_log.csv`` holds
-    every session's losses, the earlier ones from the checkpoint history, so
-    a resumed run writes the uninterrupted run's files in any directory.
+    checkpoint still gets written, so a later resume completes the run).
     """
     cfg.validate()
     stream = build_stream(cfg)
     model = build_model(cfg, stream.feature_dim)
-    hash_ = config_hash(cfg)
     earlier_reports = [] if resume_path is None else restore(model, stream, cfg, resume_path)
     start_task = model.sessions_completed + 1
 
@@ -97,6 +94,19 @@ def run_training(
     if stop_after is not None and last_task < start_task:
         raise ConfigError(f"--stop-after {stop_after} leaves no session to run: the next one is {start_task}")
     reports = earlier_reports + _run_sessions(model, stream, cfg, start_task, last_task)
+    return _write_run(out_dir, cfg, stream, model, reports)
+
+
+def _write_run(
+    out_dir: str | Path, cfg: RunConfig, stream: TaskStream, model: ContinualModel, reports: list[SessionReport]
+) -> RunSummary:
+    """Write every artifact of one run into ``out_dir``, whole, and return its summary.
+
+    ``train_log.csv`` holds every session's losses, a resumed run's earlier
+    ones from the checkpoint history, so a resumed run writes the
+    uninterrupted run's files in any directory.
+    """
+    hash_ = config_hash(cfg)
     summary = summarize(reports, hash_)
     out = Path(out_dir)
     emit(summary, out)
@@ -132,16 +142,38 @@ def _run_sessions(
     return reports
 
 
-def _run_stream(cfg: RunConfig, stream: TaskStream) -> RunSummary:
-    """Every session of ``stream`` on a fresh model of ``cfg``, no artifacts."""
-    model = build_model(cfg, stream.feature_dim)
-    return summarize(_run_sessions(model, stream, cfg, 1, stream.num_tasks), config_hash(cfg))
+def _plan(cells: list[tuple[object, RunConfig]], class_seeds: list[int], finish) -> list:
+    """Run every ``(label, config)`` cell once per class-order seed and return
+    ``finish(label, cfg, stream, model, reports)`` of each run, in run order.
 
-
-def _with_class_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    v = copy.deepcopy(cfg)
-    v.data.class_seed = seed
-    return v
+    Every run's config is made and validated before the first run starts.
+    Runs go seed-major, the cells in their order within a seed, each a fresh
+    model of its config over every task of its stream. Consecutive runs with
+    equal ``data`` sections share one stream. One stream and one model are
+    held at a time: a run's model is dropped once ``finish`` returns, so
+    ``finish`` must not keep it.
+    """
+    if not class_seeds:
+        raise ValueError("need at least one class seed")
+    _require_distinct("class seeds", class_seeds)
+    runs = []
+    for seed in class_seeds:
+        for label, cfg in cells:
+            run_cfg = copy.deepcopy(cfg)
+            run_cfg.data.class_seed = seed
+            runs.append((label, run_cfg.validate()))
+    # build_stream and build_model are looked up in this module at call time,
+    # so replaced ones are used
+    results, stream = [], None
+    for label, cfg in runs:
+        if stream is None or cfg.data != stream_data:
+            stream = None  # the previous stream is freed before the next is built
+            stream, stream_data = build_stream(cfg), cfg.data
+        model = build_model(cfg, stream.feature_dim)
+        reports = _run_sessions(model, stream, cfg, 1, stream.num_tasks)
+        results.append(finish(label, cfg, stream, model, reports))
+        del model  # and the run's model before the next run builds its own
+    return results
 
 
 def _require_distinct(what: str, values) -> None:
@@ -189,26 +221,23 @@ def run_ablation(
     table reports mean and sample standard deviation of both metrics. Every
     variant name is checked before the first run starts.
     """
-    cfg.validate()
     variants = list(variants) if variants else list(ABLATION_VARIANTS)
     if len(variants) < 2:
         raise ValueError("ablation needs at least 2 variants")
-    seeds = class_seeds or [cfg.data.class_seed]
     _require_distinct("variants", variants)
-    _require_distinct("class seeds", seeds)
-    plan = [_variant_config(cfg, variant) for variant in variants]
-    out = Path(out_dir)
+    seeds = class_seeds or [cfg.data.class_seed]
+    cells = [(variant, _variant_config(cfg, variant)) for variant in variants]
+
+    def summary(variant, vcfg, stream, model, reports):
+        return variant, summarize(reports, config_hash(vcfg))
 
     summaries = {variant: [] for variant in variants}
-    for seed in seeds:
-        seeded = [_with_class_seed(vcfg, seed) for vcfg in plan]
-        stream = build_stream(seeded[0])  # variants differ in pinoise.* only
-        for variant, vcfg in zip(variants, seeded):
-            summaries[variant].append(_run_stream(vcfg, stream))
+    for variant, run in _plan(cells, seeds, summary):
+        summaries[variant].append(run)
     rows = [{"variant": variant, "seeds": len(seeds), **_pct_stats(runs)} for variant, runs in summaries.items()]
 
     _write_csv(
-        out / "ablation.csv",
+        Path(out_dir) / "ablation.csv",
         "{variant},{seeds},{avg_pct_mean:.2f},{avg_pct_std:.2f},{last_pct_mean:.2f},{last_pct_std:.2f}",
         rows,
     )
@@ -251,29 +280,24 @@ def run_sweep(
     if integral and not all(float(v).is_integer() for v in values):
         raise ConfigError(f"sweep values of {parameter} must be integers, got {list(values)}")
     _require_distinct(f"sweep values of {parameter}", values)
-    cfg.validate()
-    configs = []
+    cells = []
     for value in values:
         vcfg = copy.deepcopy(cfg)
         set_key(vcfg, SWEEP_PARAMETERS[parameter], str(int(value)) if integral else str(value))
-        vcfg.validate()
-        configs.append((value, vcfg))
-    stream = build_stream(cfg)  # no sweep parameter is a data.* key
+        cells.append((value, vcfg))
+
+    def row(value, vcfg, stream, model, reports):
+        summary = summarize(reports, config_hash(vcfg))
+        return {
+            "parameter": parameter,
+            "value": value,
+            "avg_pct": 100.0 * summary.average_accuracy,
+            "last_pct": 100.0 * summary.last_accuracy,
+            "trainable_params": trainable_param_count(vcfg, stream),
+        }
+
+    rows = _plan(cells, [cfg.data.class_seed], row)  # no sweep parameter is a data.* key
     out = Path(out_dir)
-
-    rows = []
-    for value, vcfg in configs:
-        summary = _run_stream(vcfg, stream)
-        rows.append(
-            {
-                "parameter": parameter,
-                "value": value,
-                "avg_pct": 100.0 * summary.average_accuracy,
-                "last_pct": 100.0 * summary.last_accuracy,
-                "trainable_params": trainable_param_count(vcfg, stream),
-            }
-        )
-
     _write_csv(out / f"sweep_{parameter}.csv", "{parameter},{value},{avg_pct:.2f},{last_pct:.2f},{trainable_params}", rows)
     points = [(float(r["value"]), r["avg_pct"]) for r in rows]
     svg = render_line_chart(
@@ -288,13 +312,14 @@ def run_sweep(
 
 
 def run_multi_seed(cfg: RunConfig, class_seeds: list[int], out_dir: str | Path) -> dict:
-    """Independent full runs over class-order seeds, aggregated mean and std."""
-    cfg.validate()
-    if not class_seeds:
-        raise ValueError("need at least one seed")
-    _require_distinct("class seeds", class_seeds)
+    """Independent full runs over class-order seeds, each writing a single
+    run's artifacts into ``seed_<seed>/`` as it ends, aggregated mean and std."""
     out = Path(out_dir)
-    summaries = [run_training(_with_class_seed(cfg, seed), out_dir=out / f"seed_{seed}") for seed in class_seeds]
+
+    def write(_, scfg, stream, model, reports):
+        return _write_run(out / f"seed_{scfg.data.class_seed}", scfg, stream, model, reports)
+
+    summaries = _plan([("", cfg)], class_seeds, write)
     agg = {"seeds": class_seeds, **_pct_stats(summaries)}
     rows = [
         {"seed": seed, "avg_pct": 100.0 * s.average_accuracy, "last_pct": 100.0 * s.last_accuracy}

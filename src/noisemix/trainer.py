@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import LOSS_MODES, RunConfig
+from .config import RunConfig
 from .model import ContinualModel, ForwardTape, build_model, draw_epoch_noise, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient, softmax
 from .pinoise import (
@@ -95,35 +95,22 @@ def residual_loss_grads(
     features: np.ndarray,
     aux_weights: np.ndarray,
     targets: np.ndarray,
-    logit_offset: np.ndarray | None,
-    mode: str,
+    logit_offset: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients for the auxiliary weights and the features.
+    """Cross-entropy of the auxiliary logits on top of ``logit_offset``, plus
+    gradients for the auxiliary weights and the features.
 
     The offset term contributes no gradient (it is a captured constant), so
     the feature gradient flows only through the auxiliary product.
     """
-    if mode not in LOSS_MODES:
-        raise ValueError(f"loss mode must be one of {LOSS_MODES}")
     n = features.shape[0]
-    if targets.shape[0] != n or (logit_offset is not None and logit_offset.shape[0] != n):
+    if targets.shape[0] != n or logit_offset.shape[0] != n:
         raise ValueError("row mismatch in loss inputs")
-    pred = features @ aux_weights
-    if mode == "residual-corrected-ce":
-        logits = pred if logit_offset is None else pred + logit_offset
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError("non-finite logits in loss")
-        loss, d_logits = softmax_cross_entropy(logits, targets)
-        d_aux = features.T @ d_logits
-        d_features = d_logits @ aux_weights.T
-        return loss, d_aux, d_features
-    residual = targets if logit_offset is None else targets - logit_offset
-    diff = pred - residual
-    if not np.all(np.isfinite(diff)):
-        raise NumericalError("non-finite residual in loss")
-    loss = float(np.sum(diff * diff) / n)
-    d_pred = 2.0 * diff / n
-    return loss, features.T @ d_pred, d_pred @ aux_weights.T
+    logits = features @ aux_weights + logit_offset
+    if not np.all(np.isfinite(logits)):
+        raise NumericalError("non-finite logits in loss")
+    loss, d_logits = softmax_cross_entropy(logits, targets)
+    return loss, features.T @ d_logits, d_logits @ aux_weights.T
 
 
 def direct_ce_grads(
@@ -170,7 +157,7 @@ def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[st
     return params
 
 
-def _session_loss(z, params, targets, frozen_weights, loss_mode, offset=None):
+def _session_loss(z, params, targets, frozen_weights, offset=None):
     """Loss, auxiliary gradient (None without an auxiliary classifier) and
     feature gradient of the session objective on features ``z``.
 
@@ -183,11 +170,11 @@ def _session_loss(z, params, targets, frozen_weights, loss_mode, offset=None):
         return loss, None, d_z
     if offset is None:
         offset = z @ frozen_weights
-    return residual_loss_grads(z, params["aux"], targets, offset, loss_mode)
+    return residual_loss_grads(z, params["aux"], targets, offset)
 
 
 def gradient_step(
-    model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode, from_block0=False
+    model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, from_block0=False
 ):
     """Forward pass, loss and backward pass of one batch.
 
@@ -200,7 +187,7 @@ def gradient_step(
         model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True,
         from_block0=from_block0,
     )
-    loss, d_aux, d_z = _session_loss(z, params, targets, frozen_weights, loss_mode)
+    loss, d_aux, d_z = _session_loss(z, params, targets, frozen_weights)
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")
     grads = backward(model, tape, d_z, params)
@@ -339,8 +326,7 @@ def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng
         batch_losses = []
         for rows, (eps, picks) in zip(batches, noise):
             loss, grads, _ = gradient_step(
-                model, params, block0_out[rows], targets[rows], frozen_weights, eps, picks, train.loss_mode,
-                from_block0=True,
+                model, params, block0_out[rows], targets[rows], frozen_weights, eps, picks, from_block0=True
             )
             clip_gradients(grads, train.grad_clip)
             sgd_step(params, grads, velocity, lr, train.momentum)
@@ -441,7 +427,6 @@ def gradient_check(
     frozen_weights: np.ndarray,
     eps_per_layer,
     picks_per_layer=None,
-    loss_mode: str = "residual-corrected-ce",
     fd_epsilon: float = 1e-5,
     tolerance: float = 1e-4,
     floor: float = 1e-7,
@@ -453,9 +438,7 @@ def gradient_check(
     backward pass.
     """
     params = collect_trainable(model, aux_weights)
-    _, analytic, z0 = gradient_step(
-        model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, loss_mode
-    )
+    _, analytic, z0 = gradient_step(model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer)
     offset0 = z0 @ frozen_weights
 
     def loss_at(key: str, flat: np.ndarray) -> float:
@@ -465,7 +448,7 @@ def gradient_check(
             z, _, _ = forward_pass(
                 model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer
             )
-            return _session_loss(z, params, targets, frozen_weights, loss_mode, offset0)[0]
+            return _session_loss(z, params, targets, frozen_weights, offset0)[0]
         finally:
             params[key][...] = saved
 

@@ -102,6 +102,12 @@ def test_session_loops_call_the_module_global(entry, tmp_path, monkeypatch):
     assert calls == [1, 2, 1, 2]
 
 
+def test_ablation_rows_carry_the_keys_the_benchmark_child_reads(tmp_path):
+    rows = experiment.run_ablation(tiny_cfg(), ["baseline", "full"], out_dir=tmp_path)
+    assert [r["variant"] for r in rows] == ["baseline", "full"]
+    assert all(isinstance(r["avg_pct_mean"], float) and isinstance(r["last_pct_mean"], float) for r in rows)
+
+
 # Runs in a fresh interpreter: installing the tracer rebinds names in every
 # imported noisemix module, which must not leak into the rest of the suite.
 TRACED_RUN = """

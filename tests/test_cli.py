@@ -130,12 +130,6 @@ class TestTrain:
         assert "train.epochs = 2" in out
         assert not (tmp_path / "x").exists()
 
-    def test_output_root_env_honored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOISEMIX_OUT", str(tmp_path / "root"))
-        rc = run_cli("train", *FAST, "--out", "sub")
-        assert rc == 0
-        assert (tmp_path / "root" / "sub" / "accuracy.csv").exists()
-
     def test_multi_seed_batch(self, tmp_path, capsys):
         rc = run_cli(
             "train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "1993", "1994"
@@ -144,6 +138,14 @@ class TestTrain:
         assert (tmp_path / "ms" / "seeds.csv").exists()
         assert (tmp_path / "ms" / "seed_1993" / "accuracy.csv").exists()
         assert "±" in capsys.readouterr().out
+
+    def test_multi_seed_batch_writes_each_seed_as_a_single_run(self, tmp_path):
+        assert run_cli("train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "5", "6") == 0
+        assert run_cli("train", *FAST, "--out", str(tmp_path / "one"), "--set", "data.class_seed=5") == 0
+        artifacts = sorted([*RESUMED_ARTIFACTS, "config.resolved"])
+        assert sorted(p.name for p in (tmp_path / "ms" / "seed_5").iterdir()) == artifacts
+        for name in artifacts:
+            assert (tmp_path / "ms" / "seed_5" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
     @pytest.mark.parametrize("flags", [("--resume", "x.nmcp"), ("--stop-after", "1")])
     def test_multi_seed_batch_rejects_resume_and_stop_after(self, tmp_path, capsys, flags):

@@ -27,7 +27,6 @@ class TestValidation:
             ("pinoise.strategy", "bogus"),
             ("classifier.regularization", "0"),
             ("train.momentum", "1.5"),
-            ("train.loss_mode", "hinge"),
             ("backbone.buffer_size", "8"),
             ("data.source", "images"),
             ("train.epochs", "-1"),

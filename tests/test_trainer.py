@@ -105,17 +105,8 @@ class TestResidualLoss:
         z = SeededRng(1).standard_normal(6, 5)
         aux = np.zeros((5, 4))
         y = np.eye(4)[[0, 1, 2, 3, 0, 1]]
-        loss = residual_loss_grads(z, aux, y, np.zeros((6, 4)), "residual-corrected-ce")[0]
+        loss = residual_loss_grads(z, aux, y, np.zeros((6, 4)))[0]
         assert loss == pytest.approx(math.log(4), rel=1e-12)
-
-    def test_mse_exact_fit_is_zero(self):
-        rng = SeededRng(2)
-        z = rng.standard_normal(6, 10)
-        offset = rng.standard_normal(6, 3)
-        y = np.eye(3)[[0, 1, 2, 0, 1, 2]].astype(float)
-        aux = np.linalg.lstsq(z, y - offset, rcond=None)[0]
-        loss = residual_loss_grads(z, aux, y, offset, "residual-mse")[0]
-        assert loss < 1e-24
 
     def test_one_gradient_step_decreases_ce(self):
         rng = SeededRng(3)
@@ -123,21 +114,16 @@ class TestResidualLoss:
         y = np.eye(4)[[i % 4 for i in range(32)]].astype(float)
         offset = rng.standard_normal(32, 4) * 0.1
         aux = np.zeros((10, 4))
-        loss0, d_aux, _ = residual_loss_grads(z, aux, y, offset, "residual-corrected-ce")
+        loss0, d_aux, _ = residual_loss_grads(z, aux, y, offset)
         aux2 = aux - 0.01 * d_aux
-        loss1 = residual_loss_grads(z, aux2, y, offset, "residual-corrected-ce")[0]
+        loss1 = residual_loss_grads(z, aux2, y, offset)[0]
         assert loss1 < loss0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            residual_loss_grads(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), None, "nope")[0]
 
 
 class TestBackward:
-    @pytest.mark.parametrize("mode", ["residual-corrected-ce", "residual-mse"])
-    def test_matches_finite_differences(self, mode):
+    def test_matches_finite_differences(self):
         inst = make_gradcheck_instance()
-        report = gradient_check(*inst, loss_mode=mode)
+        report = gradient_check(*inst)
         assert report.passed, "\n".join(report.lines())
         assert all(g.max_rel_error < 1e-4 for g in report.groups)
 
@@ -146,7 +132,7 @@ class TestBackward:
     )
     def test_variant_strategies_match_finite_differences(self, strategy):
         inst = make_gradcheck_instance(strategy=strategy)
-        report = gradient_check(*inst, loss_mode="residual-corrected-ce")
+        report = gradient_check(*inst)
         assert report.passed, "\n".join(report.lines())
 
     def test_single_task_omega_gradient_matches_fd(self):
@@ -181,9 +167,7 @@ class TestBackward:
         model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
         params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
-        _, d_aux, d_z = residual_loss_grads(
-            z, aux, targets, z @ frozen_w, "residual-corrected-ce"
-        )
+        _, d_aux, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         frozen_before = [layer.generators[0].param_bytes() for layer in model.layers]
         grads = backward(model, tape, d_z, params)
         grads["aux"] += d_aux
@@ -202,7 +186,7 @@ class TestBackward:
         model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance(num_tasks=k)
         params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
-        _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w, "residual-corrected-ce")
+        _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         grads = backward(model, tape, d_z, params)
         for l, layer in enumerate(model.layers):
             names = ("mean_w", "mean_b", "scale_w", "scale_b")
@@ -223,7 +207,7 @@ class TestBackward:
         wider = np.vstack([x, SeededRng(5).standard_normal(4, x.shape[1])])
         _, pre_noise, _ = forward_pass(model, wider, picks_per_layer=picks)
         rows = np.arange(6)[::-1]
-        args = (targets[rows], frozen_w, [e[rows] for e in eps], picks, "residual-corrected-ce")
+        args = (targets[rows], frozen_w, [e[rows] for e in eps], picks)
         loss, grads, z = gradient_step(model, params, x[rows], *args)
         loss0, grads0, z0 = gradient_step(model, params, pre_noise[0][rows], *args, from_block0=True)
         assert loss0 == pytest.approx(loss, rel=1e-12)
@@ -260,8 +244,7 @@ class TestBackward:
         _, pre_noise, _ = forward_pass(model, x, eps_per_layer=eps)
         peak = traced_peak(
             lambda: gradient_step(
-                model, params, pre_noise[0], targets, frozen_w, eps, picks, "residual-corrected-ce",
-                from_block0=True,
+                model, params, pre_noise[0], targets, frozen_w, eps, picks, from_block0=True
             )
         )
         assert peak < 3.0 * batch * width * 8, peak / (batch * width * 8)
