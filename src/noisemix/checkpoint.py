@@ -156,8 +156,9 @@ def save_checkpoint(
         "classes_seen": list(model.classifier.classes_seen),
         "regularization": model.classifier.regularization,
         "strategy": model.strategy.value,
-        "shared_omega": model.shared_mix_weights,
-        "stochastic_eval": model.stochastic_eval,
+        # kept so that format-v1 files stay as they were; never read
+        "shared_omega": False,
+        "stochastic_eval": False,
         "has_noise": model.has_noise,
         "num_layers": 0 if model.layers is None else len(model.layers),
         # session rngs derive from (train_seed, session index), so the seed
@@ -317,7 +318,6 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     if model.layers is not None:
         if meta["num_layers"] != len(model.layers):
             raise CheckpointError("layer count mismatch")
-        shared_first: np.ndarray | None = None
         for l, layer in enumerate(model.layers):
             prefix = f"L{l:02d}"
             layer.prototypes = []
@@ -325,13 +325,7 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
                 protos = _decode_array(sections, f"{prefix}.proto")
                 layer.prototypes = [protos[i] for i in range(protos.shape[0])]
             if f"{prefix}.omega" in sections:
-                omega = _decode_array(sections, f"{prefix}.omega")
-                if model.shared_mix_weights:
-                    if shared_first is None:
-                        shared_first = omega
-                    layer.mix_weights = shared_first
-                else:
-                    layer.mix_weights = omega
+                layer.mix_weights = _decode_array(sections, f"{prefix}.omega")
             generators = []
             for i in range(sessions):
                 gp = f"{prefix}.G{i:02d}"

@@ -1,7 +1,9 @@
 """Run configuration: dataclasses, flat key-value config files, hashing.
 
 Config files are flat ``key = value`` text (``#`` comments allowed); keys use
-dotted section names, e.g. ``train.epochs = 10``. Unknown keys are rejected.
+dotted section names, e.g. ``train.epochs = 10``. Unknown keys are rejected,
+and so is a string value holding ``#`` or a line break, which a config file
+could not hold.
 Command-line ``--set key=value`` overrides file values.
 """
 
@@ -20,7 +22,7 @@ class ConfigError(ValueError):
     """Invalid configuration value or unknown key."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DataConfig:
     source: str = "synthetic"  # synthetic | embedding
     embedding_path: str = ""
@@ -33,7 +35,7 @@ class DataConfig:
     class_seed: int = 1993
 
 
-@dataclass
+@dataclass(slots=True)
 class BackboneConfig:
     depth: int = 4
     feature_dim: int = 64
@@ -42,23 +44,21 @@ class BackboneConfig:
     seed: int = 7
 
 
-@dataclass
+@dataclass(slots=True)
 class PiNoiseConfig:
     enabled: bool = True
     latent_dim: int = 16
     tau: float = 2.0
     strategy: str = "learned-omega"
-    shared_omega: bool = False
-    stochastic_eval: bool = False
     init_scale: float = 0.0001
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassifierConfig:
     regularization: float = 100.0
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainSection:
     epochs: int = 10
     batch_size: int = 128
@@ -68,7 +68,7 @@ class TrainSection:
     seed: int = 2024
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
@@ -78,9 +78,12 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
-        for key, value in _section_items(self):
+        for key, value in [*_section_items(self), ("output_dir", self.output_dir)]:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+            # a config file ends a value at '#' or a line break, so it could not read it back
+            if isinstance(value, str) and ("#" in value or "".join(value.splitlines()) != value):
+                raise ConfigError(f"{key} must not hold '#' or a line break, got {value!r}")
         d, b, p, c, t = self.data, self.backbone, self.pinoise, self.classifier, self.train
         checks = [
             (d.source in ("synthetic", "embedding"), "data.source must be synthetic or embedding"),

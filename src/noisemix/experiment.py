@@ -258,7 +258,7 @@ def trainable_param_count(cfg: RunConfig, stream: TaskStream, task_index: int = 
     count = depth * 2 * p.latent_dim * (p.latent_dim + 1)
     if MixtureStrategy.from_string(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
         classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
-        count += task_index * (1 if p.shared_omega else depth) + cfg.backbone.buffer_size * classes
+        count += task_index * depth + cfg.backbone.buffer_size * classes
     return count
 
 

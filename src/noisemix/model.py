@@ -33,8 +33,6 @@ class ContinualModel:
     layers: list[PiNoiseLayer] | None  # None: plain analytic baseline
     classifier: RidgeClassifier
     strategy: MixtureStrategy = MixtureStrategy.LEARNED_OMEGA
-    shared_mix_weights: bool = False
-    stochastic_eval: bool = False
     sessions_completed: int = 0
     eval_seed: int = 0
 
@@ -52,17 +50,16 @@ class ContinualModel:
     ):
         """Expanded features for the classifier.
 
-        ``eval_mode`` follows the mean noise path unless stochastic
-        evaluation was requested; the sampling path and random-task picks
-        draw from ``rng``, per layer the draw first, then the pick. With
-        ``from_block0``, ``x`` is block 0's output for the rows (see
-        :func:`forward_pass`). Returns the feature matrix, plus the per-block
-        pre-noise outputs when ``collect_blocks`` is set.
+        ``eval_mode`` follows the mean noise path; otherwise the Gaussian
+        draws are sampled from ``rng``. Random-task picks draw from ``rng``
+        on both paths, in :func:`draw_noise`'s order. With ``from_block0``,
+        ``x`` is block 0's output for the rows (see :func:`forward_pass`).
+        Returns the feature matrix, plus the per-block pre-noise outputs
+        when ``collect_blocks`` is set.
         """
-        sample = (self.stochastic_eval if eval_mode else True)
-        if sample and rng is None:
+        if not eval_mode and rng is None:
             raise ValueError("sampling path needs an rng")
-        eps, picks = draw_noise(self, len(x), rng if sample else None, rng)
+        [(eps, picks)] = draw_noise(self, [len(x)], None if eval_mode else rng, rng)
         z, pre_noise, _ = forward_pass(
             self, x, eps_per_layer=eps, picks_per_layer=picks, from_block0=from_block0
         )
@@ -116,60 +113,42 @@ def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
         layers=layers,
         classifier=RidgeClassifier(b.buffer_size, cfg.classifier.regularization),
         strategy=MixtureStrategy.from_string(p.strategy),
-        shared_mix_weights=p.shared_omega,
-        stochastic_eval=p.stochastic_eval,
         eval_seed=derive_seed(b.seed, "eval"),
     )
 
 
 def draw_noise(
-    model: ContinualModel, rows: int, eps_rng: SeededRng | None, pick_rng: SeededRng | None
-) -> tuple[list[np.ndarray | None] | None, list[int | None] | None]:
-    """The noise draws of one forward pass over ``rows`` inputs.
+    model: ContinualModel, sizes: list[int], eps_rng: SeededRng | None, pick_rng: SeededRng | None
+) -> list[tuple[list[np.ndarray | None] | None, list[int | None] | None]]:
+    """The noise draws of consecutive forward passes over batches of ``sizes`` rows.
 
-    Layer by layer, for every layer that has generators: first its
-    ``rows x d2`` Gaussian draw from ``eps_rng`` (none, the mean path, when
-    ``eps_rng`` is None), then under random-task its picked task from
-    ``pick_rng``. Returns ``(eps_per_layer, picks_per_layer)`` for
-    :func:`forward_pass`.
+    Only layers with generators draw. For each run of equal batch sizes,
+    first the Gaussian draws of its batches from ``eps_rng``, in one
+    :meth:`SeededRng.standard_normal` call with one ``size x d2`` block per
+    batch and layer (none, the mean path, when ``eps_rng`` is None); then,
+    under random-task, batch by batch and layer by layer, the picked task
+    from ``pick_rng``. The layers share one latent width, as
+    :func:`build_model` makes them. Returns one ``(eps_per_layer,
+    picks_per_layer)`` per batch, for :func:`forward_pass`.
     """
     if model.layers is None:
-        return None, None
-    random_task = model.strategy is MixtureStrategy.RANDOM_TASK and pick_rng is not None
-    eps_per_layer, picks_per_layer = [], []
-    for layer in model.layers:
-        active = bool(layer.generators)
-        eps = eps_rng.standard_normal(rows, layer.latent_dim) if active and eps_rng is not None else None
-        eps_per_layer.append(eps)
-        picks_per_layer.append(pick_rng.integer(len(layer.generators)) if active and random_task else None)
-    return eps_per_layer, picks_per_layer
-
-
-def draw_epoch_noise(
-    model: ContinualModel, sizes: list[int], eps_rng: SeededRng, pick_rng: SeededRng
-) -> list[tuple[list[np.ndarray | None] | None, list[int | None] | None]]:
-    """The :func:`draw_noise` draws of consecutive batches of ``sizes`` rows.
-
-    The values and the final states of both rngs equal one :func:`draw_noise`
-    call per batch, in order. The Gaussian draws of each run of equal batch
-    sizes come from one :meth:`SeededRng.standard_normal` call with one block
-    per batch and layer, so an epoch whose last batch is short makes two.
-    ``eps_rng`` and ``pick_rng`` must be separate streams, some layer must
-    have generators (as in training), and the layers share one latent
-    width, as :func:`build_model` makes them.
-    """
-    if eps_rng is pick_rng:
-        raise ValueError("epoch draws need separate draw and pick streams")
+        return [(None, None)] * len(sizes)
     active = [l for l, layer in enumerate(model.layers) if layer.generators]
-    d2 = model.layers[active[0]].latent_dim
+    random_task = model.strategy is MixtureStrategy.RANDOM_TASK and pick_rng is not None
     batches = []
     for size, run in itertools.groupby(sizes):
         count = len(list(run))
-        draws = eps_rng.standard_normal(size, d2, blocks=count * len(active))
-        for batch in draws.reshape(count, len(active), size, d2):
-            eps, picks = draw_noise(model, size, None, pick_rng)
+        draws = [[None] * len(active)] * count  # the mean path
+        if eps_rng is not None and active:
+            d2 = model.layers[active[0]].latent_dim
+            draws = eps_rng.standard_normal(size, d2, blocks=count * len(active))
+            draws = draws.reshape(count, len(active), size, d2)
+        for batch in draws:
+            eps, picks = [None] * len(model.layers), [None] * len(model.layers)
             for l, eps_l in zip(active, batch):
                 eps[l] = eps_l
+                if random_task:
+                    picks[l] = pick_rng.integer(len(model.layers[l].generators))
             batches.append((eps, picks))
     return batches
 

@@ -35,10 +35,9 @@ class RunSummary:
 def evaluate(model, stream, upto_task: int) -> SessionReport:
     """Accuracy on the union of test sets of tasks 1..upto_task.
 
-    Deterministic: the mean noise path is used unless the model asked for
-    stochastic evaluation, in which case draws come from a seed derived from
-    the model's evaluation seed and the session index. Never mutates the
-    model.
+    Deterministic: the features follow the mean noise path, and random-task
+    picks come from a seed derived from the model's evaluation seed and the
+    session index. Never mutates the model.
     """
     if upto_task < 1 or upto_task > model.sessions_completed:
         raise ValueError(

@@ -18,7 +18,7 @@ A training step does only per-step work. Nothing before noise layer 0
 trains, so each step starts from block 0's output for its rows, which the
 session's trial pass computed and checked once; so does the pass that
 makes the features of the classifier commit. Each epoch's noise is drawn
-in one go (:func:`noisemix.model.draw_epoch_noise`). The newest generators
+in one go (:func:`noisemix.model.draw_noise`). The newest generators
 are row views of their layers' banks, so SGD on them writes the banks the
 next step mixes from. The backward pass writes each gradient once and
 reuses the feature gradient in place.
@@ -32,15 +32,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .model import ContinualModel, ForwardTape, build_model, draw_epoch_noise, forward_pass
-from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient, softmax
+from .model import ContinualModel, ForwardTape, build_model, draw_noise, forward_pass
+from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient
 from .pinoise import (
     MixtureStrategy,
     NoiseGenerator,
     compute_prototype,
     init_mix_weights,
     new_generator,
-    prototype_similarities,
 )
 from .report import SessionReport, evaluate
 
@@ -148,11 +147,8 @@ def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[st
         params[f"gen{l}.scale_w"] = gen.scale_weight
         params[f"gen{l}.scale_b"] = gen.scale_bias
     if model.strategy is MixtureStrategy.LEARNED_OMEGA:
-        if model.shared_mix_weights:
-            params["omega"] = model.layers[0].mix_weights
-        else:
-            for l, layer in enumerate(model.layers):
-                params[f"omega{l}"] = layer.mix_weights
+        for l, layer in enumerate(model.layers):
+            params[f"omega{l}"] = layer.mix_weights
         params["aux"] = aux_weights
     return params
 
@@ -237,12 +233,9 @@ def backward(
                 coeffs = (cache.c_mean[-1], cache.c_mean[-1], cache.c_scale[-1], cache.c_scale[-1])
                 for name, c, d in zip(("mean_w", "mean_b", "scale_w", "scale_b"), coeffs, d_gen):
                     grads[f"gen{l}.{name}"] = c * d
-            # omega is trainable only under learned-omega, where it is both c_mean and c_scale;
-            # shared weights sum the layers' gradients, top layer first
-            omega_key = "omega" if model.shared_mix_weights else f"omega{l}"
-            if omega_key in params:
-                d_omega = cache.bank @ np.concatenate([d.ravel() for d in d_gen])
-                grads[omega_key] = grads[omega_key] + d_omega if omega_key in grads else d_omega
+            # omega is trainable only under learned-omega, where it is both c_mean and c_scale
+            if f"omega{l}" in params:
+                grads[f"omega{l}"] = cache.bank @ np.concatenate([d.ravel() for d in d_gen])
             if l == lowest:
                 break
             d_r = d_r + d_h @ layer.down_proj.T
@@ -294,17 +287,12 @@ def run_session(
 
 def _grow_layers(model, pre_noise, pinoise, session_rng):
     """Give every layer the session's generator and prototype, then its mix
-    weights: the softmax of its prototype similarities, or with shared mix
-    weights one array, of the layers' mean similarities, held by all."""
-    sims = []
+    weights: the softmax of its prototype similarities."""
     for layer, block_feats in zip(model.layers, pre_noise):
         gen_rng = session_rng.split("generator", layer.layer_index)
         layer.generators.append(new_generator(layer.latent_dim, gen_rng, pinoise.init_scale))
         layer.prototypes.append(compute_prototype(layer, block_feats))
-        sims.append(prototype_similarities(layer.prototypes))
-    shared = softmax(sum(sims) / len(sims), pinoise.tau) if model.shared_mix_weights else None
-    for layer, s in zip(model.layers, sims):
-        layer.mix_weights = softmax(s, pinoise.tau) if shared is None else shared
+        layer.mix_weights = init_mix_weights(layer.prototypes, pinoise.tau)
 
 
 def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng):
@@ -320,7 +308,7 @@ def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng
         lr = cosine_lr(epoch, train.epochs, train.lr_init)
         order = session_rng.split("order", epoch).permutation(n)
         batches = [order[start : start + train.batch_size] for start in range(0, n, train.batch_size)]
-        noise = draw_epoch_noise(
+        noise = draw_noise(
             model, [len(rows) for rows in batches], session_rng.split("eps", epoch), session_rng.split("pick", epoch)
         )
         batch_losses = []

@@ -5,7 +5,7 @@ from conftest import model_config
 from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import set_key
-from noisemix.model import ContinualModel, build_model, draw_epoch_noise, draw_noise, forward_pass
+from noisemix.model import ContinualModel, build_model, draw_noise, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
 from noisemix.pinoise import MixtureStrategy, init_mix_weights, new_generator
 
@@ -44,8 +44,6 @@ MODEL_KEYS = [
     ("pinoise.latent_dim", "5", lambda m: [layer.latent_dim for layer in m.layers] == [5, 5, 5]),
     ("classifier.regularization", "2.5", lambda m: m.classifier.regularization == 2.5),
     ("pinoise.strategy", "average", lambda m: m.strategy is MixtureStrategy.AVERAGE),
-    ("pinoise.shared_omega", "true", lambda m: m.shared_mix_weights),
-    ("pinoise.stochastic_eval", "true", lambda m: m.stochastic_eval),
 ]
 
 
@@ -111,10 +109,9 @@ class TestForward:
         assert model.frozen_param_hash() == before
 
 
-class TestStochasticEval:
-    def noisy_model(self, stochastic):
+class TestFeatureNoisePaths:
+    def noisy_model(self):
         model = small_model()
-        model.stochastic_eval = stochastic
         for layer in model.layers:
             gen = new_generator(6, SeededRng(2), init_scale=0.5)
             layer.generators.append(gen)
@@ -123,22 +120,22 @@ class TestStochasticEval:
         return model
 
     def test_mean_path_ignores_rng(self):
-        model = self.noisy_model(stochastic=False)
+        model = self.noisy_model()
         x = SeededRng(5).standard_normal(4, 12)
         a = model.features(x, rng=SeededRng(1))
         b = model.features(x, rng=SeededRng(2))
         assert np.array_equal(a, b)
 
-    def test_stochastic_eval_samples_from_rng(self):
-        model = self.noisy_model(stochastic=True)
+    def test_sampling_path_draws_from_rng(self):
+        model = self.noisy_model()
         x = SeededRng(5).standard_normal(4, 12)
-        a = model.features(x, rng=SeededRng(1))
-        b = model.features(x, rng=SeededRng(2))
-        c = model.features(x, rng=SeededRng(1))
+        a = model.features(x, rng=SeededRng(1), eval_mode=False)
+        b = model.features(x, rng=SeededRng(2), eval_mode=False)
+        c = model.features(x, rng=SeededRng(1), eval_mode=False)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
         with pytest.raises(ValueError, match="rng"):
-            model.features(x)
+            model.features(x, eval_mode=False)
 
 
 class TestDrawNoise:
@@ -152,15 +149,15 @@ class TestDrawNoise:
                 layer.generators.append(new_generator(6, SeededRng(10 + t), init_scale=0.5))
         return model
 
-    def test_layer_by_layer_draw_then_pick(self):
+    def test_every_draw_then_every_pick_layer_by_layer(self):
         # the middle layer has no generators, so it draws nothing
         model = self.random_task_model([3, 0, 2])
         rng, twin = SeededRng(7), SeededRng(7)
-        eps, picks = draw_noise(model, 5, rng, rng)
+        [(eps, picks)] = draw_noise(model, [5], rng, rng)
         assert eps[1] is None and picks[1] is None
-        for l, k in ((0, 3), (2, 2)):
+        for l in (0, 2):
             assert np.array_equal(eps[l], twin.standard_normal(5, 6))
-            assert picks[l] == twin.integer(k)
+        assert picks[0] == twin.integer(3) and picks[2] == twin.integer(2)
         assert rng.state == twin.state
 
     @pytest.mark.parametrize("counts", [[3, 3, 3], [2, 0, 1]])
@@ -169,41 +166,43 @@ class TestDrawNoise:
         model = self.random_task_model(counts)
         eps_rng, pick_rng = SeededRng(1), SeededRng(2)
         eps_twin, pick_twin = SeededRng(1), SeededRng(2)
-        batches = draw_epoch_noise(model, sizes, eps_rng, pick_rng)
+        batches = draw_noise(model, sizes, eps_rng, pick_rng)
         assert len(batches) == len(sizes)
         for size, (eps, picks) in zip(sizes, batches):
-            want_eps, want_picks = draw_noise(model, size, eps_twin, pick_twin)
+            [(want_eps, want_picks)] = draw_noise(model, [size], eps_twin, pick_twin)
             assert picks == want_picks
             assert [e is None for e in eps] == [e is None for e in want_eps]
             assert all(e is None or np.array_equal(e, w) for e, w in zip(eps, want_eps))
         assert (eps_rng.state, pick_rng.state) == (eps_twin.state, pick_twin.state)
 
-    def test_epoch_draw_needs_separate_streams(self):
-        model = self.random_task_model([1, 1, 1])
-        rng = SeededRng(1)
-        with pytest.raises(ValueError, match="separate"):
-            draw_epoch_noise(model, [2, 2], rng, rng)
-
     def test_separate_rngs_and_mean_path(self):
         model = self.random_task_model([3, 3, 3])
         eps_rng, pick_rng, twin = SeededRng(1), SeededRng(2), SeededRng(2)
-        eps, picks = draw_noise(model, 4, None, pick_rng)
+        [(eps, picks)] = draw_noise(model, [4], None, pick_rng)
         assert eps == [None, None, None]
         assert picks == [twin.integer(3) for _ in range(3)]
         model.strategy = MixtureStrategy.AVERAGE
-        eps, picks = draw_noise(model, 4, eps_rng, pick_rng)
+        [(eps, picks)] = draw_noise(model, [4], eps_rng, pick_rng)
         assert picks == [None, None, None] and pick_rng.state == twin.state
         assert all(e.shape == (4, 6) for e in eps)
 
-    @pytest.mark.parametrize("stochastic", [False, True])
-    def test_features_run_on_the_drawn_noise(self, stochastic):
+    def test_models_without_generators_draw_nothing(self):
+        rng, twin = SeededRng(1), SeededRng(1)
+        for model in (self.random_task_model([0, 0, 0]), small_model(with_noise=False)):
+            batches = draw_noise(model, [3, 3, 2], rng, rng)
+            assert len(batches) == 3
+            assert all(eps is None or eps == [None] * 3 for eps, _ in batches)
+            assert all(picks is None or picks == [None] * 3 for _, picks in batches)
+        assert rng.state == twin.state
+
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_features_run_on_the_drawn_noise(self, sample):
         model = self.random_task_model([3, 3, 3])
-        model.stochastic_eval = stochastic
         x = SeededRng(5).standard_normal(4, 12)
         twin = SeededRng(9)
-        eps, picks = draw_noise(model, 4, twin if stochastic else None, twin)
+        [(eps, picks)] = draw_noise(model, [4], twin if sample else None, twin)
         z, _, _ = forward_pass(model, x, eps_per_layer=eps, picks_per_layer=picks)
-        assert np.array_equal(model.features(x, rng=SeededRng(9), eval_mode=True), z)
+        assert np.array_equal(model.features(x, rng=SeededRng(9), eval_mode=not sample), z)
 
     def test_random_task_without_a_pick_raises(self):
         model = self.random_task_model([3, 3, 3])

@@ -280,20 +280,6 @@ class TestModelCheckpoint:
         load_into(fresh, path)
         assert fresh.state_hash() == model.state_hash()
 
-    def test_shared_omega_resume_matches_uninterrupted(self, tmp_path):
-        cfg = small_cfg()
-        cfg.pinoise.shared_omega = True
-        run_training(cfg, out_dir=tmp_path / "full")
-        run_training(cfg, out_dir=tmp_path / "part", stop_after=2)
-        path = tmp_path / "part" / "checkpoint.nmcp"
-        fresh = build_model(cfg, build_stream(cfg).feature_dim)
-        load_into(fresh, path)
-        omega = fresh.layers[0].mix_weights
-        assert len(omega) == 2 and all(layer.mix_weights is omega for layer in fresh.layers)
-        run_training(cfg, out_dir=tmp_path / "part", resume_path=path)
-        for name in ("accuracy.csv", "summary.json", "train_log.csv", "checkpoint.nmcp", "run.json"):
-            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "part" / name).read_bytes()
-
 
 class TestClassifierForms:
     """A classifier within d/2 rows is stored as its rows, past that as its inverse."""

@@ -63,6 +63,15 @@ class TestTrain:
         assert err == ["error: pinoise.tau must be finite, got inf"]
         assert not (tmp_path / "x").exists()
 
+    def test_value_a_config_file_cannot_hold_rejected_before_compute(self, tmp_path, capsys):
+        # config.resolved would end the path at '#', so eval --run could not read the run back
+        embedding = ["--set", "data.source=embedding", "--set", f"data.embedding_path={tmp_path}/d#1/e.csv"]
+        rc = run_cli("train", *embedding, "--out", str(tmp_path / "x"))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data.embedding_path must not hold '#'")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_flag_gives_validation_exit(self, capsys):
         assert run_cli("train", "--bogus-flag") == 1
 
@@ -249,6 +258,23 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "different configuration" in captured.err
+
+    def test_eval_refuses_a_run_that_names_a_removed_key(self, tmp_path, capsys):
+        # config.resolved as written before pinoise.shared_omega and pinoise.stochastic_eval were removed
+        run_dir = tmp_path / "run"
+        assert run_cli("train", *FAST, "--set", "data.tasks=2", "--out", str(run_dir)) == 0
+        resolved = run_dir / "config.resolved"
+        old = resolved.read_text().replace(
+            "pinoise.strategy", "pinoise.shared_omega = False\npinoise.stochastic_eval = False\npinoise.strategy"
+        )
+        resolved.write_text(old)
+        capsys.readouterr()
+        rc = run_cli("eval", "--run", str(run_dir))
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith("error: ") and "'pinoise.shared_omega'" in err[0]
 
 
 class TestRestoreChecks:

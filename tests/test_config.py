@@ -1,3 +1,7 @@
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,6 +54,30 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("data.embedding_path", "/tmp/d#1/e.csv"),
+            ("data.embedding_path", "/tmp/d\n1/e.csv"),
+            ("data.embedding_path", "/tmp/d\r1/e.csv"),
+            ("output_dir", "runs#2"),
+        ],
+        ids=["hash", "newline", "carriage-return", "output-dir"],
+    )
+    def test_value_a_config_file_cannot_hold_rejected(self, key, value):
+        # load_config_file would end the value at the '#' or the line break
+        cfg = RunConfig()
+        set_key(cfg, key, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)} must not hold"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("section", [None, "data", "backbone", "pinoise", "classifier", "train"])
+    def test_misspelt_attribute_raises(self, section):
+        cfg = RunConfig()
+        target = cfg if section is None else getattr(cfg, section)
+        with pytest.raises(AttributeError):
+            target.epoch = 3
+
     def test_synthetic_stream_needs_a_class_per_task(self):
         cfg = RunConfig()
         cfg.data.tasks = cfg.data.num_classes + 1
@@ -93,15 +121,15 @@ class TestValidation:
     def test_type_coercion(self):
         cfg = RunConfig()
         set_key(cfg, "train.epochs", "3")
-        set_key(cfg, "pinoise.shared_omega", "true")
+        set_key(cfg, "pinoise.enabled", "false")
         set_key(cfg, "data.separation", "2.5")
         assert cfg.train.epochs == 3
-        assert cfg.pinoise.shared_omega is True
+        assert cfg.pinoise.enabled is False
         assert cfg.data.separation == 2.5
         with pytest.raises(ConfigError):
             set_key(cfg, "train.epochs", "three")
         with pytest.raises(ConfigError):
-            set_key(cfg, "pinoise.shared_omega", "maybe")
+            set_key(cfg, "pinoise.enabled", "maybe")
 
 
 class TestFileAndOverrides:
@@ -159,3 +187,12 @@ output_dir = out/here
         assert cfg.backbone.buffer_size == 16384
         with pytest.raises(ConfigError):
             apply_profile(cfg, "huge")
+
+
+def test_readme_table_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("\n## Configuration\n", 1)[1].splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index("| key | meaning |") + 2 :])
+    documented = [re.match(r"\| `([^`]+)` \|", row).group(1) for row in rows]
+    rendered = [line.partition(" = ")[0] for line in resolved_text(RunConfig()).splitlines()]
+    assert sorted(documented) == sorted(rendered)

@@ -274,15 +274,15 @@ class TestSession:
         for rep in reports:
             assert rep.epoch_losses[-1] <= rep.epoch_losses[0]
 
-    @pytest.mark.parametrize("stochastic", [False, True])
-    def test_features_from_block0_output_equal_features_from_inputs(self, stochastic):
+    @pytest.mark.parametrize("sample", [False, True])
+    def test_features_from_block0_output_equal_features_from_inputs(self, sample):
         # the commit's features start from the trial pass's block-0 output
         cfg = small_cfg()
         stream, model, _ = run_all_sessions(cfg)
-        model.stochastic_eval = stochastic
         x, _ = stream.tasks[-1].train_arrays()
-        z, pre_noise = model.features(x, rng=SeededRng(4), collect_blocks=True)
-        assert np.array_equal(model.features(pre_noise[0], rng=SeededRng(4), from_block0=True), z)
+        z, pre_noise = model.features(x, rng=SeededRng(4), eval_mode=not sample, collect_blocks=True)
+        from_block0 = model.features(pre_noise[0], rng=SeededRng(4), eval_mode=not sample, from_block0=True)
+        assert np.array_equal(from_block0, z)
 
     def test_session_order_enforced(self):
         cfg = small_cfg()
@@ -356,13 +356,11 @@ class TestSession:
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
         assert not any(key.startswith("gen") for key in collect_trainable(model, aux))
 
-    @pytest.mark.parametrize("stochastic", [False, True])
-    def test_random_task_classifier_equals_batch_ridge(self, stochastic):
+    def test_random_task_classifier_equals_batch_ridge(self):
         # the classifier must be the batch ridge solution on the features each
         # session's update saw, re-extracted from the same rng
         cfg = small_cfg()
         cfg.pinoise.strategy = "random-task"
-        cfg.pinoise.stochastic_eval = stochastic
         stream = build_stream(cfg)
         model = build_model(cfg, stream.feature_dim)
         feats, labels = [], []
@@ -377,13 +375,6 @@ class TestSession:
             )
             error = np.linalg.norm(model.classifier.weights - oracle) / np.linalg.norm(oracle)
             assert error < 1e-8, (t, error)
-
-    def test_shared_mix_weights_alias_across_layers(self):
-        cfg = small_cfg()
-        cfg.pinoise.shared_omega = True
-        _, model, _ = run_all_sessions(cfg)
-        first = model.layers[0].mix_weights
-        assert all(layer.mix_weights is first for layer in model.layers[1:])
 
     @pytest.mark.parametrize("strategy", ["learned-omega", "random-task"])
     @pytest.mark.parametrize("enabled", [False, True])
@@ -432,15 +423,11 @@ class TestVariantTraining:
 
 
 class TestTrainableParamCount:
-    @pytest.mark.parametrize(
-        "strategy,shared",
-        [(s.value, False) for s in MixtureStrategy] + [("learned-omega", True)],
-    )
+    @pytest.mark.parametrize("strategy", [s.value for s in MixtureStrategy])
     @pytest.mark.parametrize("tasks", [5, 3])  # 20 classes: 4 per task, or 7, 7 and 6
-    def test_matches_collect_trainable(self, monkeypatch, strategy, shared, tasks):
+    def test_matches_collect_trainable(self, monkeypatch, strategy, tasks):
         cfg = small_cfg(tasks=tasks)
         cfg.pinoise.strategy = strategy
-        cfg.pinoise.shared_omega = shared
         cfg.train.epochs = 0
         stream = build_stream(cfg)
         model = build_model(cfg, stream.feature_dim)
