@@ -7,8 +7,11 @@ Layout (all integers little-endian; full layout in docs/checkpoint_format.md):
                    u64 length, u32 crc32(payload), u32 zero
     payloads
 
-Section payloads are either UTF-8 JSON (the ``meta`` section) or arrays
-encoded as u64 ndim, u64 per-dimension sizes, then float64 data.
+Section payloads are either UTF-8 JSON (the ``meta`` and ``history``
+sections) or arrays encoded as u64 ndim, u64 per-dimension sizes, then
+float64 data. :func:`save_checkpoint` writes a run's checkpoint and
+:func:`restore` is the one function that reads one back: it checks ``meta``
+and ``history`` before it reads any array.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from .model import ContinualModel
 from .pinoise import GeneratorBank, NoiseGenerator
+from .report import SessionReport, report_from_dict, report_to_dict
 
 MAGIC = b"NMCP"
 VERSION = 1
@@ -177,8 +181,6 @@ def save_checkpoint(
     else:
         sections["clf.rows"] = _encode_array(clf.rows)
     if history is not None:
-        from .report import report_to_dict
-
         sections["history"] = json.dumps(
             [report_to_dict(r) for r in history], sort_keys=True
         ).encode("utf-8")
@@ -233,21 +235,6 @@ def _check_keys(entry: dict, kinds: dict, what: str) -> None:
         raise CheckpointError(f"{what} {', '.join(map(repr, wrong))} has the wrong JSON type")
 
 
-def load_history(path: str | Path) -> list:
-    """Per-session reports recorded in the checkpoint (may be empty)."""
-    from .report import report_from_dict
-
-    sections = read_container(path, names={"history"})
-    if "history" not in sections:
-        return []
-    entries = json.loads(sections["history"].decode("utf-8"))
-    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
-        raise CheckpointError("checkpoint history is not a list of JSON objects")
-    for entry in entries:
-        _check_keys(entry, _HISTORY_TYPES, "checkpoint history entry")
-    return [report_from_dict(d) for d in entries]
-
-
 def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> None:
     """Give ``clf`` the stored rows or the stored inverse, whichever is present, checked."""
     forms = [name for name in ("clf.graminv", "clf.rows") if name in sections]
@@ -282,17 +269,21 @@ def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> No
         raise CheckpointError("gram inverse diagonal not positive")
 
 
-def load_into(model: ContinualModel, path: str | Path) -> dict:
-    """Restore mutable state into a freshly built model; returns the meta.
+def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: int) -> list[SessionReport]:
+    """Load the checkpoint at ``path`` into ``model``, a fresh build of the run's
+    configuration, and return its session reports.
 
-    The model must have been built from the same configuration: the hash of
-    its frozen parameters has to match the stored one. That is checked from
-    the meta section alone; then the model's own classifier state is dropped
-    before the stored one is read, so the two are never held at once. The
-    classifier continues in the stored form: exactly one of ``clf.graminv``
-    and ``clf.rows`` must be present.
+    First only ``meta`` and ``history`` are read, and every check they allow
+    is made, in this order: the meta keys' JSON types, the frozen parameter
+    hash, ``cfg_hash``, noise layer presence and count, at most ``num_tasks``
+    completed sessions, the history entries, and one entry per completed
+    session. Only then is the model's own classifier state dropped and the
+    whole container read once, so a refused checkpoint costs no array read
+    and the two classifier states are never held at once. The classifier
+    continues in the stored form: exactly one of ``clf.graminv`` and
+    ``clf.rows`` must be present.
     """
-    sections = read_container(path, names={"meta"})
+    sections = read_container(path, names={"meta", "history"})
     if "meta" not in sections:
         raise CheckpointError("checkpoint has no meta section")
     meta = json.loads(sections["meta"].decode("utf-8"))
@@ -301,8 +292,23 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
     _check_keys(meta, _META_TYPES, "checkpoint meta")
     if meta["frozen_hash"] != model.frozen_param_hash():
         raise CheckpointError("frozen parameter hash mismatch; model/config drifted")
+    if meta["config_hash"] != cfg_hash:
+        raise CheckpointError("checkpoint was written by a different configuration")
     if meta["has_noise"] != model.has_noise:
         raise CheckpointError("noise layer presence mismatch")
+    if model.layers is not None and meta["num_layers"] != len(model.layers):
+        raise CheckpointError("layer count mismatch")
+    sessions = meta["sessions_completed"]
+    if sessions > num_tasks:
+        raise CheckpointError(f"checkpoint completed {sessions} sessions, but the stream has {num_tasks} tasks")
+    entries = json.loads(sections["history"].decode("utf-8")) if "history" in sections else []
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise CheckpointError("checkpoint history is not a list of JSON objects")
+    for entry in entries:
+        _check_keys(entry, _HISTORY_TYPES, "checkpoint history entry")
+    if len(entries) != sessions:
+        raise CheckpointError("checkpoint history does not match completed sessions")
+    reports = [report_from_dict(d) for d in entries]
 
     clf = model.classifier
     clf.gram_inv = None
@@ -314,34 +320,30 @@ def load_into(model: ContinualModel, path: str | Path) -> dict:
         raise CheckpointError("classifier weight shape mismatch")
     _load_classifier_form(clf, sections, meta)
 
-    sessions = meta["sessions_completed"]
-    if model.layers is not None:
-        if meta["num_layers"] != len(model.layers):
-            raise CheckpointError("layer count mismatch")
-        for l, layer in enumerate(model.layers):
-            prefix = f"L{l:02d}"
-            layer.prototypes = []
-            if f"{prefix}.proto" in sections:
-                protos = _decode_array(sections, f"{prefix}.proto")
-                layer.prototypes = [protos[i] for i in range(protos.shape[0])]
-            if f"{prefix}.omega" in sections:
-                layer.mix_weights = _decode_array(sections, f"{prefix}.omega")
-            generators = []
-            for i in range(sessions):
-                gp = f"{prefix}.G{i:02d}"
-                maps = [_decode_array(sections, f"{gp}.{m}") for m in ("mw", "mb", "sw", "sb")]
-                try:
-                    gen = NoiseGenerator(*maps)
-                except ValueError:
-                    raise CheckpointError(f"generator {gp} shape mismatch") from None
-                if gen.latent_dim != layer.latent_dim:
-                    raise CheckpointError(f"generator {gp} shape mismatch")
-                generators.append(gen)
-            layer.generators = GeneratorBank(generators)
-            if len(layer.prototypes) != sessions:
-                raise CheckpointError("layer state length mismatch")
-            if layer.mix_weights is not None and len(layer.mix_weights) != sessions:
-                raise CheckpointError("mix weight length mismatch")
+    for l, layer in enumerate(model.layers or ()):
+        prefix = f"L{l:02d}"
+        layer.prototypes = []
+        if f"{prefix}.proto" in sections:
+            protos = _decode_array(sections, f"{prefix}.proto")
+            layer.prototypes = [protos[i] for i in range(protos.shape[0])]
+        if f"{prefix}.omega" in sections:
+            layer.mix_weights = _decode_array(sections, f"{prefix}.omega")
+        generators = []
+        for i in range(sessions):
+            gp = f"{prefix}.G{i:02d}"
+            maps = [_decode_array(sections, f"{gp}.{m}") for m in ("mw", "mb", "sw", "sb")]
+            try:
+                gen = NoiseGenerator(*maps)
+            except ValueError:
+                raise CheckpointError(f"generator {gp} shape mismatch") from None
+            if gen.latent_dim != layer.latent_dim:
+                raise CheckpointError(f"generator {gp} shape mismatch")
+            generators.append(gen)
+        layer.generators = GeneratorBank(generators)
+        if len(layer.prototypes) != sessions:
+            raise CheckpointError("layer state length mismatch")
+        if layer.mix_weights is not None and len(layer.mix_weights) != sessions:
+            raise CheckpointError("mix weight length mismatch")
     model.sessions_completed = sessions
     model.eval_seed = meta["eval_seed"]
-    return meta
+    return reports

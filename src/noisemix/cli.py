@@ -26,7 +26,6 @@ from .experiment import (
     ABLATION_VARIANTS,
     SWEEP_PARAMETERS,
     build_stream,
-    restore,
     run_ablation,
     run_multi_seed,
     run_sweep,
@@ -127,7 +126,7 @@ def cmd_eval(args) -> int:
     cfg.validate()
     stream = build_stream(cfg)
     model = build_model(cfg, stream.feature_dim)
-    restore(model, stream, cfg, run_dir / "checkpoint.nmcp")
+    ckpt.restore(model, run_dir / "checkpoint.nmcp", config_hash(cfg), stream.num_tasks)
     report = evaluate(model, stream, model.sessions_completed)
     print(
         f"sessions={model.sessions_completed} accuracy={100.0 * report.accuracy_seen:.2f}% "

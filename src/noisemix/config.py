@@ -173,7 +173,10 @@ def load_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConfi
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        set_key(cfg, key.strip(), value.strip())
+        try:
+            set_key(cfg, key.strip(), value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return cfg
 
 

@@ -48,30 +48,6 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     )
 
 
-def restore(
-    model: ContinualModel, stream: TaskStream, cfg: RunConfig, path: str | Path
-) -> list[SessionReport]:
-    """Load the checkpoint at ``path`` into ``model``, a fresh build of ``cfg``
-    for ``stream``, and return its session reports.
-
-    The checkpoint must have been written under ``cfg``, hold one history
-    report per completed session, and have completed no more sessions than
-    ``stream`` has tasks.
-    """
-    meta = ckpt.load_into(model, path)
-    if meta["config_hash"] != config_hash(cfg):
-        raise ckpt.CheckpointError("checkpoint was written by a different configuration")
-    reports = ckpt.load_history(path)
-    if len(reports) != model.sessions_completed:
-        raise ckpt.CheckpointError("checkpoint history does not match completed sessions")
-    if model.sessions_completed > stream.num_tasks:
-        raise ckpt.CheckpointError(
-            f"checkpoint completed {model.sessions_completed} sessions, "
-            f"but the stream has {stream.num_tasks} tasks"
-        )
-    return reports
-
-
 def run_training(
     cfg: RunConfig,
     out_dir: str | Path,
@@ -80,20 +56,22 @@ def run_training(
 ) -> RunSummary:
     """Run all sessions of the configured stream, emitting artifacts.
 
-    With ``resume_path`` the model state is restored from a checkpoint and
-    training continues at the next session; ``stop_after`` halts early (the
-    checkpoint still gets written, so a later resume completes the run).
+    With ``resume_path`` the model state and the earlier sessions' reports are
+    restored from a checkpoint (:func:`checkpoint.restore`, which refuses one
+    written under another configuration) and training continues at the next
+    session; ``stop_after`` halts early (the checkpoint still gets written,
+    so a later resume completes the run).
     """
     cfg.validate()
     stream = build_stream(cfg)
     model = build_model(cfg, stream.feature_dim)
-    earlier_reports = [] if resume_path is None else restore(model, stream, cfg, resume_path)
+    earlier = [] if resume_path is None else ckpt.restore(model, resume_path, config_hash(cfg), stream.num_tasks)
     start_task = model.sessions_completed + 1
 
     last_task = stream.num_tasks if stop_after is None else min(stop_after, stream.num_tasks)
     if stop_after is not None and last_task < start_task:
         raise ConfigError(f"--stop-after {stop_after} leaves no session to run: the next one is {start_task}")
-    reports = earlier_reports + _run_sessions(model, stream, cfg, start_task, last_task)
+    reports = earlier + _run_sessions(model, stream, cfg, start_task, last_task)
     return _write_run(out_dir, cfg, stream, model, reports)
 
 

@@ -68,13 +68,17 @@ class ContinualModel:
         return z
 
     def frozen_param_hash(self) -> str:
-        """Content hash of every parameter that must never change."""
+        """Content hash of every parameter that must never change.
+
+        The big arrays are hashed from their own buffers, not copied, so the
+        check a restore makes first holds no copy of the buffer projection.
+        """
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.backbone.adapter).tobytes())
+        h.update(np.ascontiguousarray(self.backbone.adapter))
         for block in self.backbone.blocks:
-            h.update(np.ascontiguousarray(block.weight).tobytes())
+            h.update(np.ascontiguousarray(block.weight))
             h.update(np.float64(block.gain).tobytes())
-        h.update(np.ascontiguousarray(self.buffer.projection).tobytes())
+        h.update(np.ascontiguousarray(self.buffer.projection))
         if self.layers is not None:
             for layer in self.layers:
                 h.update(layer.frozen_bytes())

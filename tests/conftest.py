@@ -16,6 +16,12 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from noisemix.config import RunConfig  # noqa: E402  (needs SRC on the path)
+from noisemix.report import SessionReport  # noqa: E402
+
+
+def placeholder_history(sessions: int) -> list[SessionReport]:
+    """One made-up report per session, the history a checkpoint of ``sessions`` sessions must hold."""
+    return [SessionReport(t, 1.0, {}) for t in range(1, sessions + 1)]
 
 
 def model_config(feature_dim, depth, buffer_size, latent_dim, regularization, seed, **pinoise) -> RunConfig:

@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisemix.checkpoint import (
-    CheckpointError,
-    load_history,
-    load_into,
-    read_container,
-    save_checkpoint,
-    write_container,
-)
+from conftest import placeholder_history
+from noisemix import checkpoint
+from noisemix.checkpoint import CheckpointError, read_container, restore, save_checkpoint, write_container
 from noisemix.cli import main
-from noisemix.config import RunConfig
+from noisemix.config import RunConfig, config_hash
 from noisemix.experiment import build_stream, run_training
 from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed
@@ -154,21 +149,17 @@ class TestModelCheckpoint:
         save_checkpoint(path, model, "deadbeef", cfg.train.seed, 3, history=reports)
 
         fresh = build_model(cfg, stream.feature_dim)
-        meta = load_into(fresh, path)
-        assert meta["config_hash"] == "deadbeef"
+        assert restore(fresh, path, "deadbeef", 3) == reports
         assert fresh.sessions_completed == 2
         assert fresh.state_hash() == model.state_hash()
-        assert [r.accuracy_seen for r in load_history(path)] == [
-            r.accuracy_seen for r in reports
-        ]
 
     def test_restored_model_continues_identically(self, tmp_path):
         cfg = small_cfg()
-        stream, model, _ = trained_model(cfg)
+        stream, model, reports = trained_model(cfg)
         path = tmp_path / "model.nmcp"
-        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         rng_a = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rng_b = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rep_direct = run_session(model, stream, cfg, rng_a)
@@ -185,14 +176,14 @@ class TestModelCheckpoint:
         other_cfg.backbone.seed = 99
         other = build_model(other_cfg, stream.feature_dim)
         with pytest.raises(CheckpointError, match="frozen"):
-            load_into(other, path)
+            restore(other, path, "h", 3)
 
-    def test_load_into_returns_meta(self, tmp_path):
+    def test_meta_records_the_run(self, tmp_path):
         cfg = small_cfg()
         stream, model, _ = trained_model(cfg)
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "abc", cfg.train.seed, 3)
-        meta = load_into(build_model(cfg, stream.feature_dim), path)
+        meta = json.loads(read_container(path, names={"meta"})["meta"])
         assert meta["config_hash"] == "abc"
         assert meta["sessions_completed"] == 2
         assert meta["rng"]["train_seed"] == cfg.train.seed
@@ -206,7 +197,7 @@ class TestModelCheckpoint:
         del sections["meta"]
         write_container(path, sections)
         with pytest.raises(CheckpointError, match="meta"):
-            load_into(build_model(cfg, stream.feature_dim), path)
+            restore(build_model(cfg, stream.feature_dim), path, "abc", 3)
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -243,7 +234,7 @@ class TestModelCheckpoint:
         write_container(bad, sections)
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
-            load_into(build_model(cfg, stream.feature_dim), bad)
+            restore(build_model(cfg, stream.feature_dim), bad, config_hash(cfg), stream.num_tasks)
         capsys.readouterr()
         config = str(tmp_path / "run" / "config.resolved")
         rc = main(["train", "--config", config, "--out", str(tmp_path / "resumed"), "--resume", str(bad)])
@@ -265,10 +256,12 @@ class TestModelCheckpoint:
         ids=["entry-not-an-object", "entry-without-task-index", "per-class-accuracy-not-an-object"],
     )
     def test_malformed_history_rejected(self, tmp_path, history, named):
+        cfg = tiny_cfg()
         path = tmp_path / "h.nmcp"
-        write_container(path, {"history": history})
+        save_checkpoint(path, handmade_model(cfg), "h", cfg.train.seed, 3)
+        write_container(path, {**read_container(path), "history": history})
         with pytest.raises(CheckpointError, match=named):
-            load_history(path)
+            restore(build_model(cfg, build_stream(cfg).feature_dim), path, "h", 3)
 
     def test_baseline_checkpoint_round_trip(self, tmp_path):
         cfg = small_cfg()
@@ -277,7 +270,7 @@ class TestModelCheckpoint:
         path = tmp_path / "base.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         assert fresh.state_hash() == model.state_hash()
 
 
@@ -287,9 +280,9 @@ class TestClassifierForms:
     def checkpoint(self, tmp_path, buffer_size):
         cfg = small_cfg()
         cfg.backbone.buffer_size = buffer_size
-        stream, model, _ = trained_model(cfg)
+        stream, model, reports = trained_model(cfg)
         path = tmp_path / "model.nmcp"
-        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         return cfg, stream, model, path
 
     # 64 rows after two sessions: at d = 128 session 3 folds, at d = 256 it stays in rows
@@ -300,7 +293,7 @@ class TestClassifierForms:
         sections = read_container(path)
         assert "clf.rows" in sections and "clf.graminv" not in sections
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
         assert fresh.state_hash() == model.state_hash()
         reports = [
@@ -315,12 +308,12 @@ class TestClassifierForms:
         # three sessions of 32 rows at d = 256 leave 96 rows in a store with room for 128
         cfg = small_cfg()
         cfg.backbone.buffer_size = 256
-        stream, model, _ = trained_model(cfg)
-        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
+        stream, model, reports = trained_model(cfg)
+        reports.append(run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3))))
         path = tmp_path / "model.nmcp"
-        save_checkpoint(path, model, "h", cfg.train.seed, 4)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         assert fresh.classifier.rows.shape == model.classifier.rows.shape == (96, 256)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
         assert fresh.state_hash() == model.state_hash()
@@ -338,7 +331,7 @@ class TestClassifierForms:
         sections = read_container(path)
         assert "clf.graminv" in sections and "clf.rows" not in sections
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         assert fresh.classifier.rows is None and fresh.state_hash() == model.state_hash()
 
     @pytest.mark.parametrize(
@@ -368,7 +361,7 @@ class TestClassifierForms:
         clf.rows = rows
         if damage == "other-regularization":
             clf.regularization *= 2.0
-        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
         if damage in ("both-forms", "neither-form"):
             sections = read_container(path)
             if damage == "neither-form":
@@ -379,7 +372,7 @@ class TestClassifierForms:
                 sections["clf.graminv"] = read_container(tmp_path / "dense.nmcp")["clf.graminv"]
             write_container(path, sections)
         with pytest.raises(CheckpointError, match=named):
-            load_into(build_model(cfg, stream.feature_dim), path)
+            restore(build_model(cfg, stream.feature_dim), path, "h", 3)
 
 
 class TestFormatPinned:
@@ -399,12 +392,11 @@ class TestFormatPinned:
         cfg = tiny_cfg()
         stream = build_stream(cfg)
         model = build_model(cfg, stream.feature_dim)
-        meta = load_into(model, V1_FIXTURE)
-        assert meta["config_hash"] == "parent"
+        history = restore(model, V1_FIXTURE, "parent", stream.num_tasks)
         assert model.sessions_completed == 2
         assert model.state_hash() == "0302a57c2024e88cdbdd6af85fc0898a73bcce5fd0c7ca6d66582a2028feb4cd"
-        history = load_history(V1_FIXTURE)
         assert [r.task_index for r in history] == [1, 2]
+        meta = json.loads(read_container(V1_FIXTURE, names={"meta"})["meta"])
         path = tmp_path / "again.nmcp"
         save_checkpoint(path, model, meta["config_hash"], meta["rng"]["train_seed"], meta["total_tasks"], history)
         assert path.read_bytes() == V1_FIXTURE.read_bytes()
@@ -428,28 +420,49 @@ class TestLoadMemory:
         cfg = small_cfg()
         cfg.backbone.buffer_size = 1024
         cfg.data.samples_per_class = 170
-        stream, model, _ = trained_model(cfg)
+        stream, model, reports = trained_model(cfg)
         assert model.classifier.rows is None
         path = tmp_path / "wide.nmcp"
-        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=[])
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         return cfg, stream, model, path
 
     def test_load_holds_the_inverse_once(self, tmp_path, traced_peak):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         fresh = build_model(cfg, stream.feature_dim)
-        peak = traced_peak(lambda: load_into(fresh, path))
+        peak = traced_peak(lambda: restore(fresh, path, "h", 3))
         assert fresh.state_hash() == model.state_hash()
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
-    def test_history_skips_the_arrays(self, tmp_path, traced_peak):
-        _, _, model, path = self.wide_checkpoint(tmp_path)
-        peak = traced_peak(lambda: load_history(path))
-        assert peak < model.classifier.gram_inv.nbytes // 100
+    @pytest.mark.parametrize(
+        "refusal, named",
+        [
+            ("other-config", "different configuration"),
+            ("sessions-past-tasks", "completed 2 sessions, but the stream has 1 tasks"),
+            ("history-one-short", "history does not match"),
+        ],
+    )
+    def test_refused_restore_reads_no_array(self, tmp_path, traced_peak, monkeypatch, refusal, named):
+        cfg, stream, model, path = self.wide_checkpoint(tmp_path)
+        cfg_hash, num_tasks = ("other" if refusal == "other-config" else "h"), stream.num_tasks
+        if refusal == "sessions-past-tasks":
+            num_tasks = 1
+        elif refusal == "history-one-short":
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(1))
+        reads = []
+        monkeypatch.setattr(checkpoint, "read_container", lambda *a, **k: reads.append(a) or read_container(*a, **k))
+        fresh = build_model(cfg, stream.feature_dim)
+
+        def refused():
+            with pytest.raises(CheckpointError, match=named):
+                restore(fresh, path, cfg_hash, num_tasks)
+
+        assert traced_peak(refused) < model.classifier.gram_inv.nbytes // 100
+        assert len(reads) == 1
 
     def test_loaded_inverse_is_downdated_in_place(self, tmp_path):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         fresh = build_model(cfg, stream.feature_dim)
-        load_into(fresh, path)
+        restore(fresh, path, "h", 3)
         clf = fresh.classifier
         assert clf.gram_inv.flags.writeable and clf.gram_inv.flags.aligned
         inverse = clf.gram_inv
@@ -461,7 +474,7 @@ class TestLoadMemory:
         # a resumed run builds its model, whose inverse starts as eye(d) / lambda,
         # and then loads into it
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        peak = traced_peak(lambda: load_into(build_model(cfg, stream.feature_dim), path))
+        peak = traced_peak(lambda: restore(build_model(cfg, stream.feature_dim), path, "h", 3))
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
     @pytest.mark.parametrize("row", [0, 700, 1023])
@@ -477,6 +490,6 @@ class TestLoadMemory:
             clf.gram_inv[row, col] = clf.gram_inv[col, row] = np.nan
         else:
             clf.gram_inv[row, row] = np.nan
-        save_checkpoint(path, model, "h", cfg.train.seed, 3)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
         with pytest.raises(CheckpointError, match="symmetry"):
-            load_into(build_model(cfg, stream.feature_dim), path)
+            restore(build_model(cfg, stream.feature_dim), path, "h", 3)

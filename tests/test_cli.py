@@ -268,19 +268,25 @@ class TestEval:
             "pinoise.strategy", "pinoise.shared_omega = False\npinoise.stochastic_eval = False\npinoise.strategy"
         )
         resolved.write_text(old)
+        lineno = old.splitlines().index("pinoise.shared_omega = False") + 1
         capsys.readouterr()
         rc = run_cli("eval", "--run", str(run_dir))
         assert rc == 1
         captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert captured.out == "" and len(err) == 1
-        assert err[0].startswith("error: ") and "'pinoise.shared_omega'" in err[0]
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {resolved}:{lineno}: unknown config key 'pinoise.shared_omega'"]
+
+    def test_config_file_error_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("train.epochs = 2\npinoise.enabled = maybe\n", encoding="utf-8")
+        rc = run_cli("train", *FAST, "--config", str(config), "--out", str(tmp_path / "x"))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}:2: expected a boolean, got 'maybe'"]
+        assert not (tmp_path / "x").exists()
 
 
 class TestRestoreChecks:
     """``eval --run`` and ``train --resume`` refuse the same checkpoints."""
-
-    BASELINE_2TASK = [*FAST, "--set", "pinoise.enabled=false", "--set", "data.tasks=2"]
 
     @staticmethod
     def rewrite(path, sessions, reports):
@@ -293,22 +299,24 @@ class TestRestoreChecks:
         sections["history"] = json.dumps(history, sort_keys=True).encode("utf-8")
         write_container(path, sections)
 
+    @pytest.mark.parametrize("noise", [False, True], ids=["baseline", "noise"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
         "sessions, reports, named",
         [(7, 7, "completed 7 sessions, but the stream has 2 tasks"), (1, 2, "history")],
         ids=["more-sessions-than-tasks", "history-longer-than-sessions"],
     )
-    def test_refused_with_one_error_line(self, tmp_path, capsys, command, sessions, reports, named):
+    def test_refused_with_one_error_line(self, tmp_path, capsys, noise, command, sessions, reports, named):
+        flags = [*FAST, "--set", f"pinoise.enabled={noise}", "--set", "data.tasks=2"]
         run_dir = tmp_path / "run"
-        assert run_cli("train", *self.BASELINE_2TASK, "--out", str(run_dir)) == 0
+        assert run_cli("train", *flags, "--out", str(run_dir)) == 0
         self.rewrite(run_dir / "checkpoint.nmcp", sessions, reports)
         capsys.readouterr()
         if command == "eval":
             rc = run_cli("eval", "--run", str(run_dir))
         else:
             resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
-            rc = run_cli("train", *self.BASELINE_2TASK, "--out", str(tmp_path / "fresh"), *resume)
+            rc = run_cli("train", *flags, "--out", str(tmp_path / "fresh"), *resume)
         assert rc == 1
         captured = capsys.readouterr()
         err = captured.err.splitlines()

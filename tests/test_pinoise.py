@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_config
+from conftest import model_config, placeholder_history
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
@@ -406,7 +406,7 @@ class TestGeneratorVector:
         self.assert_views(new_generator(5, SeededRng(4), init_scale=1.0))
 
     def test_loaded_from_checkpoint(self, tmp_path):
-        from noisemix.checkpoint import load_into, save_checkpoint
+        from noisemix.checkpoint import restore, save_checkpoint
 
         def model():
             return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
@@ -417,9 +417,9 @@ class TestGeneratorVector:
             layer.prototypes.append(np.ones(4))
             layer.mix_weights = np.ones(1)
         saved.sessions_completed = 1
-        save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2)
+        save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2, history=placeholder_history(1))
         loaded = model()
-        load_into(loaded, tmp_path / "g.nmcp")
+        restore(loaded, tmp_path / "g.nmcp", "h", 2)
         for before, layer in zip(saved.layers, loaded.layers):
             assert layer.generators[0].param_bytes() == before.generators[0].param_bytes()
             self.assert_views(layer.generators[0])
@@ -486,7 +486,7 @@ class TestGeneratorBank:
             np.testing.assert_allclose(mixed.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
 
     def test_checkpoint_round_trip_rebuilds_the_bank(self, tmp_path):
-        from noisemix.checkpoint import load_into, save_checkpoint
+        from noisemix.checkpoint import restore, save_checkpoint
 
         def model():
             return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
@@ -498,9 +498,9 @@ class TestGeneratorBank:
                 layer.prototypes.append(np.ones(4) + t)
             layer.mix_weights = np.full(3, 1.0 / 3.0)
         saved.sessions_completed = 3
-        save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3)
+        save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3, history=placeholder_history(3))
         loaded = model()
-        load_into(loaded, tmp_path / "b.nmcp")
+        restore(loaded, tmp_path / "b.nmcp", "h", 3)
         for before, layer in zip(saved.layers, loaded.layers):
             assert isinstance(layer.generators, GeneratorBank)
             assert layer.generators.matrix.tobytes() == before.generators.matrix.tobytes()
