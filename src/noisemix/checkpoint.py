@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ContinualModel
-from .pinoise import GeneratorBank, NoiseGenerator
+from .pinoise import NoiseGenerator
 from .report import SessionReport, report_from_dict, report_to_dict
 
 MAGIC = b"NMCP"
@@ -35,6 +35,8 @@ VERSION = 1
 _NAME_LEN = 24
 _HEADER = struct.Struct("<4sIII")
 _ENTRY = struct.Struct(f"<{_NAME_LEN}sQQII")
+# a generator's four maps, in NoiseGenerator.params() order, as L##.G##.<name> sections
+_GENERATOR_MAPS = ("mw", "mb", "sw", "sb")
 # the meta keys a load or a resume reads, and the keys of one history entry, with their JSON types
 _META_TYPES = {
     "classes_seen": list[int], "config_hash": str, "eval_seed": int, "frozen_hash": str,
@@ -74,6 +76,14 @@ def _decode_array(sections: dict[str, bytearray], name: str) -> np.ndarray:
     if len(raw) - 8 - 8 * ndim != 8 * math.prod(shape):
         raise CheckpointError(f"section {name}: payload length does not match shape {shape}")
     return np.frombuffer(raw, dtype="<f8", offset=8 + 8 * ndim).reshape(shape)
+
+
+def _decode_shaped(sections: dict[str, bytearray], name: str, shape: tuple) -> np.ndarray:
+    """:func:`_decode_array`, refused unless the array has ``shape``."""
+    a = _decode_array(sections, name)
+    if a.shape != shape:
+        raise CheckpointError(f"section {name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> None:
@@ -187,16 +197,13 @@ def save_checkpoint(
     if model.layers is not None:
         for l, layer in enumerate(model.layers):
             prefix = f"L{l:02d}"
-            if layer.mix_weights is not None:
+            if len(layer.bank):
                 sections[f"{prefix}.omega"] = _encode_array(layer.mix_weights)
-            if layer.prototypes:
-                sections[f"{prefix}.proto"] = _encode_array(np.stack(layer.prototypes))
-            for i, gen in enumerate(layer.generators):
-                gp = f"{prefix}.G{i:02d}"
-                sections[f"{gp}.mw"] = _encode_array(gen.mean_weight)
-                sections[f"{gp}.mb"] = _encode_array(gen.mean_bias)
-                sections[f"{gp}.sw"] = _encode_array(gen.scale_weight)
-                sections[f"{gp}.sb"] = _encode_array(gen.scale_bias)
+                sections[f"{prefix}.proto"] = _encode_array(layer.prototypes)
+            for i, row in enumerate(layer.bank):
+                maps = NoiseGenerator(row, layer.latent_dim).params()
+                for name, a in zip(_GENERATOR_MAPS, maps):
+                    sections[f"{prefix}.G{i:02d}.{name}"] = _encode_array(a)
     write_container(path, sections)
 
 
@@ -281,7 +288,10 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
     whole container read once, so a refused checkpoint costs no array read
     and the two classifier states are never held at once. The classifier
     continues in the stored form: exactly one of ``clf.graminv`` and
-    ``clf.rows`` must be present.
+    ``clf.rows`` must be present. After a completed session every noise
+    layer's ``L##.proto``, ``L##.omega`` and generator maps must have the
+    shapes the session count and the latent width give; the maps are
+    copied into a new bank through views of its rows.
     """
     sections = read_container(path, names={"meta", "history"})
     if "meta" not in sections:
@@ -321,29 +331,14 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
     _load_classifier_form(clf, sections, meta)
 
     for l, layer in enumerate(model.layers or ()):
-        prefix = f"L{l:02d}"
-        layer.prototypes = []
-        if f"{prefix}.proto" in sections:
-            protos = _decode_array(sections, f"{prefix}.proto")
-            layer.prototypes = [protos[i] for i in range(protos.shape[0])]
-        if f"{prefix}.omega" in sections:
-            layer.mix_weights = _decode_array(sections, f"{prefix}.omega")
-        generators = []
-        for i in range(sessions):
-            gp = f"{prefix}.G{i:02d}"
-            maps = [_decode_array(sections, f"{gp}.{m}") for m in ("mw", "mb", "sw", "sb")]
-            try:
-                gen = NoiseGenerator(*maps)
-            except ValueError:
-                raise CheckpointError(f"generator {gp} shape mismatch") from None
-            if gen.latent_dim != layer.latent_dim:
-                raise CheckpointError(f"generator {gp} shape mismatch")
-            generators.append(gen)
-        layer.generators = GeneratorBank(generators)
-        if len(layer.prototypes) != sessions:
-            raise CheckpointError("layer state length mismatch")
-        if layer.mix_weights is not None and len(layer.mix_weights) != sessions:
-            raise CheckpointError("mix weight length mismatch")
+        prefix, d2 = f"L{l:02d}", layer.latent_dim
+        if sessions:
+            layer.prototypes = _decode_shaped(sections, f"{prefix}.proto", (sessions, d2))
+            layer.mix_weights = _decode_shaped(sections, f"{prefix}.omega", (sessions,))
+        layer.bank = np.empty((sessions, layer.bank.shape[1]))
+        for i, row in enumerate(layer.bank):
+            for name, view in zip(_GENERATOR_MAPS, NoiseGenerator(row, d2).params()):
+                view[...] = _decode_shaped(sections, f"{prefix}.G{i:02d}.{name}", view.shape)
     model.sessions_completed = sessions
     model.eval_seed = meta["eval_seed"]
     return reports

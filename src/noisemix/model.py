@@ -92,13 +92,11 @@ class ContinualModel:
         h.update(np.int64(self.sessions_completed).tobytes())
         if self.layers is not None:
             for layer in self.layers:
-                for i, gen in enumerate(layer.generators):
-                    h.update(gen.param_bytes())
+                for i, row in enumerate(layer.bank):
+                    h.update(row.tobytes())
                     h.update(np.int64(i < self.sessions_completed).tobytes())
-                for proto in layer.prototypes:
-                    h.update(np.ascontiguousarray(proto).tobytes())
-                if layer.mix_weights is not None:
-                    h.update(np.ascontiguousarray(layer.mix_weights).tobytes())
+                h.update(layer.prototypes.tobytes())
+                h.update(layer.mix_weights.tobytes())
         return h.hexdigest()
 
 
@@ -108,7 +106,7 @@ def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
     layers = None
     if p.enabled:
         layers = [
-            build_layer(b.feature_dim, p.latent_dim, l, SeededRng(derive_seed(b.seed, "pinoise", l)))
+            build_layer(b.feature_dim, p.latent_dim, SeededRng(derive_seed(b.seed, "pinoise", l)))
             for l in range(b.depth)
         ]
     return ContinualModel(
@@ -126,7 +124,7 @@ def draw_noise(
 ) -> list[tuple[list[np.ndarray | None] | None, list[int | None] | None]]:
     """The noise draws of consecutive forward passes over batches of ``sizes`` rows.
 
-    Only layers with generators draw. For each run of equal batch sizes,
+    Only layers that hold a generator draw. For each run of equal batch sizes,
     first the Gaussian draws of its batches from ``eps_rng``, in one
     :meth:`SeededRng.standard_normal` call with one ``size x d2`` block per
     batch and layer (none, the mean path, when ``eps_rng`` is None); then,
@@ -137,7 +135,7 @@ def draw_noise(
     """
     if model.layers is None:
         return [(None, None)] * len(sizes)
-    active = [l for l, layer in enumerate(model.layers) if layer.generators]
+    active = [l for l, layer in enumerate(model.layers) if len(layer.bank)]
     random_task = model.strategy is MixtureStrategy.RANDOM_TASK and pick_rng is not None
     batches = []
     for size, run in itertools.groupby(sizes):
@@ -152,7 +150,7 @@ def draw_noise(
             for l, eps_l in zip(active, batch):
                 eps[l] = eps_l
                 if random_task:
-                    picks[l] = pick_rng.integer(len(model.layers[l].generators))
+                    picks[l] = pick_rng.integer(len(model.layers[l].bank))
             batches.append((eps, picks))
     return batches
 
@@ -197,7 +195,7 @@ def forward_pass(
         pre_noise.append(r)
         nxt = r
         cache = None
-        if model.layers is not None and model.layers[l].generators:
+        if model.layers is not None and len(model.layers[l].bank):
             eps = eps_per_layer[l] if eps_per_layer is not None else None
             pick = picks_per_layer[l] if picks_per_layer is not None else None
             nxt, cache = run_layer(model.layers[l], r, model.strategy, eps, pick=pick, collect=collect)

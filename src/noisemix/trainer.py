@@ -3,24 +3,24 @@
 A session (:func:`run_session`) runs its phases in order. With noise layers
 it first takes the frozen classifier weights from a trial update under the
 noise state carried over from previous sessions
-(``RidgeClassifier.trial_weights``), grows every layer by a generator, a
-prototype and mix weights initialized from prototype similarity
-(:func:`_grow_layers`), trains the new generators (plus mix weights and an
-auxiliary classifier) by gradient descent on a residual loss
+(``RidgeClassifier.trial_weights``), grows every layer's bank and
+prototypes by one row and initializes its mix weights from prototype
+similarity (:func:`_grow_layers`), trains the new generators (plus mix
+weights and an auxiliary classifier) by gradient descent on a residual loss
 (:func:`_train_epochs`), and recomputes the features under the trained
 noise. Then, for the baseline model too, the task is committed to the
 classifier once (``RidgeClassifier.update``) and the model is evaluated on
 every class seen so far. The auxiliary classifier lives only inside
 ``_train_epochs``; the new generators are frozen from then on, since only a
-layer's generator past the model's session count trains.
+bank row past the model's session count trains.
 
 A training step does only per-step work. Nothing before noise layer 0
 trains, so each step starts from block 0's output for its rows, which the
 session's trial pass computed and checked once; so does the pass that
 makes the features of the classifier commit. Each epoch's noise is drawn
-in one go (:func:`noisemix.model.draw_noise`). The newest generators
-are row views of their layers' banks, so SGD on them writes the banks the
-next step mixes from. The backward pass writes each gradient once and
+in one go (:func:`noisemix.model.draw_noise`). A layer's trainable
+generator is a view of its bank's newest row, so SGD on it writes the bank
+the next step mixes from. The backward pass writes each gradient once and
 reuses the feature gradient in place.
 """
 
@@ -129,19 +129,19 @@ def direct_ce_grads(
 def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> array view of everything the current session may update.
 
-    The newest generator of every layer trains under every strategy while
-    the layer holds more generators than the model has completed sessions;
-    the mix weights and the auxiliary classifier train only under
-    learned-omega, the other strategies train straight through the frozen
-    classifier.
+    The newest generator of every layer, a view of its bank's last row,
+    trains under every strategy while the bank holds more rows than the
+    model has completed sessions; the mix weights and the auxiliary
+    classifier train only under learned-omega, the other strategies train
+    straight through the frozen classifier.
     """
     if model.layers is None:
         raise ValueError("baseline model has nothing to train")
     params: dict[str, np.ndarray] = {}
     for l, layer in enumerate(model.layers):
-        if len(layer.generators) <= model.sessions_completed:
+        if len(layer.bank) <= model.sessions_completed:
             continue
-        gen = layer.generators[-1]
+        gen = NoiseGenerator(layer.bank[-1], layer.latent_dim)
         params[f"gen{l}.mean_w"] = gen.mean_weight
         params[f"gen{l}.mean_b"] = gen.mean_bias
         params[f"gen{l}.scale_w"] = gen.scale_weight
@@ -286,12 +286,13 @@ def run_session(
 
 
 def _grow_layers(model, pre_noise, pinoise, session_rng):
-    """Give every layer the session's generator and prototype, then its mix
-    weights: the softmax of its prototype similarities."""
-    for layer, block_feats in zip(model.layers, pre_noise):
-        gen_rng = session_rng.split("generator", layer.layer_index)
-        layer.generators.append(new_generator(layer.latent_dim, gen_rng, pinoise.init_scale))
-        layer.prototypes.append(compute_prototype(layer, block_feats))
+    """Grow every layer's bank by the session's generator and its prototypes
+    by the session's prototype, then set its mix weights: the softmax of its
+    prototype similarities."""
+    for l, (layer, block_feats) in enumerate(zip(model.layers, pre_noise)):
+        vector = new_generator(layer.latent_dim, session_rng.split("generator", l), pinoise.init_scale)
+        layer.bank = np.vstack([layer.bank, vector])
+        layer.prototypes = np.vstack([layer.prototypes, compute_prototype(layer, block_feats)])
         layer.mix_weights = init_mix_weights(layer.prototypes, pinoise.tau)
 
 
@@ -382,16 +383,17 @@ def make_gradcheck_instance(
     rng = SeededRng(derive_seed(seed, "gradcheck"))
     scale = 1.0 / np.sqrt(latent_dim)
     for layer in model.layers:
+        rows, prototypes = [], []
         for _ in range(num_tasks):
-            layer.generators.append(
-                NoiseGenerator(
-                    mean_weight=rng.standard_normal(latent_dim, latent_dim) * scale,
-                    mean_bias=rng.standard_normal(latent_dim) * 0.1,
-                    scale_weight=rng.standard_normal(latent_dim, latent_dim) * scale,
-                    scale_bias=rng.standard_normal(latent_dim) * 0.1,
-                )
+            maps = (
+                rng.standard_normal(latent_dim, latent_dim) * scale,
+                rng.standard_normal(latent_dim) * 0.1,
+                rng.standard_normal(latent_dim, latent_dim) * scale,
+                rng.standard_normal(latent_dim) * 0.1,
             )
-            layer.prototypes.append(rng.standard_normal(latent_dim))
+            rows.append(np.concatenate([a.ravel() for a in maps]))
+            prototypes.append(rng.standard_normal(latent_dim))
+        layer.bank, layer.prototypes = np.stack(rows), np.stack(prototypes)
         layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
     model.sessions_completed = num_tasks - 1
     x = rng.standard_normal(batch, input_dim)

@@ -145,12 +145,12 @@ def test_freeze_invariants():
             weight_hashes.append([])
             rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
             run_session(model, stream, cfg, rng)
-            freeze_points[t] = [layer.generators[-1].param_bytes() for layer in model.layers]
+            freeze_points[t] = [layer.bank[-1].tobytes() for layer in model.layers]
     finally:
         trainer_mod.backward = orig_backward
 
     frozen_ok = all(
-        [layer.generators[k - 1].param_bytes() for layer in model.layers] == freeze_points[k]
+        [layer.bank[k - 1].tobytes() for layer in model.layers] == freeze_points[k]
         for k in range(1, 5)
     )
     backbone_ok = model.frozen_param_hash() == backbone_bytes

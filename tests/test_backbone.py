@@ -64,8 +64,8 @@ class TestForward:
         plain = small_model(with_noise=False)
         noisy = small_model(with_noise=True)
         for layer in noisy.layers:
-            layer.generators.append(new_generator(6, SeededRng(1), init_scale=0.0))
-            layer.prototypes.append(np.ones(6))
+            layer.bank = new_generator(6, SeededRng(1), init_scale=0.0)[None, :]
+            layer.prototypes = np.ones((1, 6))
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
         x = SeededRng(99).standard_normal(8, 12)
         z_plain, _, _ = forward_pass(plain, x)
@@ -113,9 +113,8 @@ class TestFeatureNoisePaths:
     def noisy_model(self):
         model = small_model()
         for layer in model.layers:
-            gen = new_generator(6, SeededRng(2), init_scale=0.5)
-            layer.generators.append(gen)
-            layer.prototypes.append(np.ones(6))
+            layer.bank = new_generator(6, SeededRng(2), init_scale=0.5)[None, :]
+            layer.prototypes = np.ones((1, 6))
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
         return model
 
@@ -145,12 +144,12 @@ class TestDrawNoise:
         model = small_model()
         model.strategy = MixtureStrategy.RANDOM_TASK
         for layer, k in zip(model.layers, counts):
-            for t in range(k):
-                layer.generators.append(new_generator(6, SeededRng(10 + t), init_scale=0.5))
+            vectors = [new_generator(6, SeededRng(10 + t), init_scale=0.5) for t in range(k)]
+            layer.bank = np.vstack([layer.bank, *vectors])
         return model
 
     def test_every_draw_then_every_pick_layer_by_layer(self):
-        # the middle layer has no generators, so it draws nothing
+        # the middle layer has an empty bank, so it draws nothing
         model = self.random_task_model([3, 0, 2])
         rng, twin = SeededRng(7), SeededRng(7)
         [(eps, picks)] = draw_noise(model, [5], rng, rng)

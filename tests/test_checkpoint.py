@@ -15,7 +15,6 @@ from noisemix.config import RunConfig, config_hash
 from noisemix.experiment import build_stream, run_training
 from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed
-from noisemix.pinoise import NoiseGenerator
 from noisemix.trainer import run_session
 
 # written by the format-v1 writer that joined each array into one bytes
@@ -69,9 +68,11 @@ def handmade_model(cfg):
     clf.gram_inv = np.eye(d) + 0.01 * (noise + noise.T)
     for layer in model.layers:
         k = layer.latent_dim
+        rows, prototypes = [], []
         for t in (1, 2):
-            layer.generators.append(NoiseGenerator(draw(k, k), draw(k), draw(k, k), draw(k)))
-            layer.prototypes.append(draw(k))
+            rows.append(np.concatenate([draw(k, k).ravel(), draw(k), draw(k, k).ravel(), draw(k)]))
+            prototypes.append(draw(k))
+        layer.bank, layer.prototypes = np.stack(rows), np.stack(prototypes)
         layer.mix_weights = draw(2) + 1.0
     model.sessions_completed = 2
     return model

@@ -1,9 +1,11 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisemix import cli, experiment, trainer
@@ -321,6 +323,36 @@ class TestRestoreChecks:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "section, shape",
+        [("L00.proto", (2,)), ("L00.proto", (2, 5)), ("L00.omega", (2, 1)), ("L01.omega", None)],
+        ids=["proto-1d", "proto-narrow", "omega-2d", "omega-missing"],
+    )
+    def test_malformed_layer_state_refused(self, tmp_path, capsys, command, section, shape):
+        # two of three sessions done: each layer holds a 2 x 16 L##.proto and a length-2 L##.omega
+        flags = [*FAST, "--set", "data.tasks=3"]
+        run_dir = tmp_path / "run"
+        assert run_cli("train", *flags, "--out", str(run_dir), "--stop-after", "2") == 0
+        sections = read_container(run_dir / "checkpoint.nmcp")
+        if shape is None:
+            del sections[section]
+        else:  # an array section: u64 ndim, the u64 sizes, float64 data
+            header = struct.pack(f"<{1 + len(shape)}Q", len(shape), *shape)
+            sections[section] = header + np.full(shape, 0.5).tobytes()
+        write_container(run_dir / "checkpoint.nmcp", sections)
+        capsys.readouterr()
+        if command == "eval":
+            rc = run_cli("eval", "--run", str(run_dir))
+        else:
+            resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
+            rc = run_cli("train", *flags, "--out", str(tmp_path / "fresh"), *resume)
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and section in err[0]
         assert not (tmp_path / "fresh").exists()
 
 

@@ -7,14 +7,12 @@ from conftest import model_config, placeholder_history
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
-    GeneratorBank,
     MixtureStrategy,
     NoiseGenerator,
     PiNoiseLayer,
     build_layer,
     compute_prototype,
     init_mix_weights,
-    mixed_generator,
     mixture_coefficients,
     new_generator,
     prototype_similarities,
@@ -25,35 +23,34 @@ from noisemix.trainer import collect_trainable
 STRATEGIES = list(MixtureStrategy)
 
 
-def make_gen(d2, seed=1, scale=1.0):
+def make_vector(d2, seed=1, scale=1.0):
+    """A generator vector whose four maps are drawn in params() order."""
     rng = SeededRng(seed)
-    return NoiseGenerator(
-        mean_weight=rng.standard_normal(d2, d2) * scale,
-        mean_bias=rng.standard_normal(d2) * scale,
-        scale_weight=rng.standard_normal(d2, d2) * scale,
-        scale_bias=rng.standard_normal(d2) * scale,
-    )
+    maps = [rng.standard_normal(*shape) for shape in ((d2, d2), (d2,), (d2, d2), (d2,))]
+    return np.concatenate([a.ravel() * scale for a in maps])
 
 
 def make_layer(d1=6, d2=3, gens=0, seed=5, scale=1.0):
-    layer = build_layer(d1, d2, 0, SeededRng(seed))
-    for t in range(gens):
-        layer.generators.append(make_gen(d2, seed=10 + t, scale=scale))
-        layer.prototypes.append(SeededRng(20 + t).standard_normal(d2))
+    layer = build_layer(d1, d2, SeededRng(seed))
     if gens:
+        layer.bank = np.stack([make_vector(d2, seed=10 + t, scale=scale) for t in range(gens)])
+        layer.prototypes = np.stack([SeededRng(20 + t).standard_normal(d2) for t in range(gens)])
         layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
     return layer
 
 
-def layer_of(generators, weights=None, d1=6, seed=5):
-    layer = build_layer(d1, generators[0].mean_weight.shape[0], 0, SeededRng(seed))
-    layer.generators = GeneratorBank(generators)
-    layer.mix_weights = None if weights is None else np.asarray(weights, dtype=float)
+def layer_of(vectors, weights=None, d2=3, d1=6, seed=5):
+    """A layer whose bank rows are ``vectors``; uniform mix weights unless given."""
+    layer = build_layer(d1, d2, SeededRng(seed))
+    layer.bank = np.stack(vectors)
+    k = len(vectors)
+    layer.mix_weights = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
     return layer
 
 
-def single_generator_path(layer, gen, feats, eps):
+def single_generator_path(layer, vector, feats, eps):
     """One generator's noise ``eps * scale(h) + mean(h)`` added to the features."""
+    gen = NoiseGenerator(vector, layer.latent_dim)
     h = feats @ layer.down_proj
     noise = h @ gen.mean_weight + gen.mean_bias
     if eps is not None:
@@ -65,7 +62,8 @@ def per_task_reference(layer, feats, strategy, eps, pick):
     """Every task's noise generated on its own, then mixed by the strategy."""
     h = feats @ layer.down_proj
     noises = []
-    for gen in layer.generators:
+    for row in layer.bank:
+        gen = NoiseGenerator(row, layer.latent_dim)
         mu = h @ gen.mean_weight + gen.mean_bias
         sig = h @ gen.scale_weight + gen.scale_bias
         if strategy is MixtureStrategy.MU_ONLY:
@@ -103,15 +101,14 @@ class TestGenerateNoise:
             assert np.array_equal(drawn, mean_path), strategy
 
     def test_scalar_case(self):
-        gen = NoiseGenerator(
-            mean_weight=np.zeros((1, 1)),
-            mean_bias=np.array([1.0]),
-            scale_weight=np.zeros((1, 1)),
-            scale_bias=np.array([2.0]),
+        # d2 = 1: mean weight 0, mean bias 1, scale weight 0, scale bias 2
+        layer = PiNoiseLayer(
+            down_proj=np.ones((1, 1)),
+            up_proj=np.ones((1, 1)),
+            bank=np.array([[0.0, 1.0, 0.0, 2.0]]),
+            prototypes=np.ones((1, 1)),
+            mix_weights=np.array([1.0]),
         )
-        layer = PiNoiseLayer(down_proj=np.ones((1, 1)), up_proj=np.ones((1, 1)), layer_index=0)
-        layer.generators.append(gen)
-        layer.mix_weights = np.array([1.0])
         out, _ = run_layer(layer, np.zeros((1, 1)), MixtureStrategy.LEARNED_OMEGA, np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(2.0)
 
@@ -125,25 +122,24 @@ class TestGenerateNoise:
 
 class TestMix:
     def test_single_noise_unit_weight(self):
-        gen = make_gen(3)
-        layer = layer_of([gen], weights=[1.0])
+        vector = make_vector(3)
+        layer = layer_of([vector], weights=[1.0])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
         out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
-        assert np.array_equal(out, single_generator_path(layer, gen, feats, eps))
+        assert np.array_equal(out, single_generator_path(layer, vector, feats, eps))
 
     def test_identical_noises_affine_combination(self):
-        gen = make_gen(3)
-        layer = layer_of([gen, NoiseGenerator(*gen.params())], weights=[0.3, 0.7])
+        vector = make_vector(3)
+        layer = layer_of([vector, vector.copy()], weights=[0.3, 0.7])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
         out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
-        np.testing.assert_allclose(out, single_generator_path(layer, gen, feats, eps), rtol=1e-14)
+        np.testing.assert_allclose(out, single_generator_path(layer, vector, feats, eps), rtol=1e-14)
 
     def test_average_cancellation(self):
-        gen = make_gen(3)
-        negated = NoiseGenerator(*(-p for p in gen.params()))
-        layer = layer_of([gen, negated])
+        vector = make_vector(3)
+        layer = layer_of([vector, -vector])
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
         out, _ = run_layer(layer, feats, MixtureStrategy.AVERAGE, eps)
@@ -153,7 +149,7 @@ class TestMix:
         layer = make_layer(gens=3)
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
-        singles = [single_generator_path(layer, g, feats, eps) for g in layer.generators]
+        singles = [single_generator_path(layer, row, feats, eps) for row in layer.bank]
         last, _ = run_layer(layer, feats, MixtureStrategy.LAST_TASK, eps)
         assert np.array_equal(last, singles[-1])
         for pick in range(3):
@@ -169,21 +165,13 @@ class TestMix:
             run_layer(layer, np.zeros((2, 6)), MixtureStrategy.LEARNED_OMEGA, None)
         with pytest.raises(ValueError, match="pick"):
             run_layer(layer, np.zeros((2, 6)), MixtureStrategy.RANDOM_TASK, None)
-        mismatched = make_layer(gens=1)
-        with pytest.raises(ValueError, match="latent width 4"):
-            mismatched.generators.append(make_gen(4))
-        with pytest.raises(ValueError):
-            GeneratorBank([make_gen(3), make_gen(4)])
 
     @given(st.floats(min_value=-5, max_value=5))
     @settings(max_examples=25)
     def test_learned_mix_is_linear(self, a):
         layer = make_layer(gens=2)
         layer.mix_weights = np.array([0.4, 0.6])
-        scaled = layer_of(
-            [NoiseGenerator(*(a * p for p in g.params())) for g in layer.generators],
-            weights=layer.mix_weights,
-        )
+        scaled = layer_of([a * row for row in layer.bank], weights=layer.mix_weights)
         feats = SeededRng(1).standard_normal(3, 6)
         eps = SeededRng(2).standard_normal(3, 3)
         base, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
@@ -225,12 +213,12 @@ class TestApplyLayer:
         feats = SeededRng(1).standard_normal(4, 6)
         eps = SeededRng(2).standard_normal(4, 3)
         out, _ = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, eps)
-        assert np.array_equal(out, single_generator_path(layer, layer.generators[0], feats, eps))
+        assert np.array_equal(out, single_generator_path(layer, layer.bank[0], feats, eps))
 
     def test_sampling_needs_rng(self):
         model = build_model(model_config(24, 3, 48, 6, 10.0, seed=3), 12)
         for layer in model.layers:
-            layer.generators.append(make_gen(6))
+            layer.bank = make_vector(6)[None, :]
             layer.mix_weights = np.array([1.0])
         with pytest.raises(ValueError, match="rng"):
             model.features(np.zeros((2, 12)), eval_mode=False)
@@ -284,19 +272,19 @@ class TestRunLayerStrategies:
 
 class TestPrototypes:
     def test_single_sample_prototype(self):
-        layer = build_layer(4, 2, 0, SeededRng(1))
+        layer = build_layer(4, 2, SeededRng(1))
         feats = SeededRng(2).standard_normal(1, 4)
         proto = compute_prototype(layer, feats)
         np.testing.assert_allclose(proto, (feats @ layer.down_proj)[0], rtol=1e-15)
 
     def test_prototype_is_the_mean_projected_row(self):
-        layer = build_layer(4, 2, 0, SeededRng(1))
+        layer = build_layer(4, 2, SeededRng(1))
         feats = SeededRng(2).standard_normal(5, 4)
         proto = compute_prototype(layer, feats)
         np.testing.assert_allclose(proto, (feats @ layer.down_proj).mean(axis=0), rtol=1e-12)
 
     def test_empty_stream_rejected(self):
-        layer = build_layer(4, 2, 0, SeededRng(1))
+        layer = build_layer(4, 2, SeededRng(1))
         with pytest.raises(ValueError):
             compute_prototype(layer, [])
 
@@ -351,31 +339,26 @@ class TestInitMixWeights:
 
 class TestFreezeSemantics:
     def test_new_generator_starts_trainable_with_zero_bias(self):
-        gen = new_generator(4, SeededRng(1), init_scale=0.001)
+        gen = NoiseGenerator(new_generator(4, SeededRng(1), init_scale=0.001), 4)
         assert np.array_equal(gen.mean_bias, np.zeros(4))
         assert float(np.abs(gen.mean_weight).max()) < 0.01
 
     def test_only_the_generator_past_the_session_count_trains(self):
         model = build_model(model_config(24, 2, 48, 4, 10.0, seed=3, strategy=MixtureStrategy.AVERAGE.value), 12)
         for layer in model.layers:
-            for t in range(2):
-                layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.001))
+            layer.bank = np.stack([new_generator(4, SeededRng(t), init_scale=0.001) for t in range(2)])
         aux = np.zeros((48, 2))
         model.sessions_completed = 1
         params = collect_trainable(model, aux)
         maps = ("mean_b", "mean_w", "scale_b", "scale_w")
         assert sorted(params) == [f"gen{l}.{m}" for l in range(2) for m in maps]
         for l, layer in enumerate(model.layers):
-            assert params[f"gen{l}.mean_w"] is layer.generators[1].mean_weight
+            for m in maps:
+                assert np.shares_memory(params[f"gen{l}.{m}"], layer.bank[1])
+                assert not np.shares_memory(params[f"gen{l}.{m}"], layer.bank[0])
+            assert np.array_equal(params[f"gen{l}.mean_w"], layer.bank[1][:16].reshape(4, 4))
         model.sessions_completed = 2
         assert collect_trainable(model, aux) == {}
-
-    def test_param_bytes_track_values(self):
-        gen = make_gen(3)
-        before = gen.param_bytes()
-        assert gen.param_bytes() == before
-        gen.mean_weight[0, 0] += 1.0
-        assert gen.param_bytes() != before
 
 
 class TestGeneratorVector:
@@ -383,9 +366,9 @@ class TestGeneratorVector:
 
     @staticmethod
     def assert_views(gen):
-        d2 = gen.latent_dim
+        d2 = gen.mean_bias.shape[0]
         joined = b"".join(np.ascontiguousarray(a).tobytes() for a in gen.params())
-        assert gen.param_bytes() == joined == gen.vector.tobytes()
+        assert joined == gen.vector.tobytes()
         assert gen.vector.shape == (2 * d2 * (d2 + 1),) and gen.vector.flags.c_contiguous
         assert [a.shape for a in gen.params()] == [(d2, d2), (d2,), (d2, d2), (d2,)]
         for a in gen.params():
@@ -394,16 +377,16 @@ class TestGeneratorVector:
         assert gen.vector[-d2 - d2] == gen.scale_weight[-1, 0]
         gen.vector[d2 * d2] -= 2.0  # in place, through the vector
         assert gen.mean_bias[0] == gen.vector[d2 * d2]
-        assert gen.param_bytes() == b"".join(a.tobytes() for a in gen.params())
+        assert gen.vector.tobytes() == b"".join(a.tobytes() for a in gen.params())
         for name in ("mean_weight", "mean_bias", "scale_weight", "scale_bias"):
             with pytest.raises(AttributeError):
                 setattr(gen, name, np.zeros_like(getattr(gen, name)))
 
     def test_built_directly(self):
-        self.assert_views(make_gen(3))
+        self.assert_views(NoiseGenerator(make_vector(3), 3))
 
     def test_new_generator(self):
-        self.assert_views(new_generator(5, SeededRng(4), init_scale=1.0))
+        self.assert_views(NoiseGenerator(new_generator(5, SeededRng(4), init_scale=1.0), 5))
 
     def test_loaded_from_checkpoint(self, tmp_path):
         from noisemix.checkpoint import restore, save_checkpoint
@@ -412,78 +395,61 @@ class TestGeneratorVector:
             return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
 
         saved = model()
-        for layer in saved.layers:
-            layer.generators.append(new_generator(4, SeededRng(layer.layer_index), init_scale=1.0))
-            layer.prototypes.append(np.ones(4))
+        for l, layer in enumerate(saved.layers):
+            layer.bank = new_generator(4, SeededRng(l), init_scale=1.0)[None, :]
+            layer.prototypes = np.ones((1, 4))
             layer.mix_weights = np.ones(1)
         saved.sessions_completed = 1
         save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2, history=placeholder_history(1))
         loaded = model()
         restore(loaded, tmp_path / "g.nmcp", "h", 2)
         for before, layer in zip(saved.layers, loaded.layers):
-            assert layer.generators[0].param_bytes() == before.generators[0].param_bytes()
-            self.assert_views(layer.generators[0])
+            assert layer.bank[0].tobytes() == before.bank[0].tobytes()
+            self.assert_views(NoiseGenerator(layer.bank[0], 4))
 
-    def test_mismatched_maps_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            NoiseGenerator(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
+    def test_vector_of_another_width_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            NoiseGenerator(np.zeros(2 * 3 * 4 + 1), 3)
+        with pytest.raises(ValueError, match="shape"):
+            NoiseGenerator(np.zeros((1, 2 * 3 * 4)), 3)
 
     def test_mixture_of_one_generator_is_that_generator(self):
-        gen = make_gen(4)
-        mixed, bank = mixed_generator(GeneratorBank([gen]), np.ones(1), np.ones(1))
-        assert np.array_equal(bank, gen.vector[None, :])
-        assert mixed.param_bytes() == gen.param_bytes()
+        vector = make_vector(4)
+        layer = layer_of([vector], weights=[1.0], d2=4)
+        _, cache = run_layer(layer, np.ones((2, 6)), MixtureStrategy.LEARNED_OMEGA, None, collect=True)
+        assert np.array_equal(cache.bank, vector[None, :])
+        assert cache.generator.vector.tobytes() == vector.tobytes()
 
 
 class TestGeneratorBank:
     """A layer's generators are the rows of one bank that grows once per session."""
 
-    @staticmethod
-    def assert_rows(layer):
-        bank = layer.generators.matrix
-        assert bank.shape[0] == len(layer.generators)
-        for row, gen in zip(bank, layer.generators):
-            assert np.shares_memory(gen.vector, bank)
-            assert gen.vector.tobytes() == row.tobytes()
-
-    def test_append_grows_and_rebinds(self):
-        layer = make_layer(gens=2)
-        first = layer.generators[0]
-        before = [g.param_bytes() for g in layer.generators]
-        gen = make_gen(3, seed=40)
-        added = gen.param_bytes()
-        layer.generators.append(gen)
-        assert layer.generators[0] is first and layer.generators[-1] is gen
-        assert [g.param_bytes() for g in layer.generators] == before + [added]
-        self.assert_rows(layer)
-
     def test_mixture_reads_the_bank_itself(self):
         layer = make_layer(gens=3)
         feats = SeededRng(1).standard_normal(4, 6)
         _, cache = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, None, collect=True)
-        assert cache.bank is layer.generators.matrix
+        assert cache.bank is layer.bank
 
     def test_in_place_sgd_writes_the_bank(self):
         model = build_model(model_config(24, 2, 48, 4, 10.0, seed=3), 12)
         for layer in model.layers:
-            for t in range(2):
-                layer.generators.append(new_generator(4, SeededRng(t), init_scale=0.5))
-                layer.prototypes.append(SeededRng(20 + t).standard_normal(4))
+            layer.bank = np.stack([new_generator(4, SeededRng(t), init_scale=0.5) for t in range(2)])
+            layer.prototypes = np.stack([SeededRng(20 + t).standard_normal(4) for t in range(2)])
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
         model.sessions_completed = 1
         params = collect_trainable(model, np.zeros((48, 2)))
-        frozen = [layer.generators.matrix[0].copy() for layer in model.layers]
+        frozen = [layer.bank[0].copy() for layer in model.layers]
         for key, p in params.items():
             p -= 0.25 * (1.0 + np.arange(p.size).reshape(p.shape))
         maps = ("mean_w", "mean_b", "scale_w", "scale_b")
         for l, layer in enumerate(model.layers):
-            newest = layer.generators.matrix[-1]
+            newest = layer.bank[-1]
             assert np.array_equal(newest, np.concatenate([params[f"gen{l}.{m}"].ravel() for m in maps]))
-            assert np.array_equal(layer.generators.matrix[0], frozen[l])
-            coefficients = mixture_coefficients(MixtureStrategy.AVERAGE, 2)
-            mixed, bank = mixed_generator(layer.generators, *coefficients)
-            assert bank is layer.generators.matrix
-            np.testing.assert_allclose(mixed.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
+            assert np.array_equal(layer.bank[0], frozen[l])
+            feats = np.zeros((1, 24))
+            _, cache = run_layer(layer, feats, MixtureStrategy.AVERAGE, None, collect=True)
+            assert cache.bank is layer.bank
+            np.testing.assert_allclose(cache.generator.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
 
     def test_checkpoint_round_trip_rebuilds_the_bank(self, tmp_path):
         from noisemix.checkpoint import restore, save_checkpoint
@@ -492,17 +458,16 @@ class TestGeneratorBank:
             return build_model(model_config(8, 2, 16, 4, 1.0, seed=3), 6)
 
         saved = model()
-        for layer in saved.layers:
-            for t in range(3):
-                layer.generators.append(new_generator(4, SeededRng(10 * layer.layer_index + t), init_scale=1.0))
-                layer.prototypes.append(np.ones(4) + t)
+        for l, layer in enumerate(saved.layers):
+            layer.bank = np.stack([new_generator(4, SeededRng(10 * l + t), init_scale=1.0) for t in range(3)])
+            layer.prototypes = np.stack([np.ones(4) + t for t in range(3)])
             layer.mix_weights = np.full(3, 1.0 / 3.0)
         saved.sessions_completed = 3
         save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3, history=placeholder_history(3))
         loaded = model()
         restore(loaded, tmp_path / "b.nmcp", "h", 3)
         for before, layer in zip(saved.layers, loaded.layers):
-            assert isinstance(layer.generators, GeneratorBank)
-            assert layer.generators.matrix.tobytes() == before.generators.matrix.tobytes()
-            self.assert_rows(layer)
+            assert layer.bank.shape == (3, 40) and layer.bank.flags.c_contiguous
+            assert layer.bank.tobytes() == before.bank.tobytes()
+            assert layer.prototypes.tobytes() == before.prototypes.tobytes()
         assert loaded.state_hash() == saved.state_hash()

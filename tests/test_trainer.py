@@ -9,7 +9,7 @@ from noisemix.config import RunConfig
 from noisemix.experiment import build_stream, trainable_param_count
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve
-from noisemix.pinoise import MixtureStrategy
+from noisemix.pinoise import MixtureStrategy, NoiseGenerator
 from noisemix.trainer import (
     backward,
     gradient_step,
@@ -168,13 +168,13 @@ class TestBackward:
         params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
         _, d_aux, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
-        frozen_before = [layer.generators[0].param_bytes() for layer in model.layers]
+        frozen_before = [layer.bank[0].tobytes() for layer in model.layers]
         grads = backward(model, tape, d_z, params)
         grads["aux"] += d_aux
         velocity = {k: np.zeros_like(v) for k, v in params.items()}
         sgd_step(params, grads, velocity, lr=0.5, momentum=0.0)
         for layer, before in zip(model.layers, frozen_before):
-            assert layer.generators[0].param_bytes() == before
+            assert layer.bank[0].tobytes() == before
         assert not any(k.startswith("gen") and ".0." in k for k in grads)
 
     @pytest.mark.parametrize("k", [1, 5])
@@ -191,8 +191,9 @@ class TestBackward:
         for l, layer in enumerate(model.layers):
             names = ("mean_w", "mean_b", "scale_w", "scale_b")
             d_gen = [grads[f"gen{l}.{name}"] / layer.mix_weights[-1] for name in names]
+            generators = [NoiseGenerator(row, layer.latent_dim) for row in layer.bank]
             reference = np.array(
-                [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in layer.generators]
+                [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in generators]
             )
             assert grads[f"omega{l}"].shape == (k,)
             scale = max(1.0, float(np.max(np.abs(reference))))
@@ -333,9 +334,9 @@ class TestSession:
         for t in range(1, stream.num_tasks + 1):
             rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
             run_session(model, stream, cfg, rng)
-            frozen_snapshots[t] = [layer.generators[-1].param_bytes() for layer in model.layers]
+            frozen_snapshots[t] = [layer.bank[-1].tobytes() for layer in model.layers]
             for past in range(1, t + 1):
-                current = [layer.generators[past - 1].param_bytes() for layer in model.layers]
+                current = [layer.bank[past - 1].tobytes() for layer in model.layers]
                 assert current == frozen_snapshots[past]
         assert model.frozen_param_hash() == backbone_hash
 
@@ -350,7 +351,7 @@ class TestSession:
         cfg = small_cfg()
         _, model, _ = run_all_sessions(cfg)
         for layer in model.layers:
-            assert len(layer.generators) == 5
+            assert len(layer.bank) == 5
             assert len(layer.prototypes) == 5
             assert len(layer.mix_weights) == 5
         aux = np.zeros((model.buffer.width, model.classifier.num_classes))
