@@ -11,7 +11,8 @@ Section payloads are either UTF-8 JSON (the ``meta`` and ``history``
 sections) or arrays encoded as u64 ndim, u64 per-dimension sizes, then
 float64 data. :func:`save_checkpoint` writes a run's checkpoint and
 :func:`restore` is the one function that reads one back: it checks ``meta``
-and ``history`` before it reads any array.
+and ``history`` before it reads any array. Both walk one list of the array
+sections, :func:`array_sections`; only the classifier's form is outside it.
 """
 
 from __future__ import annotations
@@ -78,12 +79,16 @@ def _decode_array(sections: dict[str, bytearray], name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8", offset=8 + 8 * ndim).reshape(shape)
 
 
-def _decode_shaped(sections: dict[str, bytearray], name: str, shape: tuple) -> np.ndarray:
-    """:func:`_decode_array`, refused unless the array has ``shape``."""
+def _decode_into(sections: dict[str, bytearray], name: str, out: np.ndarray) -> None:
+    """Copy section ``name`` into ``out``: refused, naming the section, unless
+    :func:`_decode_array` accepts it, its shape is ``out``'s and every entry
+    is finite."""
     a = _decode_array(sections, name)
-    if a.shape != shape:
-        raise CheckpointError(f"section {name} has shape {a.shape}, expected {shape}")
-    return a
+    if a.shape != out.shape:
+        raise CheckpointError(f"section {name} has shape {a.shape}, expected {out.shape}")
+    if not np.all(np.isfinite(a)):
+        raise CheckpointError(f"section {name} has non-finite values")
+    out[...] = a
 
 
 def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> None:
@@ -153,6 +158,21 @@ def read_container(path: str | Path, names=None) -> dict[str, bytearray]:
     return sections
 
 
+def array_sections(model: ContinualModel):
+    """The model's array sections other than the classifier's form, as
+    (name, array) pairs in file order: ``clf.weights``, then per noise layer ``L##.omega``
+    and ``L##.proto`` once it holds a generator, and each bank row's four
+    maps, which are views of the row."""
+    yield "clf.weights", model.classifier.weights
+    for l, layer in enumerate(model.layers or ()):
+        if len(layer.bank):
+            yield f"L{l:02d}.omega", layer.mix_weights
+            yield f"L{l:02d}.proto", layer.prototypes
+        for i, row in enumerate(layer.bank):
+            maps = NoiseGenerator(row, layer.latent_dim).params()
+            yield from ((f"L{l:02d}.G{i:02d}.{name}", a) for name, a in zip(_GENERATOR_MAPS, maps))
+
+
 def save_checkpoint(
     path: str | Path,
     model: ContinualModel,
@@ -181,9 +201,10 @@ def save_checkpoint(
         "eval_seed": model.eval_seed,
     }
     clf = model.classifier
+    arrays = {name: _encode_array(a) for name, a in array_sections(model)}
     sections: dict[str, bytes | tuple] = {
         "meta": json.dumps(meta, sort_keys=True).encode("utf-8"),
-        "clf.weights": _encode_array(clf.weights),
+        "clf.weights": arrays.pop("clf.weights"),
     }
     # the classifier's one form: its rows, or its dense inverse
     if clf.rows is None:
@@ -194,17 +215,7 @@ def save_checkpoint(
         sections["history"] = json.dumps(
             [report_to_dict(r) for r in history], sort_keys=True
         ).encode("utf-8")
-    if model.layers is not None:
-        for l, layer in enumerate(model.layers):
-            prefix = f"L{l:02d}"
-            if len(layer.bank):
-                sections[f"{prefix}.omega"] = _encode_array(layer.mix_weights)
-                sections[f"{prefix}.proto"] = _encode_array(layer.prototypes)
-            for i, row in enumerate(layer.bank):
-                maps = NoiseGenerator(row, layer.latent_dim).params()
-                for name, a in zip(_GENERATOR_MAPS, maps):
-                    sections[f"{prefix}.G{i:02d}.{name}"] = _encode_array(a)
-    write_container(path, sections)
+    write_container(path, sections | arrays)
 
 
 def _asymmetry(r: np.ndarray) -> float:
@@ -263,17 +274,17 @@ def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> No
     else:
         clf.gram_inv = _decode_array(sections, "clf.graminv")
         if clf.gram_inv.shape != (d, d):
-            raise CheckpointError("gram inverse shape mismatch")
+            raise CheckpointError(f"section clf.graminv has shape {clf.gram_inv.shape}, expected {(d, d)}")
         # written so that a NaN fails both checks
         if not (_asymmetry(clf.gram_inv) <= 1e-9):
-            raise CheckpointError("gram inverse lost symmetry")
+            raise CheckpointError("section clf.graminv lost symmetry")
     # in the row form the implied diagonal 1/lambda - sum K^2 is finite exactly when the rows
     # are finite and do not overflow, and a positive one bounds every |R_ij| by 1/lambda
     diag = clf.diagonal()
     if not np.all(np.isfinite(diag)):
-        raise CheckpointError(f"{forms[0]} has non-finite values")
+        raise CheckpointError(f"section {forms[0]} has non-finite values")
     if not np.all(diag > 0):
-        raise CheckpointError("gram inverse diagonal not positive")
+        raise CheckpointError(f"section {forms[0]}: gram inverse diagonal not positive")
 
 
 def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: int) -> list[SessionReport]:
@@ -286,12 +297,16 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
     completed sessions, the history entries, and one entry per completed
     session. Only then is the model's own classifier state dropped and the
     whole container read once, so a refused checkpoint costs no array read
-    and the two classifier states are never held at once. The classifier
-    continues in the stored form: exactly one of ``clf.graminv`` and
-    ``clf.rows`` must be present. After a completed session every noise
-    layer's ``L##.proto``, ``L##.omega`` and generator maps must have the
-    shapes the session count and the latent width give; the maps are
-    copied into a new bank through views of its rows.
+    and the two classifier states are never held at once.
+
+    The weights and each noise layer's bank, prototypes and mix weights are
+    then sized from ``classes_seen`` and the session count, and every array
+    :func:`array_sections` yields is filled in its order (the weights, then
+    the layers in file order) by :func:`_decode_into`, which refuses a
+    missing section, a bad header, another shape or a non-finite entry,
+    naming the section. Last comes the classifier's form, which it continues
+    in: exactly one of ``clf.graminv`` and ``clf.rows`` must be present, and
+    :func:`_load_classifier_form` checks it in place.
     """
     sections = read_container(path, names={"meta", "history"})
     if "meta" not in sections:
@@ -323,22 +338,15 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
     clf = model.classifier
     clf.gram_inv = None
     sections = read_container(path)
-    classes = list(meta["classes_seen"])
-    clf.classes_seen = classes
-    clf.weights = _decode_array(sections, "clf.weights")
-    if clf.weights.shape != (clf.feature_dim, len(classes)):
-        raise CheckpointError("classifier weight shape mismatch")
-    _load_classifier_form(clf, sections, meta)
-
-    for l, layer in enumerate(model.layers or ()):
-        prefix, d2 = f"L{l:02d}", layer.latent_dim
-        if sessions:
-            layer.prototypes = _decode_shaped(sections, f"{prefix}.proto", (sessions, d2))
-            layer.mix_weights = _decode_shaped(sections, f"{prefix}.omega", (sessions,))
+    clf.classes_seen = list(meta["classes_seen"])
+    clf.weights = np.empty((clf.feature_dim, clf.num_classes))
+    for layer in model.layers or ():
         layer.bank = np.empty((sessions, layer.bank.shape[1]))
-        for i, row in enumerate(layer.bank):
-            for name, view in zip(_GENERATOR_MAPS, NoiseGenerator(row, d2).params()):
-                view[...] = _decode_shaped(sections, f"{prefix}.G{i:02d}.{name}", view.shape)
+        layer.prototypes = np.empty((sessions, layer.latent_dim))
+        layer.mix_weights = np.empty(sessions)
+    for name, view in array_sections(model):
+        _decode_into(sections, name, view)
+    _load_classifier_form(clf, sections, meta)
     model.sessions_completed = sessions
     model.eval_seed = meta["eval_seed"]
     return reports

@@ -166,14 +166,7 @@ def cmd_gradcheck(args) -> int:
         "depth": min(cfg.backbone.depth, 2),
         "buffer_size": min(cfg.backbone.buffer_size, 32),
     }
-    instance = make_gradcheck_instance(
-        feature_dim=dims["feature_dim"],
-        latent_dim=dims["latent_dim"],
-        depth=dims["depth"],
-        buffer_size=dims["buffer_size"],
-        strategy=cfg.pinoise.strategy,
-        seed=cfg.train.seed,
-    )
+    instance = make_gradcheck_instance(**dims, strategy=cfg.pinoise.strategy, seed=cfg.train.seed)
     report = gradient_check(*instance)
     print(f"instance: {dims}")
     for line in report.lines():

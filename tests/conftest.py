@@ -15,6 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+import numpy as np  # noqa: E402  (after the BLAS thread settings)
+
 from noisemix.config import RunConfig  # noqa: E402  (needs SRC on the path)
 from noisemix.report import SessionReport  # noqa: E402
 
@@ -22,6 +24,24 @@ from noisemix.report import SessionReport  # noqa: E402
 def placeholder_history(sessions: int) -> list[SessionReport]:
     """One made-up report per session, the history a checkpoint of ``sessions`` sessions must hold."""
     return [SessionReport(t, 1.0, {}) for t in range(1, sessions + 1)]
+
+
+# one entry of each kind of array section a 3-task checkpoint saved after session 2
+# holds, and the non-finite value it is set to
+NON_FINITE_ENTRIES = [
+    ("clf.weights", np.nan),
+    ("L00.omega", np.nan),
+    ("L00.proto", np.inf),
+    ("L00.G00.mb", np.nan),
+    ("L01.G01.sw", np.nan),
+]
+
+
+def set_last_entry(sections, name, value) -> None:
+    """Set the last data entry of array section ``name`` in place. An array
+    payload is 8-byte words (u64 ndim, the u64 sizes, the float64 data), so
+    its last word is its last entry."""
+    np.frombuffer(sections[name], "<f8")[-1] = value
 
 
 def model_config(feature_dim, depth, buffer_size, latent_dim, regularization, seed, **pinoise) -> RunConfig:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import placeholder_history
+from conftest import NON_FINITE_ENTRIES, placeholder_history, set_last_entry
 from noisemix import checkpoint
 from noisemix.checkpoint import CheckpointError, read_container, restore, save_checkpoint, write_container
 from noisemix.cli import main
@@ -273,6 +274,45 @@ class TestModelCheckpoint:
         fresh = build_model(cfg, stream.feature_dim)
         restore(fresh, path, "h", 3)
         assert fresh.state_hash() == model.state_hash()
+
+
+class TestArraySections:
+    """save_checkpoint and restore walk the one list that array_sections gives."""
+
+    @pytest.mark.parametrize("section, value", NON_FINITE_ENTRIES)
+    def test_non_finite_entry_refused_by_name(self, tmp_path, section, value):
+        cfg = tiny_cfg()
+        run_training(cfg, out_dir=tmp_path / "run", stop_after=2)
+        path = tmp_path / "run" / "checkpoint.nmcp"
+        sections = read_container(path)
+        set_last_entry(sections, section, value)
+        write_container(path, sections)
+        stream = build_stream(cfg)
+        with pytest.raises(CheckpointError, match=f"section {re.escape(section)} has non-finite values"):
+            restore(build_model(cfg, stream.feature_dim), path, config_hash(cfg), stream.num_tasks)
+
+    def test_written_in_the_listed_order(self, tmp_path):
+        cfg = tiny_cfg()
+        stream, model, reports = trained_model(cfg)
+        path = tmp_path / "model.nmcp"
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
+        listed = [name for name, _ in checkpoint.array_sections(model)]
+        assert "L01.G01.sw" in listed
+        written = list(read_container(path))
+        assert [name for name in written if name in listed] == listed
+        assert set(written) - set(listed) == {"meta", "clf.graminv", "history"}
+
+    def test_every_section_written_is_documented(self, tmp_path):
+        # a section that a later change adds cannot go undocumented
+        cfg = tiny_cfg()
+        stream, model, reports = trained_model(cfg)
+        path = tmp_path / "model.nmcp"
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
+        doc = (Path(__file__).parent.parent / "docs" / "checkpoint_format.md").read_text(encoding="utf-8")
+        table = doc.split("\n## Sections\n")[1].split("\n## ")[0]
+        rows = set(re.findall(r"^\| `([^`]+)`", table, re.M))
+        names = [name for name, _ in checkpoint.array_sections(model)] + list(read_container(path))
+        assert {re.sub(r"\d\d", "##", name) for name in names} - rows == set()
 
 
 class TestClassifierForms:

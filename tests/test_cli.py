@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import NON_FINITE_ENTRIES, set_last_entry
 from noisemix import cli, experiment, trainer
 from noisemix.checkpoint import read_container, write_container
 from noisemix.cli import main
@@ -301,6 +303,31 @@ class TestRestoreChecks:
         sections["history"] = json.dumps(history, sort_keys=True).encode("utf-8")
         write_container(path, sections)
 
+    @staticmethod
+    def refusal(tmp_path, capsys, command, run_dir, flags):
+        """The one ``error:`` line of an ``eval --run`` of ``run_dir``, or of a
+        ``train --resume`` from its checkpoint, which must exit 1 and write nothing."""
+        capsys.readouterr()
+        if command == "eval":
+            rc = run_cli("eval", "--run", str(run_dir))
+        else:
+            resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
+            rc = run_cli("train", *flags, "--out", str(tmp_path / "fresh"), *resume)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert rc == 1 and captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "fresh").exists()
+        return err[0]
+
+    @pytest.fixture(scope="class")
+    def stopped_run(self, tmp_path_factory):
+        """A 3-task run stopped after session 2, and the flags that made it.
+        Each layer holds two generators, a 2 x 16 L##.proto and a length-2 L##.omega."""
+        flags = [*FAST, "--set", "data.tasks=3"]
+        run_dir = tmp_path_factory.mktemp("stopped") / "run"
+        assert run_cli("train", *flags, "--out", str(run_dir), "--stop-after", "2") == 0
+        return run_dir, flags
+
     @pytest.mark.parametrize("noise", [False, True], ids=["baseline", "noise"])
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
@@ -313,17 +340,7 @@ class TestRestoreChecks:
         run_dir = tmp_path / "run"
         assert run_cli("train", *flags, "--out", str(run_dir)) == 0
         self.rewrite(run_dir / "checkpoint.nmcp", sessions, reports)
-        capsys.readouterr()
-        if command == "eval":
-            rc = run_cli("eval", "--run", str(run_dir))
-        else:
-            resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
-            rc = run_cli("train", *flags, "--out", str(tmp_path / "fresh"), *resume)
-        assert rc == 1
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and named in err[0]
-        assert not (tmp_path / "fresh").exists()
+        assert named in self.refusal(tmp_path, capsys, command, run_dir, flags)
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
@@ -331,11 +348,8 @@ class TestRestoreChecks:
         [("L00.proto", (2,)), ("L00.proto", (2, 5)), ("L00.omega", (2, 1)), ("L01.omega", None)],
         ids=["proto-1d", "proto-narrow", "omega-2d", "omega-missing"],
     )
-    def test_malformed_layer_state_refused(self, tmp_path, capsys, command, section, shape):
-        # two of three sessions done: each layer holds a 2 x 16 L##.proto and a length-2 L##.omega
-        flags = [*FAST, "--set", "data.tasks=3"]
-        run_dir = tmp_path / "run"
-        assert run_cli("train", *flags, "--out", str(run_dir), "--stop-after", "2") == 0
+    def test_malformed_layer_state_refused(self, tmp_path, capsys, stopped_run, command, section, shape):
+        run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
         sections = read_container(run_dir / "checkpoint.nmcp")
         if shape is None:
             del sections[section]
@@ -343,17 +357,17 @@ class TestRestoreChecks:
             header = struct.pack(f"<{1 + len(shape)}Q", len(shape), *shape)
             sections[section] = header + np.full(shape, 0.5).tobytes()
         write_container(run_dir / "checkpoint.nmcp", sections)
-        capsys.readouterr()
-        if command == "eval":
-            rc = run_cli("eval", "--run", str(run_dir))
-        else:
-            resume = ["--resume", str(run_dir / "checkpoint.nmcp")]
-            rc = run_cli("train", *flags, "--out", str(tmp_path / "fresh"), *resume)
-        assert rc == 1
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ") and section in err[0]
-        assert not (tmp_path / "fresh").exists()
+        assert section in self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("section, value", NON_FINITE_ENTRIES)
+    def test_non_finite_entry_refused(self, tmp_path, capsys, stopped_run, command, section, value):
+        run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
+        sections = read_container(run_dir / "checkpoint.nmcp")
+        set_last_entry(sections, section, value)
+        write_container(run_dir / "checkpoint.nmcp", sections)
+        refusal = self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
+        assert refusal == f"error: section {section} has non-finite values"
 
 
 class TestAblate:
