@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datastream import TaskStream
 from .model import ContinualModel
 from .pinoise import NoiseGenerator
 from .report import SessionReport, report_from_dict, report_to_dict
@@ -287,17 +288,20 @@ def _load_classifier_form(clf, sections: dict[str, bytearray], meta: dict) -> No
         raise CheckpointError(f"section {forms[0]}: gram inverse diagonal not positive")
 
 
-def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: int) -> list[SessionReport]:
+def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: TaskStream) -> list[SessionReport]:
     """Load the checkpoint at ``path`` into ``model``, a fresh build of the run's
     configuration, and return its session reports.
 
     First only ``meta`` and ``history`` are read, and every check they allow
     is made, in this order: the meta keys' JSON types, the frozen parameter
-    hash, ``cfg_hash``, noise layer presence and count, at most ``num_tasks``
-    completed sessions, the history entries, and one entry per completed
-    session. Only then is the model's own classifier state dropped and the
-    whole container read once, so a refused checkpoint costs no array read
-    and the two classifier states are never held at once.
+    hash, ``cfg_hash``, the model's ``eval_seed`` (which the configuration
+    fixes, so it is checked, never adopted), noise layer presence and count,
+    at most as many completed sessions as ``stream`` has tasks, the history
+    entries, one entry per completed session, and ``classes_seen`` equal to
+    the class sets of the stream's first completed tasks, in order. Only
+    then is the model's own classifier state dropped and the whole container
+    read once, so a refused checkpoint costs no array read and the two
+    classifier states are never held at once.
 
     The weights and each noise layer's bank, prototypes and mix weights are
     then sized from ``classes_seen`` and the session count, and every array
@@ -319,13 +323,15 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
         raise CheckpointError("frozen parameter hash mismatch; model/config drifted")
     if meta["config_hash"] != cfg_hash:
         raise CheckpointError("checkpoint was written by a different configuration")
+    if meta["eval_seed"] != model.eval_seed:
+        raise CheckpointError(f"checkpoint eval_seed {meta['eval_seed']} is not the configuration's {model.eval_seed}")
     if meta["has_noise"] != model.has_noise:
         raise CheckpointError("noise layer presence mismatch")
     if model.layers is not None and meta["num_layers"] != len(model.layers):
         raise CheckpointError("layer count mismatch")
     sessions = meta["sessions_completed"]
-    if sessions > num_tasks:
-        raise CheckpointError(f"checkpoint completed {sessions} sessions, but the stream has {num_tasks} tasks")
+    if sessions > stream.num_tasks:
+        raise CheckpointError(f"checkpoint completed {sessions} sessions, but the stream has {stream.num_tasks} tasks")
     entries = json.loads(sections["history"].decode("utf-8")) if "history" in sections else []
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise CheckpointError("checkpoint history is not a list of JSON objects")
@@ -333,6 +339,8 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
         _check_keys(entry, _HISTORY_TYPES, "checkpoint history entry")
     if len(entries) != sessions:
         raise CheckpointError("checkpoint history does not match completed sessions")
+    if meta["classes_seen"] != [c for task in stream.tasks[:sessions] for c in task.class_set]:
+        raise CheckpointError(f"checkpoint classes_seen does not match the stream's first {sessions} tasks")
     reports = [report_from_dict(d) for d in entries]
 
     clf = model.classifier
@@ -348,5 +356,4 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, num_tasks: i
         _decode_into(sections, name, view)
     _load_classifier_form(clf, sections, meta)
     model.sessions_completed = sessions
-    model.eval_seed = meta["eval_seed"]
     return reports

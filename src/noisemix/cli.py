@@ -126,7 +126,7 @@ def cmd_eval(args) -> int:
     cfg.validate()
     stream = build_stream(cfg)
     model = build_model(cfg, stream.feature_dim)
-    ckpt.restore(model, run_dir / "checkpoint.nmcp", config_hash(cfg), stream.num_tasks)
+    ckpt.restore(model, run_dir / "checkpoint.nmcp", config_hash(cfg), stream)
     report = evaluate(model, stream, model.sessions_completed)
     print(
         f"sessions={model.sessions_completed} accuracy={100.0 * report.accuracy_seen:.2f}% "

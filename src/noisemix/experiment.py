@@ -65,7 +65,7 @@ def run_training(
     cfg.validate()
     stream = build_stream(cfg)
     model = build_model(cfg, stream.feature_dim)
-    earlier = [] if resume_path is None else ckpt.restore(model, resume_path, config_hash(cfg), stream.num_tasks)
+    earlier = [] if resume_path is None else ckpt.restore(model, resume_path, config_hash(cfg), stream)
     start_task = model.sessions_completed + 1
 
     last_task = stream.num_tasks if stop_after is None else min(stop_after, stream.num_tasks)
@@ -225,18 +225,18 @@ def run_ablation(
 def trainable_param_count(cfg: RunConfig, stream: TaskStream, task_index: int = 1) -> int:
     """Parameters trained in session ``task_index`` of ``stream``.
 
-    The newest generator of every layer; under learned-omega also the mix
-    weights and the auxiliary classifier over the classes seen so far (the
+    The newest generator of every layer and the auxiliary classifier over
+    the classes seen so far; under learned-omega also the mix weights (the
     groups of :func:`trainer.collect_trainable`).
     """
     p = cfg.pinoise
     if not p.enabled:
         return 0
     depth = cfg.backbone.depth
-    count = depth * 2 * p.latent_dim * (p.latent_dim + 1)
+    classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
+    count = depth * 2 * p.latent_dim * (p.latent_dim + 1) + cfg.backbone.buffer_size * classes
     if MixtureStrategy.from_string(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
-        classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
-        count += task_index * depth + cfg.backbone.buffer_size * classes
+        count += task_index * depth
     return count
 
 

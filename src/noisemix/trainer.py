@@ -5,8 +5,9 @@ it first takes the frozen classifier weights from a trial update under the
 noise state carried over from previous sessions
 (``RidgeClassifier.trial_weights``), grows every layer's bank and
 prototypes by one row and initializes its mix weights from prototype
-similarity (:func:`_grow_layers`), trains the new generators (plus mix
-weights and an auxiliary classifier) by gradient descent on a residual loss
+similarity (:func:`_grow_layers`), trains the new generators and an
+auxiliary classifier (plus, under learned-omega, the mix weights) by
+gradient descent on one residual loss for every strategy
 (:func:`_train_epochs`), and recomputes the features under the trained
 noise. Then, for the baseline model too, the task is committed to the
 classifier once (``RidgeClassifier.update``) and the model is evaluated on
@@ -115,11 +116,12 @@ def residual_loss_grads(
 def direct_ce_grads(
     features: np.ndarray, class_weights: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Cross-entropy straight through the frozen classifier.
+    """Cross-entropy straight through the frozen classifier, and its feature
+    gradient.
 
-    Used by the mixture-ablation variants, which train the noise generators
-    without an auxiliary classifier: the gradient reaches the features
-    through the fixed weight matrix, which itself receives no update.
+    No package code calls it: every strategy trains on
+    :func:`residual_loss_grads`. It stays only because ``bench/tracer.py``
+    names it among the functions it times.
     """
     logits = features @ class_weights
     loss, d_logits = softmax_cross_entropy(logits, targets)
@@ -130,10 +132,9 @@ def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[st
     """Name -> array view of everything the current session may update.
 
     The newest generator of every layer, a view of its bank's last row,
-    trains under every strategy while the bank holds more rows than the
-    model has completed sessions; the mix weights and the auxiliary
-    classifier train only under learned-omega, the other strategies train
-    straight through the frozen classifier.
+    trains while the bank holds more rows than the model has completed
+    sessions; the mix weights train only under learned-omega; the auxiliary
+    classifier trains under every strategy and comes last.
     """
     if model.layers is None:
         raise ValueError("baseline model has nothing to train")
@@ -149,24 +150,8 @@ def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[st
     if model.strategy is MixtureStrategy.LEARNED_OMEGA:
         for l, layer in enumerate(model.layers):
             params[f"omega{l}"] = layer.mix_weights
-        params["aux"] = aux_weights
+    params["aux"] = aux_weights
     return params
-
-
-def _session_loss(z, params, targets, frozen_weights, offset=None):
-    """Loss, auxiliary gradient (None without an auxiliary classifier) and
-    feature gradient of the session objective on features ``z``.
-
-    With an auxiliary classifier in ``params`` it is the residual loss on
-    top of the frozen logits ``offset`` (``z @ frozen_weights`` when not
-    given); otherwise cross-entropy through the frozen classifier.
-    """
-    if "aux" not in params:
-        loss, d_z = direct_ce_grads(z, frozen_weights, targets)
-        return loss, None, d_z
-    if offset is None:
-        offset = z @ frozen_weights
-    return residual_loss_grads(z, params["aux"], targets, offset)
 
 
 def gradient_step(
@@ -177,18 +162,18 @@ def gradient_step(
     ``x`` holds the batch's inputs, or with ``from_block0`` block 0's output
     for them (see :func:`noisemix.model.forward_pass`). Returns the loss, the
     gradient of every array in ``params`` and the features the loss was
-    taken on.
+    taken on. The loss is the residual loss of the auxiliary classifier
+    on top of the frozen logits ``z @ frozen_weights``.
     """
     z, _, tape = forward_pass(
         model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True,
         from_block0=from_block0,
     )
-    loss, d_aux, d_z = _session_loss(z, params, targets, frozen_weights)
+    loss, d_aux, d_z = residual_loss_grads(z, params["aux"], targets, z @ frozen_weights)
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")
     grads = backward(model, tape, d_z, params)
-    if d_aux is not None:
-        grads["aux"] = d_aux  # keeps its place in params order
+    grads["aux"] = d_aux  # last in params, so grads keep params order
     return loss, grads, z
 
 
@@ -208,9 +193,9 @@ def backward(
     layer's generator and mix-weight gradients are taken.
 
     ``d_features`` is consumed: it is multiplied by the ReLU mask in place.
-    Each gradient is written once, and the result lists them in ``params``
-    order (the order :func:`clip_gradients` sums in); an array the pass does
-    not reach gets zeros.
+    Each gradient is written once, and the result lists the gradients the
+    pass computes in ``params`` order (the order :func:`clip_gradients` sums
+    in); an array it does not reach, such as ``aux``, gets no entry.
     """
     grads: dict[str, np.ndarray] = {}
     depth = model.backbone.depth
@@ -242,7 +227,7 @@ def backward(
         u = tape.block_tanh[l]
         block = model.backbone.blocks[l]
         d_cur = d_r + block.gain * ((d_r * (1.0 - u * u)) @ block.weight.T)
-    return {key: grads[key] if key in grads else np.zeros_like(p) for key, p in params.items()}
+    return {key: grads[key] for key in params if key in grads}
 
 
 def run_session(
@@ -438,7 +423,7 @@ def gradient_check(
             z, _, _ = forward_pass(
                 model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer
             )
-            return _session_loss(z, params, targets, frozen_weights, offset0)[0]
+            return residual_loss_grads(z, params["aux"], targets, offset0)[0]
         finally:
             params[key][...] = saved
 

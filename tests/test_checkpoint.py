@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,7 @@ class TestModelCheckpoint:
         save_checkpoint(path, model, "deadbeef", cfg.train.seed, 3, history=reports)
 
         fresh = build_model(cfg, stream.feature_dim)
-        assert restore(fresh, path, "deadbeef", 3) == reports
+        assert restore(fresh, path, "deadbeef", stream) == reports
         assert fresh.sessions_completed == 2
         assert fresh.state_hash() == model.state_hash()
 
@@ -161,7 +162,7 @@ class TestModelCheckpoint:
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         rng_a = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rng_b = SeededRng(derive_seed(cfg.train.seed, "session", 3))
         rep_direct = run_session(model, stream, cfg, rng_a)
@@ -178,7 +179,7 @@ class TestModelCheckpoint:
         other_cfg.backbone.seed = 99
         other = build_model(other_cfg, stream.feature_dim)
         with pytest.raises(CheckpointError, match="frozen"):
-            restore(other, path, "h", 3)
+            restore(other, path, "h", stream)
 
     def test_meta_records_the_run(self, tmp_path):
         cfg = small_cfg()
@@ -199,7 +200,7 @@ class TestModelCheckpoint:
         del sections["meta"]
         write_container(path, sections)
         with pytest.raises(CheckpointError, match="meta"):
-            restore(build_model(cfg, stream.feature_dim), path, "abc", 3)
+            restore(build_model(cfg, stream.feature_dim), path, "abc", stream)
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -236,7 +237,7 @@ class TestModelCheckpoint:
         write_container(bad, sections)
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
-            restore(build_model(cfg, stream.feature_dim), bad, config_hash(cfg), stream.num_tasks)
+            restore(build_model(cfg, stream.feature_dim), bad, config_hash(cfg), stream)
         capsys.readouterr()
         config = str(tmp_path / "run" / "config.resolved")
         rc = main(["train", "--config", config, "--out", str(tmp_path / "resumed"), "--resume", str(bad)])
@@ -262,8 +263,9 @@ class TestModelCheckpoint:
         path = tmp_path / "h.nmcp"
         save_checkpoint(path, handmade_model(cfg), "h", cfg.train.seed, 3)
         write_container(path, {**read_container(path), "history": history})
+        stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
-            restore(build_model(cfg, build_stream(cfg).feature_dim), path, "h", 3)
+            restore(build_model(cfg, stream.feature_dim), path, "h", stream)
 
     def test_baseline_checkpoint_round_trip(self, tmp_path):
         cfg = small_cfg()
@@ -272,7 +274,7 @@ class TestModelCheckpoint:
         path = tmp_path / "base.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         assert fresh.state_hash() == model.state_hash()
 
 
@@ -289,7 +291,7 @@ class TestArraySections:
         write_container(path, sections)
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=f"section {re.escape(section)} has non-finite values"):
-            restore(build_model(cfg, stream.feature_dim), path, config_hash(cfg), stream.num_tasks)
+            restore(build_model(cfg, stream.feature_dim), path, config_hash(cfg), stream)
 
     def test_written_in_the_listed_order(self, tmp_path):
         cfg = tiny_cfg()
@@ -334,7 +336,7 @@ class TestClassifierForms:
         sections = read_container(path)
         assert "clf.rows" in sections and "clf.graminv" not in sections
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
         assert fresh.state_hash() == model.state_hash()
         reports = [
@@ -354,7 +356,7 @@ class TestClassifierForms:
         path = tmp_path / "model.nmcp"
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         assert fresh.classifier.rows.shape == model.classifier.rows.shape == (96, 256)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
         assert fresh.state_hash() == model.state_hash()
@@ -372,7 +374,7 @@ class TestClassifierForms:
         sections = read_container(path)
         assert "clf.graminv" in sections and "clf.rows" not in sections
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         assert fresh.classifier.rows is None and fresh.state_hash() == model.state_hash()
 
     @pytest.mark.parametrize(
@@ -413,7 +415,7 @@ class TestClassifierForms:
                 sections["clf.graminv"] = read_container(tmp_path / "dense.nmcp")["clf.graminv"]
             write_container(path, sections)
         with pytest.raises(CheckpointError, match=named):
-            restore(build_model(cfg, stream.feature_dim), path, "h", 3)
+            restore(build_model(cfg, stream.feature_dim), path, "h", stream)
 
 
 class TestFormatPinned:
@@ -433,7 +435,7 @@ class TestFormatPinned:
         cfg = tiny_cfg()
         stream = build_stream(cfg)
         model = build_model(cfg, stream.feature_dim)
-        history = restore(model, V1_FIXTURE, "parent", stream.num_tasks)
+        history = restore(model, V1_FIXTURE, "parent", stream)
         assert model.sessions_completed == 2
         assert model.state_hash() == "0302a57c2024e88cdbdd6af85fc0898a73bcce5fd0c7ca6d66582a2028feb4cd"
         assert [r.task_index for r in history] == [1, 2]
@@ -470,7 +472,7 @@ class TestLoadMemory:
     def test_load_holds_the_inverse_once(self, tmp_path, traced_peak):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         fresh = build_model(cfg, stream.feature_dim)
-        peak = traced_peak(lambda: restore(fresh, path, "h", 3))
+        peak = traced_peak(lambda: restore(fresh, path, "h", stream))
         assert fresh.state_hash() == model.state_hash()
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
@@ -480,22 +482,30 @@ class TestLoadMemory:
             ("other-config", "different configuration"),
             ("sessions-past-tasks", "completed 2 sessions, but the stream has 1 tasks"),
             ("history-one-short", "history does not match"),
+            ("classes-reversed", "classes_seen does not match"),
+            ("other-eval-seed", "eval_seed 12345 is not the configuration's"),
         ],
     )
     def test_refused_restore_reads_no_array(self, tmp_path, traced_peak, monkeypatch, refusal, named):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        cfg_hash, num_tasks = ("other" if refusal == "other-config" else "h"), stream.num_tasks
+        cfg_hash, given = ("other" if refusal == "other-config" else "h"), stream
         if refusal == "sessions-past-tasks":
-            num_tasks = 1
+            given = replace(stream, tasks=stream.tasks[:1])
         elif refusal == "history-one-short":
             save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(1))
+        elif refusal == "classes-reversed":
+            model.classifier.classes_seen.reverse()
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+        elif refusal == "other-eval-seed":
+            model.eval_seed = 12345
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
         reads = []
         monkeypatch.setattr(checkpoint, "read_container", lambda *a, **k: reads.append(a) or read_container(*a, **k))
         fresh = build_model(cfg, stream.feature_dim)
 
         def refused():
             with pytest.raises(CheckpointError, match=named):
-                restore(fresh, path, cfg_hash, num_tasks)
+                restore(fresh, path, cfg_hash, given)
 
         assert traced_peak(refused) < model.classifier.gram_inv.nbytes // 100
         assert len(reads) == 1
@@ -503,7 +513,7 @@ class TestLoadMemory:
     def test_loaded_inverse_is_downdated_in_place(self, tmp_path):
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         fresh = build_model(cfg, stream.feature_dim)
-        restore(fresh, path, "h", 3)
+        restore(fresh, path, "h", stream)
         clf = fresh.classifier
         assert clf.gram_inv.flags.writeable and clf.gram_inv.flags.aligned
         inverse = clf.gram_inv
@@ -515,7 +525,7 @@ class TestLoadMemory:
         # a resumed run builds its model, whose inverse starts as eye(d) / lambda,
         # and then loads into it
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
-        peak = traced_peak(lambda: restore(build_model(cfg, stream.feature_dim), path, "h", 3))
+        peak = traced_peak(lambda: restore(build_model(cfg, stream.feature_dim), path, "h", stream))
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
     @pytest.mark.parametrize("row", [0, 700, 1023])
@@ -533,4 +543,4 @@ class TestLoadMemory:
             clf.gram_inv[row, row] = np.nan
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
         with pytest.raises(CheckpointError, match="symmetry"):
-            restore(build_model(cfg, stream.feature_dim), path, "h", 3)
+            restore(build_model(cfg, stream.feature_dim), path, "h", stream)

@@ -360,6 +360,23 @@ class TestRestoreChecks:
         assert section in self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "key, named",
+        [("classes_seen", "classes_seen does not match"), ("eval_seed", "eval_seed 12345 is not")],
+        ids=["classes-reversed", "other-eval-seed"],
+    )
+    def test_meta_at_odds_with_the_configuration_refused(self, tmp_path, capsys, stopped_run, command, key, named):
+        # both once ran with exit 0: the reversed classes scored 0.00% under eval,
+        # and the eval seed took the place of the one the configuration fixes
+        run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
+        sections = read_container(run_dir / "checkpoint.nmcp")
+        meta = json.loads(sections["meta"])
+        meta[key] = meta[key][::-1] if key == "classes_seen" else 12345
+        sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
+        write_container(run_dir / "checkpoint.nmcp", sections)
+        assert named in self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize("section, value", NON_FINITE_ENTRIES)
     def test_non_finite_entry_refused(self, tmp_path, capsys, stopped_run, command, section, value):
         run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")

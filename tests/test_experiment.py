@@ -52,6 +52,20 @@ def test_ablation_builds_one_stream_per_class_seed(tmp_path, spies):
     assert [(id(stream), seed) for stream, seed in sessions] == [(id(built[0]), 5)] * 6 + [(id(built[1]), 6)] * 6
 
 
+def test_sigma_only_ablation_row_equals_baseline(tmp_path):
+    # sigma-only moves no mean, and evaluation and the commit follow the mean
+    # path, so its row is the baseline's to the last bit; average, trained on
+    # the same loss, shows the noise is live at this size
+    cfg = tiny_cfg()
+    cfg.data.overlap_classes, cfg.data.samples_per_class, cfg.backbone.buffer_size = 4, 20, 32
+    cfg.train.epochs, cfg.train.batch_size = 3, 8
+    rows = experiment.run_ablation(cfg, ["baseline", "sigma-only", "average"], class_seeds=[5, 6], out_dir=tmp_path)
+    baseline, sigma_only, average = ({k: v for k, v in row.items() if k != "variant"} for row in rows)
+    assert sigma_only == baseline and average != baseline
+    lines = (tmp_path / "ablation.csv").read_text().splitlines()
+    assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+
+
 def test_sweep_builds_one_stream(tmp_path, spies):
     built, sessions = spies
     experiment.run_sweep(tiny_cfg(), "tau", [1.0, 2.0, 4.0], out_dir=tmp_path)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import model_config, placeholder_history
+from noisemix.datastream import make_synthetic_stream
 from noisemix.model import build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
@@ -46,6 +47,16 @@ def layer_of(vectors, weights=None, d2=3, d1=6, seed=5):
     k = len(vectors)
     layer.mix_weights = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
     return layer
+
+
+def stream_seen_by(model, sessions, num_tasks):
+    """A stream of ``num_tasks`` one-class tasks, the first ``sessions`` of
+    whose classes ``model``'s classifier is given, as a checkpoint of that
+    many sessions must hold."""
+    stream = make_synthetic_stream(num_tasks, 5, 6, 4.0, num_tasks=num_tasks, seed=1)
+    for task in stream.tasks[:sessions]:
+        model.classifier.expand_classes(task.class_set)
+    return stream
 
 
 def single_generator_path(layer, vector, feats, eps):
@@ -351,14 +362,15 @@ class TestFreezeSemantics:
         model.sessions_completed = 1
         params = collect_trainable(model, aux)
         maps = ("mean_b", "mean_w", "scale_b", "scale_w")
-        assert sorted(params) == [f"gen{l}.{m}" for l in range(2) for m in maps]
+        assert sorted(params) == ["aux"] + [f"gen{l}.{m}" for l in range(2) for m in maps]
+        assert params["aux"] is aux
         for l, layer in enumerate(model.layers):
             for m in maps:
                 assert np.shares_memory(params[f"gen{l}.{m}"], layer.bank[1])
                 assert not np.shares_memory(params[f"gen{l}.{m}"], layer.bank[0])
             assert np.array_equal(params[f"gen{l}.mean_w"], layer.bank[1][:16].reshape(4, 4))
         model.sessions_completed = 2
-        assert collect_trainable(model, aux) == {}
+        assert list(collect_trainable(model, aux)) == ["aux"]
 
 
 class TestGeneratorVector:
@@ -400,9 +412,10 @@ class TestGeneratorVector:
             layer.prototypes = np.ones((1, 4))
             layer.mix_weights = np.ones(1)
         saved.sessions_completed = 1
+        stream = stream_seen_by(saved, 1, 2)
         save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2, history=placeholder_history(1))
         loaded = model()
-        restore(loaded, tmp_path / "g.nmcp", "h", 2)
+        restore(loaded, tmp_path / "g.nmcp", "h", stream)
         for before, layer in zip(saved.layers, loaded.layers):
             assert layer.bank[0].tobytes() == before.bank[0].tobytes()
             self.assert_views(NoiseGenerator(layer.bank[0], 4))
@@ -463,9 +476,10 @@ class TestGeneratorBank:
             layer.prototypes = np.stack([np.ones(4) + t for t in range(3)])
             layer.mix_weights = np.full(3, 1.0 / 3.0)
         saved.sessions_completed = 3
+        stream = stream_seen_by(saved, 3, 3)
         save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3, history=placeholder_history(3))
         loaded = model()
-        restore(loaded, tmp_path / "b.nmcp", "h", 3)
+        restore(loaded, tmp_path / "b.nmcp", "h", stream)
         for before, layer in zip(saved.layers, loaded.layers):
             assert layer.bank.shape == (3, 40) and layer.bank.flags.c_contiguous
             assert layer.bank.tobytes() == before.bank.tobytes()

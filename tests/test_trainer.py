@@ -128,12 +128,17 @@ class TestBackward:
         assert all(g.max_rel_error < 1e-4 for g in report.groups)
 
     @pytest.mark.parametrize(
-        "strategy", ["average", "mu-only", "sigma-only", "last-task", "random-task"]
+        "strategy", ["average", "mu-only", "sigma-only", "last-task", "random-task", "learned-omega"]
     )
     def test_variant_strategies_match_finite_differences(self, strategy):
+        # every strategy trains the auxiliary classifier; only learned-omega trains omega
         inst = make_gradcheck_instance(strategy=strategy)
         report = gradient_check(*inst)
         assert report.passed, "\n".join(report.lines())
+        names = [g.name for g in report.groups]
+        assert "aux" in names
+        omega = [name for name in names if name.startswith("omega")]
+        assert omega == (["omega0", "omega1"] if strategy == "learned-omega" else [])
 
     def test_single_task_omega_gradient_matches_fd(self):
         inst = make_gradcheck_instance(num_tasks=1)
@@ -170,7 +175,7 @@ class TestBackward:
         _, d_aux, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         frozen_before = [layer.bank[0].tobytes() for layer in model.layers]
         grads = backward(model, tape, d_z, params)
-        grads["aux"] += d_aux
+        grads["aux"] = d_aux
         velocity = {k: np.zeros_like(v) for k, v in params.items()}
         sgd_step(params, grads, velocity, lr=0.5, momentum=0.0)
         for layer, before in zip(model.layers, frozen_before):
@@ -230,7 +235,7 @@ class TestBackward:
         masked = d_z * tape.relu_mask
         grads = backward(model, tape, d_z, params)
         assert np.array_equal(d_z, masked)
-        assert list(grads) == list(params) and not grads["aux"].any()
+        assert list(grads) == [key for key in params if key != "aux"]
 
     def test_gradient_step_allocation_stays_bounded(self, traced_peak):
         # one training step at batch 128 and buffer width 2048 holds the
@@ -403,6 +408,23 @@ class TestSession:
 
 
 class TestVariantTraining:
+    def test_every_step_takes_the_residual_loss(self, monkeypatch):
+        # a fixed strategy trains on the residual loss of the auxiliary
+        # classifier, as learned-omega does, and never through the frozen one
+        steps, losses = [], []
+        step, loss = trainer_mod.gradient_step, trainer_mod.residual_loss_grads
+        monkeypatch.setattr(trainer_mod, "gradient_step", lambda *a, **k: steps.append(1) or step(*a, **k))
+        monkeypatch.setattr(trainer_mod, "residual_loss_grads", lambda *a: losses.append(1) or loss(*a))
+        monkeypatch.setattr(trainer_mod, "direct_ce_grads", None)
+        cfg = small_cfg()
+        cfg.pinoise.strategy = "average"
+        cfg.train.epochs, cfg.train.batch_size = 2, 16
+        stream = build_stream(cfg)
+        model = build_model(cfg, stream.feature_dim)
+        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 1)))
+        x, _ = stream.tasks[0].train_arrays()
+        assert len(steps) == len(losses) == cfg.train.epochs * math.ceil(len(x) / cfg.train.batch_size)
+
     def test_direct_ce_gradient_descends(self):
         rng = SeededRng(4)
         z = rng.standard_normal(16, 8)
