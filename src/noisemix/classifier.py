@@ -148,12 +148,9 @@ class RidgeClassifier:
         d = self.feature_dim
         if z.shape[0] <= d:
             k, step = self._sample_side(z, y)
-            spare = self._spare(len(k))
-            if spare is None:
+            if self._spare(len(k)) is None:
                 self.gram_inv = self._dense(k)
-            else:
-                if not np.may_share_memory(k, spare):  # K was made elsewhere
-                    spare[...] = k
+            else:  # K is already in the store's spare rows
                 self._rows = self._store[: len(self._rows) + len(k)]
         else:
             self.gram_inv = r = self._dense()

@@ -1,4 +1,4 @@
-"""The assembled incremental model: backbone, noise layers, buffer, classifier."""
+"""The assembled incremental model: frozen backbone, noise layers, buffer, classifier."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import Backbone, BufferExpansion, build_backbone, build_buffer
 from .classifier import RidgeClassifier
 from .config import RunConfig
 from .numeric import SeededRng, as_matrix, derive_seed, require_finite
@@ -28,8 +27,19 @@ class ForwardTape:
 
 @dataclass
 class ContinualModel:
-    backbone: Backbone
-    buffer: BufferExpansion
+    """The frozen backbone, the noise layers and the analytic classifier.
+
+    The backbone stands in for a pretrained feature extractor and is never
+    trained: an input ``adapter`` (input x d1), residual tanh ``blocks`` of
+    d1 x d1 weights sharing one ``gain`` (block l maps r to
+    ``r + gain * tanh(r @ blocks[l])``), and the buffer ``projection``
+    (d1 x buffer width), whose rectified output feeds the classifier.
+    """
+
+    adapter: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+    gain: float
+    projection: np.ndarray
     layers: list[PiNoiseLayer] | None  # None: plain analytic baseline
     classifier: RidgeClassifier
     strategy: MixtureStrategy = MixtureStrategy.LEARNED_OMEGA
@@ -70,18 +80,20 @@ class ContinualModel:
     def frozen_param_hash(self) -> str:
         """Content hash of every parameter that must never change.
 
-        The big arrays are hashed from their own buffers, not copied, so the
-        check a restore makes first holds no copy of the buffer projection.
+        In order: the adapter, each block weight followed by the gain as a
+        float64, the projection, then each noise layer's ``down_proj`` and
+        ``up_proj``. Every array is hashed from its own buffer, not copied,
+        so the check a restore makes first holds no copy of the projection.
         """
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.backbone.adapter))
-        for block in self.backbone.blocks:
-            h.update(np.ascontiguousarray(block.weight))
-            h.update(np.float64(block.gain).tobytes())
-        h.update(np.ascontiguousarray(self.buffer.projection))
-        if self.layers is not None:
-            for layer in self.layers:
-                h.update(layer.frozen_bytes())
+        h.update(np.ascontiguousarray(self.adapter))
+        for weight in self.blocks:
+            h.update(np.ascontiguousarray(weight))
+            h.update(np.float64(self.gain).tobytes())
+        h.update(np.ascontiguousarray(self.projection))
+        for layer in self.layers or ():
+            h.update(np.ascontiguousarray(layer.down_proj))
+            h.update(np.ascontiguousarray(layer.up_proj))
         return h.hexdigest()
 
     def state_hash(self) -> str:
@@ -103,15 +115,27 @@ class ContinualModel:
 def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
     """A fresh model of the ``backbone``, ``pinoise`` and ``classifier`` sections of ``cfg``."""
     b, p = cfg.backbone, cfg.pinoise
+    d1 = b.feature_dim
+    if input_dim < 1 or d1 < 1 or b.depth < 1:
+        raise ValueError("backbone dimensions must be positive")
+    if b.buffer_size < d1:
+        raise ValueError(f"buffer size {b.buffer_size} must be at least the feature width {d1}")
+
+    def normal(rows: int, cols: int, *key) -> np.ndarray:
+        return SeededRng(derive_seed(b.seed, *key)).standard_normal(rows, cols)
+
     layers = None
     if p.enabled:
         layers = [
-            build_layer(b.feature_dim, p.latent_dim, SeededRng(derive_seed(b.seed, "pinoise", l)))
+            build_layer(d1, p.latent_dim, SeededRng(derive_seed(b.seed, "pinoise", l)))
             for l in range(b.depth)
         ]
+    # 1/sqrt(fan-in) keeps the adapted features and each block's tanh input near unit scale
     return ContinualModel(
-        backbone=build_backbone(input_dim, b.feature_dim, b.depth, b.gain, b.seed),
-        buffer=build_buffer(b.feature_dim, b.buffer_size, b.seed),
+        adapter=normal(input_dim, d1, "adapter") / np.sqrt(input_dim),
+        blocks=tuple(normal(d1, d1, "block", l) / np.sqrt(d1) for l in range(b.depth)),
+        gain=b.gain,
+        projection=normal(d1, b.buffer_size, "buffer"),
         layers=layers,
         classifier=RidgeClassifier(b.buffer_size, cfg.classifier.regularization),
         strategy=MixtureStrategy.from_string(p.strategy),
@@ -173,22 +197,22 @@ def forward_pass(
     features, the per-block pre-noise outputs, and optionally the tape.
     """
     x = as_matrix(x, "input batch")
-    width = model.backbone.feature_dim if from_block0 else model.backbone.input_dim
+    width = model.adapter.shape[1 if from_block0 else 0]
     if x.shape[1] != width:
         expected = "block 0 output" if from_block0 else "backbone input"
         raise ValueError(f"input width {x.shape[1]} != {expected} {width}")
     if not from_block0:
         require_finite(x, "input batch")
-        cur = x @ model.backbone.adapter
+        cur = x @ model.adapter
     block_tanh: list[np.ndarray | None] = []
     layer_caches: list[LayerCache | None] = []
     pre_noise: list[np.ndarray] = []
-    for l, block in enumerate(model.backbone.blocks):
+    for l, weight in enumerate(model.blocks):
         if l == 0 and from_block0:
             u, r = None, x
         else:
-            u = np.tanh(cur @ block.weight)
-            r = cur + block.gain * u
+            u = np.tanh(cur @ weight)
+            r = cur + model.gain * u
             require_finite(r, f"block {l} output")
         if collect:
             block_tanh.append(u)
@@ -202,7 +226,7 @@ def forward_pass(
             require_finite(nxt, f"noise layer {l} output")
         layer_caches.append(cache)
         cur = nxt
-    expanded = cur @ model.buffer.projection
+    expanded = cur @ model.projection
     require_finite(expanded, "buffer expansion")
     tape = None
     if collect:

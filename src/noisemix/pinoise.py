@@ -130,12 +130,6 @@ class PiNoiseLayer:
     def latent_dim(self) -> int:
         return self.down_proj.shape[1]
 
-    def frozen_bytes(self) -> bytes:
-        return (
-            np.ascontiguousarray(self.down_proj, dtype=np.float64).tobytes()
-            + np.ascontiguousarray(self.up_proj, dtype=np.float64).tobytes()
-        )
-
 
 def build_layer(feature_dim: int, latent_dim: int, rng: SeededRng) -> PiNoiseLayer:
     """A layer with fresh projections and no task yet."""

@@ -198,10 +198,10 @@ def backward(
     in); an array it does not reach, such as ``aux``, gets no entry.
     """
     grads: dict[str, np.ndarray] = {}
-    depth = model.backbone.depth
+    depth = len(model.blocks)
     lowest = next((l for l, cache in enumerate(tape.layer_caches) if cache is not None), depth)
     d_features *= tape.relu_mask
-    d_cur = d_features @ model.buffer.projection.T
+    d_cur = d_features @ model.projection.T
     for l in reversed(range(lowest, depth)):
         cache = tape.layer_caches[l]
         d_r = d_cur
@@ -225,8 +225,7 @@ def backward(
                 break
             d_r = d_r + d_h @ layer.down_proj.T
         u = tape.block_tanh[l]
-        block = model.backbone.blocks[l]
-        d_cur = d_r + block.gain * ((d_r * (1.0 - u * u)) @ block.weight.T)
+        d_cur = d_r + model.gain * ((d_r * (1.0 - u * u)) @ model.blocks[l].T)
     return {key: grads[key] for key in params if key in grads}
 
 
@@ -285,7 +284,7 @@ def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng
     """SGD epochs over the session's rows, each step starting from block 0's
     output for its rows (``block0_out``, from the session's trial pass). The
     auxiliary classifier starts at zero and is dropped afterwards."""
-    aux = np.zeros((model.buffer.width, model.classifier.num_classes))
+    aux = np.zeros((model.projection.shape[1], model.classifier.num_classes))
     params = collect_trainable(model, aux)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     n = block0_out.shape[0]
@@ -385,8 +384,8 @@ def make_gradcheck_instance(
     targets = np.zeros((batch, num_classes))
     for i in range(batch):
         targets[i, rng.integer(num_classes)] = 1.0
-    frozen_weights = rng.standard_normal(model.buffer.width, num_classes) * 0.05
-    aux = rng.standard_normal(model.buffer.width, num_classes) * 0.05
+    frozen_weights = rng.standard_normal(model.projection.shape[1], num_classes) * 0.05
+    aux = rng.standard_normal(model.projection.shape[1], num_classes) * 0.05
     eps = [rng.standard_normal(batch, latent_dim) for _ in model.layers]
     picks = None
     if model.strategy is MixtureStrategy.RANDOM_TASK:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import model_config
-from noisemix.backbone import Backbone, BufferExpansion, FrozenBlock, build_backbone, build_buffer
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import set_key
 from noisemix.model import ContinualModel, build_model, draw_noise, forward_pass
@@ -16,20 +15,52 @@ def small_model(with_noise=True, seed=3):
 
 class TestConstruction:
     def test_shapes(self):
-        bb = build_backbone(10, 16, 3, 0.5, 1)
-        assert bb.adapter.shape == (10, 16)
-        assert len(bb.blocks) == 3
-        assert all(b.weight.shape == (16, 16) for b in bb.blocks)
+        model = build_model(model_config(16, 3, 48, 6, 10.0, 1), 10)
+        assert model.adapter.shape == (10, 16)
+        assert len(model.blocks) == 3
+        assert all(weight.shape == (16, 16) for weight in model.blocks)
+        assert model.projection.shape == (16, 48)
 
     def test_buffer_must_be_at_least_feature_width(self):
-        with pytest.raises(ValueError):
-            build_buffer(16, 8, 1)
+        with pytest.raises(ValueError, match="buffer size"):
+            build_model(model_config(16, 3, 8, 6, 10.0, 1), 10)
+
+    def test_dimensions_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            build_model(model_config(16, 3, 48, 6, 10.0, 1), 0)
 
     def test_stream_split_by_component(self):
-        bb1 = build_backbone(10, 16, 2, 0.5, 1)
-        bb2 = build_backbone(10, 16, 2, 0.5, 1)
-        assert np.array_equal(bb1.adapter, bb2.adapter)
-        assert not np.array_equal(bb1.blocks[0].weight, bb1.blocks[1].weight)
+        a = build_model(model_config(16, 2, 48, 6, 10.0, 1), 10)
+        b = build_model(model_config(16, 2, 48, 6, 10.0, 1), 10)
+        assert np.array_equal(a.adapter, b.adapter)
+        assert not np.array_equal(a.blocks[0], a.blocks[1])
+
+
+def frozen_arrays(model):
+    """Every frozen array of ``model`` by name; the gain is a float and is not here."""
+    arrays = {"adapter": model.adapter, "projection": model.projection}
+    arrays.update((f"block{l}", weight) for l, weight in enumerate(model.blocks))
+    for l, layer in enumerate(model.layers or ()):
+        arrays.update({f"down_proj{l}": layer.down_proj, f"up_proj{l}": layer.up_proj})
+    return arrays
+
+
+FROZEN = [
+    (name, noise)
+    for noise in (False, True)
+    for name in ["gain", *frozen_arrays(small_model(with_noise=noise))]
+]
+
+
+@pytest.mark.parametrize("name, noise", FROZEN, ids=[f"{n}-{'noise' if x else 'plain'}" for n, x in FROZEN])
+def test_frozen_hash_covers_every_frozen_parameter(name, noise):
+    model = small_model(with_noise=noise)
+    before = model.frozen_param_hash()
+    if name == "gain":
+        model.gain += 0.25
+    else:
+        frozen_arrays(model)[name][-1, -1] += 1.0
+    assert model.frozen_param_hash() != before
 
 
 # each model-level key with a value apart from model_config's, and what the
@@ -215,13 +246,11 @@ class TestExpand:
     def passthrough_model(self, projection):
         # identity adapter and a gain-0 block: the backbone output is the input
         width = projection.shape[0]
-        backbone = Backbone(
-            adapter=np.eye(width),
-            blocks=(FrozenBlock(weight=np.zeros((width, width)), gain=0.0),),
-        )
         return ContinualModel(
-            backbone=backbone,
-            buffer=BufferExpansion(projection=projection),
+            adapter=np.eye(width),
+            blocks=(np.zeros((width, width)),),
+            gain=0.0,
+            projection=projection,
             layers=None,
             classifier=RidgeClassifier(projection.shape[1], 1.0),
         )
@@ -239,7 +268,7 @@ class TestExpand:
         assert np.array_equal(out[:, 3:], np.zeros((6, 5)))
 
     def test_rectifier_zeroes_about_half(self):
-        model = self.passthrough_model(build_buffer(16, 256, 9).projection)
+        model = self.passthrough_model(build_model(model_config(16, 1, 256, 4, 1.0, 9), 16).projection)
         feats = SeededRng(10).standard_normal(64, 16)
         out = model.features(feats)
         frac_zero = float(np.mean(out == 0.0))

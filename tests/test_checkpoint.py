@@ -363,9 +363,12 @@ class TestClassifierForms:
         rng = SeededRng(9)
         z = rng.standard_normal(24, 256)
         labels = [model.classifier.classes_seen[rng.integer(6)] for _ in range(24)]
+        store = model.classifier.rows.base
         for clf in (model.classifier, fresh.classifier):
             clf.update(z, clf.one_hot(labels))
         assert fresh.classifier.rows.shape == (120, 256)
+        # the store had room, so the commit wrote the 24 new rows straight into it
+        assert store.shape == (128, 256) and np.shares_memory(model.classifier.rows[96:], store)
         assert fresh.state_hash() == model.state_hash()
 
     def test_dense_form_is_stored_as_the_inverse(self, tmp_path):

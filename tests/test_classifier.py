@@ -420,20 +420,19 @@ class TestRowForm:
         assert np.linalg.norm(clf.weights - w_oracle) / np.linalg.norm(w_oracle) < 1e-10
         assert np.linalg.norm(clf.gram_inv - r_oracle) / np.linalg.norm(r_oracle) < 1e-10
 
-    def test_the_returned_factor_is_appended_wherever_it_was_made(self):
-        (plain, z, y), (patched, _, _) = fitted(64, 1.0, 8, seed=7), fitted(64, 1.0, 8, seed=7)
-        sample_side = patched._sample_side
+    @pytest.mark.parametrize("n", [8, 12])  # the 16-row store has room; it is regrown
+    def test_the_factor_is_made_in_the_rows_it_joins(self, n):
+        clf, _, _ = fitted(64, 1.0, 8, seed=7)
+        sample_side, made = clf._sample_side, []
 
-        def elsewhere(z, y):
-            k, step = sample_side(z, y)
-            moved = k.copy()
-            k[...] = np.nan  # the rows it was written to must not be taken as K
-            return moved, step
+        def recorded(z, y):
+            made.append(sample_side(z, y))
+            return made[-1]
 
-        patched._sample_side = elsewhere
-        plain.update(z, y)
-        patched.update(z, y)
-        assert np.array_equal(patched.rows, plain.rows) and np.array_equal(patched.weights, plain.weights)
+        clf._sample_side = recorded
+        clf.update(SeededRng(8).standard_normal(n, 64), one_hot([i % 3 for i in range(n)], [0, 1, 2]))
+        [(k, _)] = made
+        assert clf.rows.shape == (8 + n, 64) and np.shares_memory(k, clf.rows[8:])
 
     def test_a_clone_appends_like_its_original(self):
         clf, z, y = fitted(64, 1.0, 4, seed=8)

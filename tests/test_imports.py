@@ -30,14 +30,22 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_a_training_run_never_imports_scipy(tmp_path):
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports noisemix from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", GUARD, str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_a_training_run_never_imports_scipy(tmp_path):
+    done = fresh_python(GUARD, str(tmp_path / "run"))
     assert done.returncode == 0, done.stderr
     sample_side, scipy_modules = (done.stdout.splitlines() + [""])[:2]
     assert int(sample_side) >= 1
     assert scipy_modules == ""
+
+
+def test_the_package_root_imports_no_submodule():
+    done = fresh_python("import sys, noisemix; print(' '.join(m for m in sys.modules if m.startswith('noisemix.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -359,7 +359,7 @@ class TestSession:
             assert len(layer.bank) == 5
             assert len(layer.prototypes) == 5
             assert len(layer.mix_weights) == 5
-        aux = np.zeros((model.buffer.width, model.classifier.num_classes))
+        aux = np.zeros((model.projection.shape[1], model.classifier.num_classes))
         assert not any(key.startswith("gen") for key in collect_trainable(model, aux))
 
     def test_random_task_classifier_equals_batch_ridge(self):
