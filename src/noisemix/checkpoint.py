@@ -137,10 +137,11 @@ def read_container(path: str | Path, names=None) -> dict[str, bytearray]:
             raise CheckpointError("bad magic; not a checkpoint file")
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        table = fh.read(_ENTRY.size * count)
-        if len(table) < _ENTRY.size * count:
-            raise CheckpointError("truncated section table")
         size = os.fstat(fh.fileno()).st_size
+        # checked before the read, so a corrupt count cannot ask for more than the file
+        if _HEADER.size + _ENTRY.size * count > size:
+            raise CheckpointError("truncated section table")
+        table = fh.read(_ENTRY.size * count)
         sections = {}
         for i in range(count):
             name_raw, off, length, crc, _ = _ENTRY.unpack_from(table, i * _ENTRY.size)
@@ -243,6 +244,14 @@ def _is_json(value, kind) -> bool:
     return type(value) in ((int, float) if kind is float else (kind,))
 
 
+def _json_section(sections: dict[str, bytearray], name: str):
+    """Section ``name`` parsed as UTF-8 JSON; refused, naming the section, otherwise."""
+    try:
+        return json.loads(sections[name].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise CheckpointError(f"section {name} is not UTF-8 JSON: {exc}") from None
+
+
 def _check_keys(entry: dict, kinds: dict, what: str) -> None:
     """Raise :class:`CheckpointError` naming the keys of ``kinds`` that ``entry``
     lacks, or else those whose values have another JSON type."""
@@ -297,11 +306,11 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
     hash, ``cfg_hash``, the model's ``eval_seed`` (which the configuration
     fixes, so it is checked, never adopted), noise layer presence and count,
     at most as many completed sessions as ``stream`` has tasks, the history
-    entries, one entry per completed session, and ``classes_seen`` equal to
-    the class sets of the stream's first completed tasks, in order. Only
-    then is the model's own classifier state dropped and the whole container
-    read once, so a refused checkpoint costs no array read and the two
-    classifier states are never held at once.
+    entries, which must be sessions 1..k in order for the k >= 0 completed
+    sessions, and ``classes_seen`` equal to the class sets of the stream's
+    first completed tasks, in order. Only then is the model's own classifier
+    state dropped and the whole container read once, so a refused checkpoint
+    costs no array read and the two classifier states are never held at once.
 
     The weights and each noise layer's bank, prototypes and mix weights are
     then sized from ``classes_seen`` and the session count, and every array
@@ -315,7 +324,7 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
     sections = read_container(path, names={"meta", "history"})
     if "meta" not in sections:
         raise CheckpointError("checkpoint has no meta section")
-    meta = json.loads(sections["meta"].decode("utf-8"))
+    meta = _json_section(sections, "meta")
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint meta is not a JSON object")
     _check_keys(meta, _META_TYPES, "checkpoint meta")
@@ -332,12 +341,12 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
     sessions = meta["sessions_completed"]
     if sessions > stream.num_tasks:
         raise CheckpointError(f"checkpoint completed {sessions} sessions, but the stream has {stream.num_tasks} tasks")
-    entries = json.loads(sections["history"].decode("utf-8")) if "history" in sections else []
+    entries = _json_section(sections, "history") if "history" in sections else []
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise CheckpointError("checkpoint history is not a list of JSON objects")
     for entry in entries:
         _check_keys(entry, _HISTORY_TYPES, "checkpoint history entry")
-    if len(entries) != sessions:
+    if sessions < 0 or [entry["task_index"] for entry in entries] != list(range(1, sessions + 1)):
         raise CheckpointError("checkpoint history does not match completed sessions")
     if meta["classes_seen"] != [c for task in stream.tasks[:sessions] for c in task.class_set]:
         raise CheckpointError(f"checkpoint classes_seen does not match the stream's first {sessions} tasks")

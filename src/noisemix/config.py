@@ -85,6 +85,7 @@ class RunConfig:
             if isinstance(value, str) and ("#" in value or "".join(value.splitlines()) != value):
                 raise ConfigError(f"{key} must not hold '#' or a line break, got {value!r}")
         d, b, p, c, t = self.data, self.backbone, self.pinoise, self.classifier, self.train
+        strategies = [s.value for s in MixtureStrategy]
         checks = [
             (d.source in ("synthetic", "embedding"), "data.source must be synthetic or embedding"),
             (d.source != "embedding" or bool(d.embedding_path), "data.embedding_path required"),
@@ -108,14 +109,11 @@ class RunConfig:
             (t.lr_init > 0, "train.lr_init must be positive"),
             (0 <= t.momentum < 1, "train.momentum must be in [0, 1)"),
             (t.grad_clip >= 0, "train.grad_clip must be non-negative"),
+            (p.strategy in strategies, f"unknown mixture strategy {p.strategy!r} (valid: {', '.join(strategies)})"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        try:
-            MixtureStrategy.from_string(p.strategy)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         return self
 
 

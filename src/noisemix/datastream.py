@@ -116,20 +116,10 @@ def make_synthetic_stream(
     (see OVERLAP_OFFSET_FRACTION), creating features that confuse a linear
     classifier across task boundaries. Per class the first 80% of draws are
     the train split, the rest the test split. Fully determined by ``seed``.
-    """
-    if num_tasks < 1:
-        raise ValueError("need at least one task")
-    if num_tasks > num_classes:
-        raise ValueError(f"cannot split {num_classes} classes into {num_tasks} tasks")
-    if samples_per_class < 5:
-        raise ValueError("samples_per_class must be at least 5")
-    if dim < 2:
-        raise ValueError("feature dimension must be at least 2")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
-    if not 0 <= overlap_classes <= num_classes:
-        raise ValueError("overlap_classes out of range")
 
+    The arguments come from a validated ``DataConfig`` (see
+    ``RunConfig.validate``), so they are not checked again here.
+    """
     master = SeededRng(seed)
     order = shuffle_class_order(num_classes, seed)
     task_classes = partition_classes(order, num_tasks)

@@ -235,7 +235,7 @@ def trainable_param_count(cfg: RunConfig, stream: TaskStream, task_index: int = 
     depth = cfg.backbone.depth
     classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
     count = depth * 2 * p.latent_dim * (p.latent_dim + 1) + cfg.backbone.buffer_size * classes
-    if MixtureStrategy.from_string(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
+    if MixtureStrategy(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
         count += task_index * depth
     return count
 

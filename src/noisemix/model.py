@@ -138,7 +138,7 @@ def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
         projection=normal(d1, b.buffer_size, "buffer"),
         layers=layers,
         classifier=RidgeClassifier(b.buffer_size, cfg.classifier.regularization),
-        strategy=MixtureStrategy.from_string(p.strategy),
+        strategy=MixtureStrategy(p.strategy),
         eval_seed=derive_seed(b.seed, "eval"),
     )
 

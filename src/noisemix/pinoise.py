@@ -47,14 +47,6 @@ class MixtureStrategy(enum.Enum):
     LAST_TASK = "last-task"
     RANDOM_TASK = "random-task"
 
-    @classmethod
-    def from_string(cls, name: str) -> "MixtureStrategy":
-        for member in cls:
-            if member.value == name:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown mixture strategy {name!r} (valid: {valid})")
-
 
 class NoiseGenerator:
     """Affine mean/scale maps in the latent space: a view of one generator
@@ -186,7 +178,6 @@ class LayerCache:
     generator: NoiseGenerator  # the effective (mixed) generator
     c_mean: np.ndarray
     c_scale: np.ndarray
-    bank: np.ndarray  # the layer's bank itself, not a copy
 
 
 def run_layer(
@@ -214,7 +205,7 @@ def run_layer(
     if epsilon is not None:
         noise = epsilon * gen.scale_of(h) + noise
     out = feats + noise @ layer.up_proj
-    cache = LayerCache(h, epsilon, gen, c_mean, c_scale, bank) if collect else None
+    cache = LayerCache(h, epsilon, gen, c_mean, c_scale) if collect else None
     return out, cache
 
 

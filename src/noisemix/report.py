@@ -43,9 +43,6 @@ def evaluate(model, stream, upto_task: int) -> SessionReport:
         raise ValueError(
             f"cannot evaluate at task {upto_task}; model has completed {model.sessions_completed}"
         )
-    if model.classifier.num_classes < 1:
-        raise ValueError("classifier has no trained classes")
-    expected = sum(len(stream.tasks[i].test) for i in range(upto_task))
     labels, hits = [], []
     rng = SeededRng(derive_seed(model.eval_seed, "session", upto_task))
     for i in range(upto_task):
@@ -58,8 +55,6 @@ def evaluate(model, stream, upto_task: int) -> SessionReport:
             hits.append(model.classifier.predict_labels(feats) == yb)
     labels, hits = np.concatenate(labels), np.concatenate(hits)
     n_seen = len(labels)
-    if n_seen != expected:
-        raise RuntimeError(f"evaluated {n_seen} samples, expected {expected}")
     classes, inverse = np.unique(labels, return_inverse=True)
     correct = np.bincount(inverse[hits], minlength=len(classes))
     total = np.bincount(inverse)
@@ -93,15 +88,12 @@ def report_from_dict(d: dict) -> SessionReport:
 
 
 def summarize(reports, config_hash: str = "") -> RunSummary:
-    """Mean accuracy across sessions plus the final-session accuracy."""
+    """Mean accuracy across sessions plus the final-session accuracy.
+
+    ``reports`` are sessions 1..k in order, k >= 1: a run makes them so, and
+    :func:`noisemix.checkpoint.restore` refuses a history that is not.
+    """
     reports = tuple(reports)
-    if not reports:
-        raise ValueError("no session reports to summarize")
-    for pos, rep in enumerate(reports, start=reports[0].task_index):
-        if rep.task_index != pos:
-            raise ValueError(f"gap in task indices at position {pos}")
-    if reports[0].task_index != 1:
-        raise ValueError("reports must start at task 1")
     accs = [r.accuracy_seen for r in reports]
     return RunSummary(
         reports=reports,

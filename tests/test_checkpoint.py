@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from noisemix.config import RunConfig, config_hash
 from noisemix.experiment import build_stream, run_training
 from noisemix.model import build_model
 from noisemix.numeric import SeededRng, derive_seed
+from noisemix.report import SessionReport, report_to_dict
 from noisemix.trainer import run_session
 
 # written by the format-v1 writer that joined each array into one bytes
@@ -50,6 +52,11 @@ def tiny_cfg():
     cfg.train.epochs = 1
     cfg.validate()
     return cfg
+
+
+def history_of(*task_indices) -> bytes:
+    """A history section of placeholder reports with these task indices."""
+    return json.dumps([report_to_dict(SessionReport(t, 1.0, {})) for t in task_indices]).encode("utf-8")
 
 
 def handmade_model(cfg):
@@ -212,6 +219,9 @@ class TestModelCheckpoint:
             ("meta:classes_seen=5", "classes_seen"),
             ("meta:sessions_completed=[1]", "sessions_completed"),
             ("meta:eval_seed=null", "eval_seed"),
+            ("table-past-end", "truncated section table"),
+            ("meta-not-json", "section meta is not UTF-8 JSON"),
+            ("history-not-json", "section history is not UTF-8 JSON"),
         ],
     )
     def test_malformed_file_is_one_error_line(self, tmp_path, capsys, damage, named):
@@ -226,15 +236,23 @@ class TestModelCheckpoint:
             sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
         elif damage == "meta-not-an-object":
             sections["meta"] = b"7"
+        elif damage == "meta-not-json":
+            sections["meta"] = b"{meta"
+        elif damage == "history-not-json":
+            sections["history"] = b"\xff[]"  # not UTF-8
         elif damage.startswith("meta:"):  # one meta value of the wrong JSON type
             key, value = damage[len("meta:") :].split("=")
             meta = json.loads(sections["meta"])
             meta[key] = json.loads(value)
             sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
-        else:
+        elif damage == "short-generator-payload":
             sections["L00.G00.mw"] = bytes(4)
         bad = tmp_path / "bad.nmcp"
         write_container(bad, sections)
+        if damage == "table-past-end":  # the header's section count, at offset 8, claims 2**32 - 1
+            with open(bad, "r+b") as fh:
+                fh.seek(8)
+                fh.write(struct.pack("<I", 0xFFFFFFFF))
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
             restore(build_model(cfg, stream.feature_dim), bad, config_hash(cfg), stream)
@@ -246,22 +264,32 @@ class TestModelCheckpoint:
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
     @pytest.mark.parametrize(
-        "history, named",
+        "history, sessions, named",
         [
-            (b"[1]", "JSON objects"),
-            (b'[{"n_test": 1}]', "task_index"),
+            (b"[1]", 2, "JSON objects"),
+            (b'[{"n_test": 1}]', 2, "task_index"),
             (
                 b'[{"task_index": 1, "accuracy_seen": 1.0, "per_class_accuracy": 5, '
                 b'"epoch_losses": [], "n_test": 1}]',
+                2,
                 "per_class_accuracy",
             ),
+            # a history holds sessions 1..k in order
+            (history_of(1, 7), 2, "history does not match completed sessions"),
+            (history_of(2, 1), 2, "history does not match completed sessions"),
+            (history_of(), -1, "history does not match completed sessions"),
         ],
-        ids=["entry-not-an-object", "entry-without-task-index", "per-class-accuracy-not-an-object"],
+        ids=[
+            "entry-not-an-object", "entry-without-task-index", "per-class-accuracy-not-an-object",
+            "indices-1-7", "indices-2-1", "negative-session-count",
+        ],
     )
-    def test_malformed_history_rejected(self, tmp_path, history, named):
+    def test_malformed_history_rejected(self, tmp_path, history, sessions, named):
         cfg = tiny_cfg()
+        model = handmade_model(cfg)
+        model.sessions_completed = sessions
         path = tmp_path / "h.nmcp"
-        save_checkpoint(path, handmade_model(cfg), "h", cfg.train.seed, 3)
+        save_checkpoint(path, model, "h", cfg.train.seed, 3)
         write_container(path, {**read_container(path), "history": history})
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
@@ -457,6 +485,10 @@ class TestFormatPinned:
         assert peak < model.classifier.gram_inv.nbytes // 2
 
 
+# completed sessions and history task indices that are not sessions 1..k in order
+OUT_OF_ORDER = {"history-1-7": (2, [1, 7]), "history-2-1": (2, [2, 1]), "negative-sessions": (-1, [])}
+
+
 class TestLoadMemory:
     """The reader holds each payload once and decodes arrays in place."""
 
@@ -487,6 +519,9 @@ class TestLoadMemory:
             ("history-one-short", "history does not match"),
             ("classes-reversed", "classes_seen does not match"),
             ("other-eval-seed", "eval_seed 12345 is not the configuration's"),
+            ("history-1-7", "history does not match"),
+            ("history-2-1", "history does not match"),
+            ("negative-sessions", "history does not match"),
         ],
     )
     def test_refused_restore_reads_no_array(self, tmp_path, traced_peak, monkeypatch, refusal, named):
@@ -502,6 +537,10 @@ class TestLoadMemory:
         elif refusal == "other-eval-seed":
             model.eval_seed = 12345
             save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+        elif refusal in OUT_OF_ORDER:
+            model.sessions_completed, indices = OUT_OF_ORDER[refusal]
+            history = [SessionReport(t, 1.0, {}) for t in indices]
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=history)
         reads = []
         monkeypatch.setattr(checkpoint, "read_container", lambda *a, **k: reads.append(a) or read_container(*a, **k))
         fresh = build_model(cfg, stream.feature_dim)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import NON_FINITE_ENTRIES, set_last_entry
-from noisemix import cli, experiment, trainer
+from noisemix import checkpoint, cli, experiment, trainer
 from noisemix.checkpoint import read_container, write_container
 from noisemix.cli import main
 from noisemix.pinoise import MixtureStrategy
@@ -293,12 +293,13 @@ class TestRestoreChecks:
     """``eval --run`` and ``train --resume`` refuse the same checkpoints."""
 
     @staticmethod
-    def rewrite(path, sessions, reports):
-        """The checkpoint claims ``sessions`` completed sessions and holds ``reports`` history entries."""
+    def rewrite(path, sessions, task_indices):
+        """The checkpoint claims ``sessions`` completed sessions and holds one
+        history entry per task index, in the order given."""
         sections = read_container(path)
         meta, history = json.loads(sections["meta"]), json.loads(sections["history"])
         meta["sessions_completed"] = sessions
-        history = [dict(history[i % len(history)], task_index=i + 1) for i in range(reports)]
+        history = [dict(history[i % len(history)], task_index=t) for i, t in enumerate(task_indices)]
         sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
         sections["history"] = json.dumps(history, sort_keys=True).encode("utf-8")
         write_container(path, sections)
@@ -339,8 +340,29 @@ class TestRestoreChecks:
         flags = [*FAST, "--set", f"pinoise.enabled={noise}", "--set", "data.tasks=2"]
         run_dir = tmp_path / "run"
         assert run_cli("train", *flags, "--out", str(run_dir)) == 0
-        self.rewrite(run_dir / "checkpoint.nmcp", sessions, reports)
+        self.rewrite(run_dir / "checkpoint.nmcp", sessions, range(1, reports + 1))
         assert named in self.refusal(tmp_path, capsys, command, run_dir, flags)
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
+        "sessions, task_indices",
+        [(2, [1, 7]), (2, [2, 1]), (-1, [])],
+        ids=["indices-1-7", "indices-2-1", "negative-session-count"],
+    )
+    def test_history_out_of_order_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, stopped_run, command, sessions, task_indices
+    ):
+        # the first two once passed eval with exit 0, and resume ran session 3 before it refused
+        run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
+        self.rewrite(run_dir / "checkpoint.nmcp", sessions, task_indices)
+        reads, sessions_run = [], []
+        monkeypatch.setattr(
+            checkpoint, "read_container", lambda *a, **k: reads.append(k.get("names")) or read_container(*a, **k)
+        )
+        monkeypatch.setattr(experiment, "run_session", lambda *args: sessions_run.append(args))
+        refusal = self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
+        assert refusal == "error: checkpoint history does not match completed sessions"
+        assert sessions_run == [] and reads == [{"meta", "history"}]
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(

@@ -27,6 +27,10 @@ class TestValidation:
             ("data.tasks", "0"),
             ("data.tasks", "25"),
             ("data.samples_per_class", "2"),
+            ("data.num_classes", "0"),
+            ("data.dim", "1"),
+            ("data.separation", "-1"),
+            ("data.overlap_classes", "21"),
             ("pinoise.tau", "-1"),
             ("pinoise.strategy", "bogus"),
             ("classifier.regularization", "0"),

@@ -124,16 +124,6 @@ class TestSyntheticStream:
         stream = default_stream(overlap_classes=20)
         assert stream.num_classes == 20
 
-    def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            default_stream(num_tasks=21)
-        with pytest.raises(ValueError):
-            default_stream(samples_per_class=4)
-        with pytest.raises(ValueError):
-            default_stream(dim=1)
-        with pytest.raises(ValueError):
-            default_stream(overlap_classes=21)
-
 
 class TestClassOrder:
     def test_single_class(self):

@@ -430,18 +430,11 @@ class TestGeneratorVector:
         vector = make_vector(4)
         layer = layer_of([vector], weights=[1.0], d2=4)
         _, cache = run_layer(layer, np.ones((2, 6)), MixtureStrategy.LEARNED_OMEGA, None, collect=True)
-        assert np.array_equal(cache.bank, vector[None, :])
         assert cache.generator.vector.tobytes() == vector.tobytes()
 
 
 class TestGeneratorBank:
     """A layer's generators are the rows of one bank that grows once per session."""
-
-    def test_mixture_reads_the_bank_itself(self):
-        layer = make_layer(gens=3)
-        feats = SeededRng(1).standard_normal(4, 6)
-        _, cache = run_layer(layer, feats, MixtureStrategy.LEARNED_OMEGA, None, collect=True)
-        assert cache.bank is layer.bank
 
     def test_in_place_sgd_writes_the_bank(self):
         model = build_model(model_config(24, 2, 48, 4, 10.0, seed=3), 12)
@@ -461,7 +454,6 @@ class TestGeneratorBank:
             assert np.array_equal(layer.bank[0], frozen[l])
             feats = np.zeros((1, 24))
             _, cache = run_layer(layer, feats, MixtureStrategy.AVERAGE, None, collect=True)
-            assert cache.bank is layer.bank
             np.testing.assert_allclose(cache.generator.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
 
     def test_checkpoint_round_trip_rebuilds_the_bank(self, tmp_path):

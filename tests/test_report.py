@@ -136,21 +136,6 @@ class TestSummarize:
         s = summarize(self.reports([0.5] * 7))
         assert s.average_accuracy == pytest.approx(0.5)
 
-    def test_gap_rejected(self):
-        reps = self.reports([0.9, 0.8, 0.7])
-        reps[1] = SessionReport(task_index=5, accuracy_seen=0.8, per_class_accuracy={}, n_test=10)
-        with pytest.raises(ValueError, match="gap"):
-            summarize(reps)
-
-    def test_must_start_at_one(self):
-        reps = self.reports([0.9, 0.8])[1:]
-        with pytest.raises(ValueError):
-            summarize(reps)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
 
 class TestEmit:
     def summary(self):

@@ -126,6 +126,8 @@ class TestBackward:
         report = gradient_check(*inst)
         assert report.passed, "\n".join(report.lines())
         assert all(g.max_rel_error < 1e-4 for g in report.groups)
+        # the relative error is measured, not zeroed where the absolute one is small
+        assert any(g.max_rel_error > 0 for g in report.groups)
 
     @pytest.mark.parametrize(
         "strategy", ["average", "mu-only", "sigma-only", "last-task", "random-task", "learned-omega"]
@@ -441,7 +443,7 @@ class TestVariantTraining:
         cfg.train.epochs = 2
         _, model, reports = run_all_sessions(cfg)
         assert len(reports) == 5
-        assert model.strategy is MixtureStrategy.from_string(strategy)
+        assert model.strategy is MixtureStrategy(strategy)
 
 
 
