@@ -4,6 +4,11 @@ A stream is a fixed sequence of tasks with pairwise disjoint class sets. Each
 split of a task is one read-only record array of ``record_dtype(d)`` rows, an
 int64 label followed by d float64 features, packed. Streams are immutable
 after construction and fully determined by their seed.
+
+Both sources make one record array of labelled rows and a rule that splits a
+class's rows into train and test; one assembly turns them into a stream. It
+shuffles the classes by the seed (``data.class_seed``), cuts the order into
+contiguous groups with the extra classes first, and splits each class.
 """
 
 from __future__ import annotations
@@ -88,15 +93,30 @@ def partition_classes(order: tuple[int, ...], num_tasks: int) -> list[tuple[int,
     When the count does not divide evenly the earlier tasks take one extra
     class each.
     """
-    n = len(order)
-    base, extra = divmod(n, num_tasks)
-    chunks = []
-    pos = 0
-    for t in range(num_tasks):
-        size = base + (1 if t < extra else 0)
-        chunks.append(tuple(order[pos : pos + size]))
-        pos += size
-    return chunks
+    return [tuple(int(c) for c in chunk) for chunk in np.array_split(order, num_tasks)]
+
+
+def _assemble(records: np.ndarray, num_tasks: int, seed: int, split) -> TaskStream:
+    """The stream of labelled ``records``, whose labels are 0..C-1.
+
+    The classes are shuffled by ``seed`` and partitioned into ``num_tasks``
+    tasks; ``split(c, rows) -> (train_rows, test_rows)`` divides the row
+    indices of class ``c``, and each task's splits concatenate its classes' rows.
+    """
+    labels = records["label"]
+    order = shuffle_class_order(int(labels.max()) + 1, seed)
+    tasks = []
+    for t, classes in enumerate(partition_classes(order, num_tasks), start=1):
+        train_rows, test_rows = zip(*(split(c, np.flatnonzero(labels == c)) for c in classes))
+        test = records[np.concatenate(test_rows)]
+        if not len(test):
+            raise ValueError(f"task {t} ended up with an empty test split")
+        missing = [c for c, rows in zip(classes, train_rows) if not len(rows)]
+        if missing:
+            raise ValueError(f"classes {missing} have no training samples")
+        train = records[np.concatenate(train_rows)]
+        tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=classes))
+    return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
 
 
 def make_synthetic_stream(
@@ -121,20 +141,14 @@ def make_synthetic_stream(
     ``RunConfig.validate``), so they are not checked again here.
     """
     master = SeededRng(seed)
-    order = shuffle_class_order(num_classes, seed)
-    task_classes = partition_classes(order, num_tasks)
     means = synthetic_class_means(num_classes, dim, separation, overlap_classes, num_tasks, seed)
-
+    records = np.empty(num_classes * samples_per_class, dtype=record_dtype(dim))
+    records["label"] = np.repeat(np.arange(num_classes), samples_per_class)
+    records["features"] = np.concatenate(
+        [means[c] + master.split("samples", c).standard_normal(samples_per_class, dim) for c in range(num_classes)]
+    )
     n_train = int(TRAIN_FRACTION * samples_per_class)
-    tasks = []
-    for t, classes in enumerate(task_classes, start=1):
-        rows = np.empty((len(classes), samples_per_class), dtype=record_dtype(dim))
-        rows["label"] = np.asarray(classes)[:, None]
-        for k, c in enumerate(classes):
-            rows["features"][k] = means[c] + master.split("samples", c).standard_normal(samples_per_class, dim)
-        train, test = rows[:, :n_train].ravel(), rows[:, n_train:].ravel()
-        tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=classes))
-    return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
+    return _assemble(records, num_tasks, seed, lambda c, rows: (rows[:n_train], rows[n_train:]))
 
 
 def synthetic_class_means(
@@ -147,8 +161,7 @@ def synthetic_class_means(
 ) -> np.ndarray:
     """The planted cluster means of the synthetic stream (num_classes x dim)."""
     master = SeededRng(seed)
-    order = shuffle_class_order(num_classes, seed)
-    task_classes = partition_classes(order, num_tasks)
+    task_classes = partition_classes(shuffle_class_order(num_classes, seed), num_tasks)
     mean_rng = master.split("means")
     means = np.zeros((num_classes, dim))
     for c in range(num_classes):
@@ -202,35 +215,16 @@ def load_embedding_stream(path: str | Path, num_tasks: int, seed: int) -> TaskSt
     if num_classes < num_tasks:
         raise ValueError(f"file has {num_classes} classes, fewer than {num_tasks} tasks")
 
-    order = shuffle_class_order(num_classes, seed)
-    task_classes = partition_classes(order, num_tasks)
     is_test = _read_split_file(path.with_suffix(".split"), len(records))
 
-    tasks = []
-    for t, chunk in enumerate(task_classes, start=1):
-        train_rows, test_rows, missing = [], [], []
-        for c in chunk:
-            rows = np.flatnonzero(labels == c)
-            if is_test is not None:
-                train_rows.append(rows[~is_test[rows]])
-                test_rows.append(rows[is_test[rows]])
-            else:
-                rows = rows[SeededRng(derive_seed(seed, "split", c)).permutation(len(rows))]
-                n_train = max(1, int(TRAIN_FRACTION * len(rows)))
-                train_rows.append(rows[:n_train])
-                test_rows.append(rows[n_train:])
-            if not len(train_rows[-1]):
-                missing.append(c)
-        train = records[np.concatenate(train_rows)]
-        test = records[np.concatenate(test_rows)]
-        if not len(test):
-            raise ValueError(f"task {t} ended up with an empty test split")
-        if not len(train):
-            raise ValueError(f"task {t} ended up with an empty train split")
-        if missing:
-            raise ValueError(f"classes {missing} have no training samples")
-        tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=chunk))
-    return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
+    def split(c, rows):
+        if is_test is not None:
+            return rows[~is_test[rows]], rows[is_test[rows]]
+        rows = rows[SeededRng(derive_seed(seed, "split", c)).permutation(len(rows))]
+        n_train = max(1, int(TRAIN_FRACTION * len(rows)))
+        return rows[:n_train], rows[n_train:]
+
+    return _assemble(records, num_tasks, seed, split)
 
 
 def _parse_embedding_csv(path: Path) -> np.ndarray:

@@ -407,11 +407,13 @@ def gradient_check(
 
     The loss is evaluated with the frozen-classifier offset captured at the
     unperturbed parameters, matching its constant treatment in the analytic
-    backward pass. An entry fails when its absolute error exceeds ``floor``
-    and its relative error, over the larger gradient magnitude (at least
-    ``floor``), exceeds ``tolerance``. Each group reports its largest
-    absolute error and its largest relative error over the entries whose
-    gradient magnitude exceeds ``floor`` (0 when there are none).
+    backward pass. An entry passes when its absolute error is at most
+    ``floor`` or at most ``tolerance`` times the larger gradient magnitude.
+    Its relative error is measured over that magnitude taken as at least
+    ``floor / tolerance``, so it is within ``tolerance`` exactly when the
+    entry passes (for ``tolerance`` <= 1). Each group reports its largest
+    absolute and relative errors, and passes when that relative error is
+    within ``tolerance``.
     """
     params = collect_trainable(model, aux_weights)
     _, analytic, z0 = gradient_step(model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer)
@@ -435,16 +437,15 @@ def gradient_check(
         )
         a = analytic[key].ravel()
         abs_err = np.abs(a - fd)
-        scale = np.maximum(np.abs(a), np.abs(fd))
-        rel = abs_err / np.maximum(scale, floor)
-        measured = scale > floor
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(fd)), floor / tolerance)
+        max_rel = float((abs_err / scale).max()) if a.size else 0.0
         report.groups.append(
             GradcheckGroup(
                 name=key,
                 size=a.size,
-                max_rel_error=float(rel[measured].max()) if measured.any() else 0.0,
+                max_rel_error=max_rel,
                 max_abs_error=float(abs_err.max()) if a.size else 0.0,
-                passed=bool(np.all((abs_err <= floor) | (rel <= tolerance))),
+                passed=max_rel <= tolerance,
             )
         )
     return report

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -510,6 +511,14 @@ class TestGradcheckAndSnapshot:
         out = capsys.readouterr().out
         assert "gradcheck: PASS" in out
         assert "max_rel" in out
+
+    def test_gradcheck_ok_groups_print_max_rel_within_tolerance(self, capsys):
+        # the printed relative error is the number the verdict is taken from
+        assert run_cli("gradcheck") == 0
+        rows = re.findall(r"max_rel=(\S+) .* (\w+)$", capsys.readouterr().out, re.M)
+        assert len(rows) == 11
+        for max_rel, status in rows:
+            assert status == "ok" and 0 < float(max_rel) <= 1e-4, rows
 
     @pytest.mark.parametrize("strategy", MIXTURE_STRATEGIES)
     def test_gradcheck_passes_for_every_strategy(self, strategy, capsys):

@@ -45,6 +45,22 @@ class TestSyntheticStream:
             "af12212109963d55759685fda4a4aa1bd5320a6c75c46b4f001d09ee814bd327"
         )
 
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            # the acceptance ablation stream: overlap pairs planted across tasks
+            (
+                dict(overlap_classes=8, samples_per_class=30),
+                "218ef50785f3337255969291dc4492a2e35045707eeaacfadc11808d27c4c676",
+            ),
+            # an uneven partition: the first task takes the extra class
+            (dict(num_classes=7, num_tasks=3), "d351fbfc0fa826c9f67a7549815915bc1df2cb81fc6b7e2b73cb7cba97e7774a"),
+        ],
+        ids=["acceptance-ablation", "uneven-7-in-3"],
+    )
+    def test_more_hashes_pinned(self, overrides, digest):
+        assert default_stream(**overrides).content_hash() == digest
+
     def test_splits_are_read_only_records(self):
         task = default_stream().tasks[0]
         assert task.train.dtype == record_dtype(32) and task.test.dtype == record_dtype(32)
@@ -137,7 +153,8 @@ class TestClassOrder:
 
     def test_uneven_partition_front_loads_extras(self):
         chunks = partition_classes(tuple(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
+        assert chunks == [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9)]
+        assert all(type(c) is int for chunk in chunks for c in chunk)
 
 
 def write_embedding_csv(path, labels, features):
@@ -230,10 +247,43 @@ class TestEmbeddingStream:
 
     def test_split_file_emptying_a_class_rejected(self, tmp_path):
         path = self.make_file(tmp_path, num_classes=2, per_class=5)
-        # rows 0..4 (all of class 0) marked test, class 1 keeps one test row
+        # rows 0..4 (all of class 0) marked test, class 1 keeps one test row;
+        # one class per task, so the per-class check also refuses the task without training rows
         (tmp_path / "data.split").write_text("0\n1\n2\n3\n4\n5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="no training samples|empty"):
+        with pytest.raises(ValueError, match=r"^classes \[0\] have no training samples$"):
             load_embedding_stream(path, 2, 1)
+
+    @pytest.mark.parametrize(
+        "num_classes, test_rows, message",
+        [
+            # class 2 loses every row to test while its task-mate keeps training rows
+            (4, [10, 11, 12, 13, 14, 0, 5, 15], r"^classes \[2\] have no training samples$"),
+            (2, [0], r"^task \d+ ended up with an empty test split$"),
+        ],
+        ids=["one-class-of-a-task", "no-test-rows"],
+    )
+    def test_split_file_emptying_a_split_rejected(self, tmp_path, num_classes, test_rows, message):
+        path = self.make_file(tmp_path, num_classes=num_classes, per_class=5)
+        (tmp_path / "data.split").write_text("".join(f"{i}\n" for i in test_rows), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_embedding_stream(path, 2, 1)
+
+    def test_synthetic_rows_load_to_the_same_stream(self, tmp_path):
+        # both sources assemble their rows in one layout: the synthetic stream, written
+        # class by class at full precision with its test rows named, loads back unchanged
+        stream = default_stream(overlap_classes=4, num_classes=7, num_tasks=3, samples_per_class=12)
+        lines = ["label," + ",".join(f"f{i}" for i in range(stream.feature_dim))]
+        test_rows = []
+        for c in range(stream.num_classes):
+            task = next(t for t in stream.tasks if c in t.class_set)
+            train, test = task.train[task.train.label == c], task.test[task.test.label == c]
+            first_test = len(lines) - 1 + len(train)  # data rows are 0-based after the header
+            test_rows.extend(range(first_test, first_test + len(test)))
+            lines.extend(f"{c}," + ",".join(repr(float(v)) for v in row) for row in [*train.features, *test.features])
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "data.split").write_text("".join(f"{i}\n" for i in test_rows), encoding="utf-8")
+        loaded = load_embedding_stream(tmp_path / "data.csv", stream.num_tasks, stream.seed)
+        assert loaded.content_hash() == stream.content_hash()
 
     def test_uneven_class_division_front_loads(self, tmp_path):
         path = self.make_file(tmp_path, num_classes=7)
