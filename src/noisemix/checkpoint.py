@@ -97,7 +97,9 @@ def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> Non
 
     A section is one bytes-like payload or a tuple of them written back to
     back; arrays come as (header, data view), so their data is streamed
-    from its own buffer and never joined into one payload.
+    from its own buffer and never joined into one payload. The file is
+    written beside ``path`` and replaces it only once complete, so a write
+    that fails partway leaves an existing file as it was.
     """
     names = list(sections)
     parts = {name: sections[name] if isinstance(sections[name], tuple) else (sections[name],) for name in names}
@@ -113,13 +115,20 @@ def write_container(path: str | Path, sections: dict[str, bytes | tuple]) -> Non
             crc = zlib.crc32(part, crc)
         entries.append((encoded.ljust(_NAME_LEN, b"\0"), offset, length, crc))
         offset += length
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, len(names), 0))
-        for name, off, length, crc in entries:
-            fh.write(_ENTRY.pack(name, off, length, crc, 0))
-        for name in names:
-            for part in parts[name]:
-                fh.write(part)
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, len(names), 0))
+            for name, off, length, crc in entries:
+                fh.write(_ENTRY.pack(name, off, length, crc, 0))
+            for name in names:
+                for part in parts[name]:
+                    fh.write(part)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path: str | Path, names=None) -> dict[str, bytearray]:

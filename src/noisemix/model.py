@@ -17,8 +17,9 @@ from .pinoise import LayerCache, MixtureStrategy, PiNoiseLayer, build_layer, run
 @dataclass
 class ForwardTape:
     """What the backward pass reads of one forward pass: each block's tanh
-    output (None for block 0 when the pass started from its output), each
-    noise layer's cache, and the ReLU mask of the expansion."""
+    output (None for block 0, whose output the pass starts from and whose
+    tanh the backward pass never reads), each noise layer's cache, and the
+    ReLU mask of the expansion."""
 
     block_tanh: list[np.ndarray | None]
     layer_caches: list[LayerCache | None]
@@ -50,32 +51,18 @@ class ContinualModel:
     def has_noise(self) -> bool:
         return self.layers is not None
 
-    def features(
-        self,
-        x: np.ndarray,
-        rng: SeededRng | None = None,
-        eval_mode: bool = True,
-        collect_blocks: bool = False,
-        from_block0: bool = False,
-    ):
-        """Expanded features for the classifier.
+    def features(self, x: np.ndarray, rng: SeededRng | None = None, eval_mode: bool = True) -> np.ndarray:
+        """Expanded features of the raw inputs ``x`` for the classifier.
 
         ``eval_mode`` follows the mean noise path; otherwise the Gaussian
         draws are sampled from ``rng``. Random-task picks draw from ``rng``
-        on both paths, in :func:`draw_noise`'s order. With ``from_block0``,
-        ``x`` is block 0's output for the rows (see :func:`forward_pass`).
-        Returns the feature matrix, plus the per-block pre-noise outputs
-        when ``collect_blocks`` is set.
+        on both paths, in :func:`draw_noise`'s order.
         """
         if not eval_mode and rng is None:
             raise ValueError("sampling path needs an rng")
-        [(eps, picks)] = draw_noise(self, [len(x)], None if eval_mode else rng, rng)
-        z, pre_noise, _ = forward_pass(
-            self, x, eps_per_layer=eps, picks_per_layer=picks, from_block0=from_block0
-        )
-        if collect_blocks:
-            return z, pre_noise
-        return z
+        r = block0_output(self, x)
+        [(eps, picks)] = draw_noise(self, [len(r)], None if eval_mode else rng, rng)
+        return forward_pass(self, r, eps_per_layer=eps, picks_per_layer=picks)[0]
 
     def frozen_param_hash(self) -> str:
         """Content hash of every parameter that must never change.
@@ -179,57 +166,55 @@ def draw_noise(
     return batches
 
 
+def block0_output(model: ContinualModel, x: np.ndarray) -> np.ndarray:
+    """Block 0's output for the raw inputs ``x``, where every pass of the
+    pipeline starts (:func:`forward_pass`).
+
+    Raw inputs enter here and nowhere else, so this is where they are
+    checked. Nothing before noise layer 0 has a trainable parameter, so a
+    session computes this once for its rows.
+    """
+    x = as_matrix(x, "input batch")
+    if x.shape[1] != model.adapter.shape[0]:
+        raise ValueError(f"input width {x.shape[1]} != backbone input {model.adapter.shape[0]}")
+    require_finite(x, "input batch")
+    cur = x @ model.adapter
+    r = cur + model.gain * np.tanh(cur @ model.blocks[0])
+    return require_finite(r, "block 0 output")
+
+
 def forward_pass(
     model: ContinualModel,
-    x: np.ndarray,
+    r: np.ndarray,
     eps_per_layer: list[np.ndarray | None] | None = None,
     picks_per_layer: list[int | None] | None = None,
     collect: bool = False,
-    from_block0: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], ForwardTape | None]:
-    """Run the full feature pipeline on the given draws (:func:`draw_noise`).
+    """Run the feature pipeline from block 0's output ``r`` (:func:`block0_output`)
+    on the given draws (:func:`draw_noise`).
 
     A layer without a draw follows the mean path (draw treated as zero).
-    With ``from_block0``, ``x`` is block 0's output for the batch's rows
-    (``pre_noise[0]`` of an earlier pass, which checked it) and the pass
-    starts at noise layer 0: nothing before it has a trainable parameter,
-    and the backward pass never reads block 0's tanh. Returns the expanded
-    features, the per-block pre-noise outputs, and optionally the tape.
+    Returns the expanded features, the per-block pre-noise outputs (``r``
+    first), and optionally the tape.
     """
-    x = as_matrix(x, "input batch")
-    width = model.adapter.shape[1 if from_block0 else 0]
-    if x.shape[1] != width:
-        expected = "block 0 output" if from_block0 else "backbone input"
-        raise ValueError(f"input width {x.shape[1]} != {expected} {width}")
-    if not from_block0:
-        require_finite(x, "input batch")
-        cur = x @ model.adapter
-    block_tanh: list[np.ndarray | None] = []
-    layer_caches: list[LayerCache | None] = []
-    pre_noise: list[np.ndarray] = []
-    for l, weight in enumerate(model.blocks):
-        if l == 0 and from_block0:
-            u, r = None, x
-        else:
-            u = np.tanh(cur @ weight)
+    block_tanh, layer_caches, pre_noise = [None], [], []
+    for l in range(len(model.blocks)):
+        if l:
+            u = np.tanh(cur @ model.blocks[l])
             r = cur + model.gain * u
             require_finite(r, f"block {l} output")
-        if collect:
-            block_tanh.append(u)
+            if collect:
+                block_tanh.append(u)
         pre_noise.append(r)
-        nxt = r
-        cache = None
+        cur, cache = r, None
         if model.layers is not None and len(model.layers[l].bank):
             eps = eps_per_layer[l] if eps_per_layer is not None else None
             pick = picks_per_layer[l] if picks_per_layer is not None else None
-            nxt, cache = run_layer(model.layers[l], r, model.strategy, eps, pick=pick, collect=collect)
-            require_finite(nxt, f"noise layer {l} output")
+            cur, cache = run_layer(model.layers[l], r, model.strategy, eps, pick=pick, collect=collect)
+            require_finite(cur, f"noise layer {l} output")
         layer_caches.append(cache)
-        cur = nxt
     expanded = cur @ model.projection
     require_finite(expanded, "buffer expansion")
-    tape = None
-    if collect:
-        tape = ForwardTape(block_tanh=block_tanh, layer_caches=layer_caches, relu_mask=expanded > 0)
+    tape = ForwardTape(block_tanh, layer_caches, relu_mask=expanded > 0) if collect else None
     z = np.maximum(expanded, 0.0, out=expanded)  # the mask is taken, so rectify in place
     return z, pre_noise, tape

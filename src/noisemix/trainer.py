@@ -15,10 +15,11 @@ every class seen so far. The auxiliary classifier lives only inside
 ``_train_epochs``; the new generators are frozen from then on, since only a
 bank row past the model's session count trains.
 
-A training step does only per-step work. Nothing before noise layer 0
-trains, so each step starts from block 0's output for its rows, which the
-session's trial pass computed and checked once; so does the pass that
-makes the features of the classifier commit. Each epoch's noise is drawn
+A training step does only per-step work. Every pass of the pipeline
+starts from block 0's output (:func:`noisemix.model.block0_output`), and
+nothing before noise layer 0 trains, so the session computes it once for
+its rows; the passes for the trial update, every training step and the
+commit all start from it. Each epoch's noise is drawn
 in one go (:func:`noisemix.model.draw_noise`). A layer's trainable
 generator is a view of its bank's newest row, so SGD on it writes the bank
 the next step mixes from. The backward pass writes each gradient once and
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import RunConfig
-from .model import ContinualModel, ForwardTape, build_model, draw_noise, forward_pass
+from .model import ContinualModel, ForwardTape, block0_output, build_model, draw_noise, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient
 from .pinoise import (
     MixtureStrategy,
@@ -154,21 +155,16 @@ def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[st
     return params
 
 
-def gradient_step(
-    model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer, from_block0=False
-):
+def gradient_step(model, params, r, targets, frozen_weights, eps_per_layer, picks_per_layer):
     """Forward pass, loss and backward pass of one batch.
 
-    ``x`` holds the batch's inputs, or with ``from_block0`` block 0's output
-    for them (see :func:`noisemix.model.forward_pass`). Returns the loss, the
-    gradient of every array in ``params`` and the features the loss was
-    taken on. The loss is the residual loss of the auxiliary classifier
-    on top of the frozen logits ``z @ frozen_weights``.
+    ``r`` is block 0's output for the batch's rows
+    (:func:`noisemix.model.block0_output`). Returns the loss, the gradient of
+    every array in ``params`` and the features the loss was taken on. The
+    loss is the residual loss of the auxiliary classifier on top of the
+    frozen logits ``z @ frozen_weights``.
     """
-    z, _, tape = forward_pass(
-        model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True,
-        from_block0=from_block0,
-    )
+    z, _, tape = forward_pass(model, r, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer, collect=True)
     loss, d_aux, d_z = residual_loss_grads(z, params["aux"], targets, z @ frozen_weights)
     grads = backward(model, tape, d_z, params)
     grads["aux"] = d_aux  # last in params, so grads keep params order
@@ -245,10 +241,13 @@ def run_session(
     if task.task_index != t:
         raise ValueError(f"session order violation: expected task {t}, got {task.task_index}")
     x_train, y_train = task.train_arrays()
+    block0_out = block0_output(model, x_train)
 
-    feats, pre_noise = model.features(
-        x_train, rng=session_rng.split("clf-initial"), eval_mode=True, collect_blocks=True
-    )
+    def mean_path(key):  # the model's features on the mean noise path, picks from ``key``
+        [(eps, picks)] = draw_noise(model, [len(block0_out)], None, session_rng.split(key))
+        return forward_pass(model, block0_out, eps_per_layer=eps, picks_per_layer=picks)
+
+    feats, pre_noise, _ = mean_path("clf-initial")
     model.classifier.expand_classes(task.class_set)
     targets = model.classifier.one_hot(y_train)
     epoch_losses: list[float] = []
@@ -257,10 +256,8 @@ def run_session(
         # the task's data enters the running solution once, with its final features
         frozen_weights = model.classifier.trial_weights(feats, targets)
         _grow_layers(model, pre_noise, cfg.pinoise, session_rng)
-        epoch_losses = _train_epochs(model, pre_noise[0], targets, frozen_weights, cfg.train, session_rng)
-        feats = model.features(
-            pre_noise[0], rng=session_rng.split("clf-final"), eval_mode=True, from_block0=True
-        )
+        epoch_losses = _train_epochs(model, block0_out, targets, frozen_weights, cfg.train, session_rng)
+        feats, _, _ = mean_path("clf-final")
     model.classifier.update(feats, targets)
     model.sessions_completed = t
     report = evaluate(model, stream, t)
@@ -280,7 +277,7 @@ def _grow_layers(model, pre_noise, pinoise, session_rng):
 
 def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng):
     """SGD epochs over the session's rows, each step starting from block 0's
-    output for its rows (``block0_out``, from the session's trial pass). The
+    output for its rows (``block0_out``, computed once per session). The
     auxiliary classifier starts at zero and is dropped afterwards."""
     aux = np.zeros((model.projection.shape[1], model.classifier.num_classes))
     params = collect_trainable(model, aux)
@@ -296,9 +293,7 @@ def _train_epochs(model, block0_out, targets, frozen_weights, train, session_rng
         )
         batch_losses = []
         for rows, (eps, picks) in zip(batches, noise):
-            loss, grads, _ = gradient_step(
-                model, params, block0_out[rows], targets[rows], frozen_weights, eps, picks, from_block0=True
-            )
+            loss, grads, _ = gradient_step(model, params, block0_out[rows], targets[rows], frozen_weights, eps, picks)
             clip_gradients(grads, train.grad_clip)
             sgd_step(params, grads, velocity, lr, train.momentum)
             batch_losses.append(loss)
@@ -416,16 +411,15 @@ def gradient_check(
     within ``tolerance``.
     """
     params = collect_trainable(model, aux_weights)
-    _, analytic, z0 = gradient_step(model, params, x, targets, frozen_weights, eps_per_layer, picks_per_layer)
+    r = block0_output(model, x)
+    _, analytic, z0 = gradient_step(model, params, r, targets, frozen_weights, eps_per_layer, picks_per_layer)
     offset0 = z0 @ frozen_weights
 
     def loss_at(key: str, flat: np.ndarray) -> float:
         saved = params[key].copy()
         params[key][...] = flat.reshape(params[key].shape)
         try:
-            z, _, _ = forward_pass(
-                model, x, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer
-            )
+            z, _, _ = forward_pass(model, r, eps_per_layer=eps_per_layer, picks_per_layer=picks_per_layer)
             return residual_loss_grads(z, params["aux"], targets, offset0)[0]
         finally:
             params[key][...] = saved

@@ -4,7 +4,7 @@ import pytest
 from conftest import model_config
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import set_key
-from noisemix.model import ContinualModel, build_model, draw_noise, forward_pass
+from noisemix.model import ContinualModel, block0_output, build_model, draw_noise, forward_pass
 from noisemix.numeric import NumericalError, SeededRng
 from noisemix.pinoise import MixtureStrategy, init_mix_weights, new_generator
 
@@ -99,16 +99,16 @@ class TestForward:
             layer.prototypes = np.ones((1, 6))
             layer.mix_weights = init_mix_weights(layer.prototypes, 2.0)
         x = SeededRng(99).standard_normal(8, 12)
-        z_plain, _, _ = forward_pass(plain, x)
-        z_noisy, _, _ = forward_pass(noisy, x)
+        z_plain, _, _ = forward_pass(plain, block0_output(plain, x))
+        z_noisy, _, _ = forward_pass(noisy, block0_output(noisy, x))
         assert np.array_equal(z_plain, z_noisy)
 
     def test_row_independence(self):
         model = small_model()
         x = SeededRng(99).standard_normal(8, 12)
-        z8, _, _ = forward_pass(model, x)
+        z8, _, _ = forward_pass(model, block0_output(model, x))
         for i in range(8):
-            z1, _, _ = forward_pass(model, x[i : i + 1])
+            z1, _, _ = forward_pass(model, block0_output(model, x[i : i + 1]))
             np.testing.assert_allclose(z1[0], z8[i], rtol=1e-12, atol=1e-12)
 
     def test_golden_snapshot(self):
@@ -116,27 +116,40 @@ class TestForward:
         # is version-independent so these must never drift
         model = build_model(model_config(64, 4, 128, 16, 100.0, 7, enabled=False), 32)
         x = SeededRng(123).standard_normal(4, 32)
-        z, pre, _ = forward_pass(model, x)
+        r = block0_output(model, x)
+        z, pre, _ = forward_pass(model, r)
+        assert pre[0] is r
         assert float(z.mean()) == pytest.approx(3.6249102681634393, abs=1e-9)
         assert float(z[3, 127]) == pytest.approx(6.267848750488579, abs=1e-9)
         assert float(z[0, 0]) == 0.0
         assert float(pre[-1].mean()) == pytest.approx(-0.04391429178216594, abs=1e-9)
 
-    def test_width_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "batch, error, message",
+        [
+            (np.ones(12), ValueError, r"^input batch must be 2-dimensional, got shape \(12,\)$"),
+            (np.ones((2, 5)), ValueError, r"^input width 5 != backbone input 12$"),
+            (np.full((2, 12), np.inf), NumericalError, r"^non-finite values in input batch$"),
+        ],
+        ids=["not-a-matrix", "width", "non-finite"],
+    )
+    def test_raw_inputs_checked_where_they_enter(self, batch, error, message):
         model = small_model()
-        with pytest.raises(ValueError, match="width"):
-            forward_pass(model, np.ones((2, 5)))
+        with pytest.raises(error, match=message):
+            block0_output(model, batch)
+        with pytest.raises(error, match=message):
+            model.features(batch)
 
-    def test_nan_input_detected(self):
+    def test_non_finite_block0_output_detected(self):
         model = small_model()
-        bad = np.full((2, 12), np.inf)
-        with pytest.raises(NumericalError):
-            forward_pass(model, bad)
+        model.gain = np.inf
+        with pytest.raises(NumericalError, match=r"^non-finite values in block 0 output$"):
+            block0_output(model, np.ones((2, 12)))
 
     def test_forward_leaves_parameters_untouched(self):
         model = small_model()
         before = model.frozen_param_hash()
-        forward_pass(model, SeededRng(1).standard_normal(16, 12))
+        forward_pass(model, block0_output(model, SeededRng(1).standard_normal(16, 12)))
         assert model.frozen_param_hash() == before
 
 
@@ -231,13 +244,13 @@ class TestDrawNoise:
         x = SeededRng(5).standard_normal(4, 12)
         twin = SeededRng(9)
         [(eps, picks)] = draw_noise(model, [4], twin if sample else None, twin)
-        z, _, _ = forward_pass(model, x, eps_per_layer=eps, picks_per_layer=picks)
+        z, _, _ = forward_pass(model, block0_output(model, x), eps_per_layer=eps, picks_per_layer=picks)
         assert np.array_equal(model.features(x, rng=SeededRng(9), eval_mode=not sample), z)
 
     def test_random_task_without_a_pick_raises(self):
         model = self.random_task_model([3, 3, 3])
         with pytest.raises(ValueError, match="pick"):
-            forward_pass(model, np.zeros((2, 12)))
+            forward_pass(model, block0_output(model, np.zeros((2, 12))))
 
 
 class TestExpand:
@@ -257,7 +270,7 @@ class TestExpand:
 
     def test_zero_input_zero_output(self):
         model = small_model()
-        z, _, _ = forward_pass(model, np.zeros((3, 12)))
+        z, _, _ = forward_pass(model, block0_output(model, np.zeros((3, 12))))
         assert np.array_equal(z, np.zeros((3, 48)))
 
     def test_identity_padded_passthrough(self):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import re
@@ -104,6 +105,35 @@ class TestContainer:
         sections = {"meta": b'{"a": 1}', "blob": bytes(range(256))}
         write_container(path, sections)
         assert read_container(path) == sections
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        # a write that fails partway, as on a full disk, leaves the file it
+        # was to replace byte for byte and nothing beside it
+        path = tmp_path / "checkpoint.nmcp"
+        write_container(path, {"blob": b"old" * 100})
+        before = path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.written = self.fh.write(data)
+                return self.written
+
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_container(path, {"blob": b"new" * 100, "more": b"x"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.nmcp"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.nmcp"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import model_config, placeholder_history
 from noisemix.datastream import make_synthetic_stream
-from noisemix.model import build_model, forward_pass
+from noisemix.model import block0_output, build_model, forward_pass
 from noisemix.numeric import SeededRng
 from noisemix.pinoise import (
     MixtureStrategy,
@@ -196,8 +196,9 @@ class TestApplyLayer:
             return build_model(model_config(24, 3, 48, 6, 10.0, seed=3, enabled=with_noise), 12)
 
         x = SeededRng(1).standard_normal(4, 12)
-        z_noise, pre_noise, tape = forward_pass(model(True), x, collect=True)
-        z_plain, pre_plain, _ = forward_pass(model(False), x)
+        noisy, plain = model(True), model(False)
+        z_noise, pre_noise, tape = forward_pass(noisy, block0_output(noisy, x), collect=True)
+        z_plain, pre_plain, _ = forward_pass(plain, block0_output(plain, x))
         assert np.array_equal(z_noise, z_plain)
         assert all(np.array_equal(a, b) for a, b in zip(pre_noise, pre_plain))
         assert tape.layer_caches == [None, None, None]

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import noisemix.model as model_mod
 import noisemix.trainer as trainer_mod
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
 from noisemix.experiment import build_stream, trainable_param_count
-from noisemix.model import build_model, forward_pass
+from noisemix.model import block0_output, build_model, forward_pass
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve
 from noisemix.pinoise import MixtureStrategy, NoiseGenerator
+from noisemix.report import SessionReport
 from noisemix.trainer import (
     backward,
     gradient_step,
@@ -173,7 +175,7 @@ class TestBackward:
     def test_frozen_generators_receive_no_gradient(self):
         model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
         params = collect_trainable(model, aux)
-        z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
+        z, _, tape = forward_pass(model, block0_output(model, x), eps_per_layer=eps, collect=True)
         _, d_aux, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         frozen_before = [layer.bank[0].tobytes() for layer in model.layers]
         grads = backward(model, tape, d_z, params)
@@ -192,7 +194,7 @@ class TestBackward:
         # the newest generator's gradient is omega[-1] * d_gen
         model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance(num_tasks=k)
         params = collect_trainable(model, aux)
-        z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
+        z, _, tape = forward_pass(model, block0_output(model, x), eps_per_layer=eps, collect=True)
         _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         grads = backward(model, tape, d_z, params)
         for l, layer in enumerate(model.layers):
@@ -206,33 +208,18 @@ class TestBackward:
             scale = max(1.0, float(np.max(np.abs(reference))))
             assert np.max(np.abs(grads[f"omega{l}"] - reference)) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("strategy", ["learned-omega", "random-task"])
-    def test_step_from_block0_output_equals_step_from_inputs(self, strategy):
-        # training steps start from the trial pass's block-0 output for a
-        # batch's rows, taken over more rows than the batch
-        model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance(batch=6, strategy=strategy)
-        params = collect_trainable(model, aux)
+    def test_block0_output_of_rows_equals_slice_of_wider_output(self):
+        # training steps slice the block-0 output the session computed over
+        # all its rows, so a batch's slice must be that of its own rows
+        model, _, x, *_ = make_gradcheck_instance(batch=6)
         wider = np.vstack([x, SeededRng(5).standard_normal(4, x.shape[1])])
-        _, pre_noise, _ = forward_pass(model, wider, picks_per_layer=picks)
         rows = np.arange(6)[::-1]
-        args = (targets[rows], frozen_w, [e[rows] for e in eps], picks)
-        loss, grads, z = gradient_step(model, params, x[rows], *args)
-        loss0, grads0, z0 = gradient_step(model, params, pre_noise[0][rows], *args, from_block0=True)
-        assert loss0 == pytest.approx(loss, rel=1e-12)
-        np.testing.assert_allclose(z0, z, rtol=1e-12, atol=1e-12)
-        assert list(grads0) == list(grads) == list(params)
-        for key in params:
-            np.testing.assert_allclose(grads0[key], grads[key], rtol=1e-10, atol=1e-14)
-
-    def test_block0_output_width_checked(self):
-        model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
-        with pytest.raises(ValueError, match="!= block 0 output"):
-            forward_pass(model, x, eps_per_layer=eps, from_block0=True)
+        np.testing.assert_allclose(block0_output(model, wider)[rows], block0_output(model, x[rows]), rtol=1e-12)
 
     def test_backward_consumes_feature_gradient_in_place(self):
         model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance()
         params = collect_trainable(model, aux)
-        z, _, tape = forward_pass(model, x, eps_per_layer=eps, collect=True)
+        z, _, tape = forward_pass(model, block0_output(model, x), eps_per_layer=eps, collect=True)
         d_z = SeededRng(3).standard_normal(*z.shape)
         masked = d_z * tape.relu_mask
         grads = backward(model, tape, d_z, params)
@@ -249,12 +236,8 @@ class TestBackward:
             batch=batch, num_classes=4, num_tasks=1,
         )
         params = collect_trainable(model, aux)
-        _, pre_noise, _ = forward_pass(model, x, eps_per_layer=eps)
-        peak = traced_peak(
-            lambda: gradient_step(
-                model, params, pre_noise[0], targets, frozen_w, eps, picks, from_block0=True
-            )
-        )
+        r = block0_output(model, x)
+        peak = traced_peak(lambda: gradient_step(model, params, r, targets, frozen_w, eps, picks))
         assert peak < 3.0 * batch * width * 8, peak / (batch * width * 8)
 
     def test_classifier_weights_never_trainable(self):
@@ -282,15 +265,50 @@ class TestSession:
         for rep in reports:
             assert rep.epoch_losses[-1] <= rep.epoch_losses[0]
 
-    @pytest.mark.parametrize("sample", [False, True])
-    def test_features_from_block0_output_equal_features_from_inputs(self, sample):
-        # the commit's features start from the trial pass's block-0 output
+    @pytest.mark.parametrize("strategy", ["learned-omega", "random-task"])
+    def test_committed_features_equal_model_features(self, monkeypatch, strategy):
+        # the session commits features of its once-computed block-0 output;
+        # they must be the model's features of the raw rows, bit for bit
+        committed = []
+        update = RidgeClassifier.update
+
+        def spy(self, feats, targets):
+            committed.append(feats.copy())
+            return update(self, feats, targets)
+
+        monkeypatch.setattr(RidgeClassifier, "update", spy)
         cfg = small_cfg()
-        stream, model, _ = run_all_sessions(cfg)
-        x, _ = stream.tasks[-1].train_arrays()
-        z, pre_noise = model.features(x, rng=SeededRng(4), eval_mode=not sample, collect_blocks=True)
-        from_block0 = model.features(pre_noise[0], rng=SeededRng(4), eval_mode=not sample, from_block0=True)
-        assert np.array_equal(from_block0, z)
+        cfg.pinoise.strategy = strategy
+        stream = build_stream(cfg)
+        model = build_model(cfg, stream.feature_dim)
+        for t in (1, 2, 3):
+            session_rng = SeededRng(derive_seed(cfg.train.seed, "session", t))
+            run_session(model, stream, cfg, session_rng)
+            x, _ = stream.tasks[t - 1].train_arrays()
+            assert np.array_equal(committed[-1], model.features(x, rng=session_rng.split("clf-final"))), t
+        assert len(committed) == 3
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_block0_output_computed_once_per_session(self, monkeypatch, enabled):
+        # evaluation enters through block0_output for the test rows, so it is
+        # stubbed; the session itself must enter once, with its training rows
+        calls = []
+        real = block0_output
+
+        def spy(model, x):
+            calls.append(np.array(x, copy=True))
+            return real(model, x)
+
+        monkeypatch.setattr(trainer_mod, "block0_output", spy)
+        monkeypatch.setattr(model_mod, "block0_output", spy)
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda model, stream, t: SessionReport(t, 0.0, {}))
+        cfg = small_cfg()
+        cfg.pinoise.enabled = enabled
+        stream = build_stream(cfg)
+        model = build_model(cfg, stream.feature_dim)
+        run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 1)))
+        x, _ = stream.tasks[0].train_arrays()
+        assert len(calls) == 1 and np.array_equal(calls[0], x)
 
     def test_session_order_enforced(self):
         cfg = small_cfg()
