@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mixture-strategy ablation on the overlapping-cluster stream.
 
-Runs every variant on identical streams across several class-order seeds and
-writes the comparative table to <out>/ablation.csv.
+Runs every variant on identical streams across several class-order seeds, as
+a grid over the variant: the comparative table goes to <out>/grid.csv and
+each run's accuracies to <out>/runs.csv.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import sys
 
 from noisemix.cli import main as cli_main
+from noisemix.experiment import ABLATION_VARIANTS
 
 
 def main() -> int:
@@ -20,7 +22,8 @@ def main() -> int:
     args = parser.parse_args()
     return cli_main(
         [
-            "ablate",
+            "grid",
+            "--axis", "variant=" + ",".join(ABLATION_VARIANTS),
             "--set", f"data.overlap_classes={args.overlap}",
             "--set", "data.samples_per_class=30",
             "--set", "backbone.buffer_size=512",

@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Run as ``noisemix`` or ``python -m noisemix``. Subcommands: train, eval,
-ablate, sweep, gradcheck, snapshot. Exit code 0 on success, 1 on validation
-errors, 2 on numerical breakdown, 3 when memory runs out.
+Run as ``noisemix`` or ``python -m noisemix``. Subcommands: train (one
+run), eval, grid (a run per cell of a grid over config keys and mixing
+variants, per class-order seed), gradcheck, snapshot. Exit code 0 on
+success, 1 on validation errors, 2 on numerical breakdown, 3 when memory
+runs out.
 """
 
 from __future__ import annotations
@@ -22,15 +24,7 @@ from .config import (
     load_config_file,
     resolved_text,
 )
-from .experiment import (
-    ABLATION_VARIANTS,
-    SWEEP_PARAMETERS,
-    build_stream,
-    run_ablation,
-    run_multi_seed,
-    run_sweep,
-    run_training,
-)
+from .experiment import STAT_COLUMNS, build_stream, run_grid, run_training
 from .model import build_model
 from .numeric import NumericalError
 from .report import evaluate
@@ -57,24 +51,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--resume", help="checkpoint file to continue from")
     p_train.add_argument("--stop-after", type=int, help="halt after this session (checkpoint persists)")
-    p_train.add_argument("--class-seeds", type=int, nargs="+", help="run once per class-order seed")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a finished run directory")
     p_eval.add_argument("--run", required=True, help="run directory with checkpoint + resolved config")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_abl = sub.add_parser("ablate", help="compare mixture variants on identical streams")
-    common(p_abl)
-    p_abl.add_argument("--variants", nargs="+", default=list(ABLATION_VARIANTS))
-    p_abl.add_argument("--class-seeds", type=int, nargs="+")
-    p_abl.set_defaults(func=cmd_ablate)
-
-    p_sweep = sub.add_parser("sweep", help="run once per value of one hyperparameter")
-    common(p_sweep)
-    p_sweep.add_argument("--parameter", required=True, choices=sorted(SWEEP_PARAMETERS))
-    p_sweep.add_argument("--values", type=float, nargs="+", required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_grid = sub.add_parser("grid", help="run every cell of a grid once per class-order seed")
+    common(p_grid)
+    p_grid.add_argument(
+        "--axis", action="append", default=[], metavar="KEY=V1,V2,...",
+        help="a dotted config key or 'variant', and its values (repeatable)",
+    )
+    p_grid.add_argument("--class-seeds", type=int, nargs="+", help="default: the data.class_seed key")
+    p_grid.set_defaults(func=cmd_grid)
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     common(p_grad)
@@ -102,18 +92,8 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 
 
 def cmd_train(args) -> int:
-    if args.class_seeds and (args.resume is not None or args.stop_after is not None):
-        raise ConfigError("--class-seeds runs every seed in full; it takes neither --resume nor --stop-after")
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    if args.class_seeds:
-        agg = run_multi_seed(cfg, args.class_seeds, out_dir=out)
-        print(
-            f"seeds={len(args.class_seeds)} avg={agg['avg_pct_mean']:.2f}±{agg['avg_pct_std']:.2f}% "
-            f"last={agg['last_pct_mean']:.2f}±{agg['last_pct_std']:.2f}%"
-        )
-        return 0
-    summary = run_training(cfg, out_dir=out, resume_path=args.resume, stop_after=args.stop_after)
+    summary = run_training(cfg, out_dir=_out_dir(args, cfg), resume_path=args.resume, stop_after=args.stop_after)
     for rep in summary.reports:
         print(f"session {rep.task_index}: accuracy {100.0 * rep.accuracy_seen:.2f}%")
     print(f"average {100.0 * summary.average_accuracy:.2f}%  last {100.0 * summary.last_accuracy:.2f}%")
@@ -135,24 +115,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_grid(args) -> int:
     cfg = _load_config(args)
-    rows = run_ablation(cfg, args.variants, args.class_seeds, out_dir=_out_dir(args, cfg))
+    axes = []
+    for item in args.axis:
+        key, sep, values = item.partition("=")
+        if not sep:
+            raise ConfigError(f"--axis must look like KEY=V1,V2,..., got {item!r}")
+        axes.append((key.strip(), [v.strip() for v in values.split(",")]))
+    rows = run_grid(cfg, axes, args.class_seeds or [cfg.data.class_seed], _out_dir(args, cfg))
     for r in rows:
+        cell = "".join(f"{key}={value} " for key, value in r.items() if key not in STAT_COLUMNS)
         print(
-            f"{r['variant']:12s} avg={r['avg_pct_mean']:.2f}±{r['avg_pct_std']:.2f}% "
+            f"{cell}seeds={r['seeds']} avg={r['avg_pct_mean']:.2f}±{r['avg_pct_std']:.2f}% "
             f"last={r['last_pct_mean']:.2f}±{r['last_pct_std']:.2f}%"
-        )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    rows = run_sweep(cfg, args.parameter, args.values, out_dir=_out_dir(args, cfg))
-    for r in rows:
-        print(
-            f"{r['parameter']}={r['value']} avg={r['avg_pct']:.2f}% last={r['last_pct']:.2f}% "
-            f"trainable={r['trainable_params']}"
         )
     return 0
 

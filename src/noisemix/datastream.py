@@ -96,17 +96,16 @@ def partition_classes(order: tuple[int, ...], num_tasks: int) -> list[tuple[int,
     return [tuple(int(c) for c in chunk) for chunk in np.array_split(order, num_tasks)]
 
 
-def _assemble(records: np.ndarray, num_tasks: int, seed: int, split) -> TaskStream:
-    """The stream of labelled ``records``, whose labels are 0..C-1.
+def _assemble(records: np.ndarray, task_classes: list[tuple[int, ...]], seed: int, split) -> TaskStream:
+    """The stream of labelled ``records`` whose task ``t`` holds the classes
+    ``task_classes[t - 1]``, the class order shuffled by ``seed`` and partitioned.
 
-    The classes are shuffled by ``seed`` and partitioned into ``num_tasks``
-    tasks; ``split(c, rows) -> (train_rows, test_rows)`` divides the row
-    indices of class ``c``, and each task's splits concatenate its classes' rows.
+    ``split(c, rows) -> (train_rows, test_rows)`` divides the row indices of
+    class ``c``, and each task's splits concatenate its classes' rows.
     """
     labels = records["label"]
-    order = shuffle_class_order(int(labels.max()) + 1, seed)
     tasks = []
-    for t, classes in enumerate(partition_classes(order, num_tasks), start=1):
+    for t, classes in enumerate(task_classes, start=1):
         train_rows, test_rows = zip(*(split(c, np.flatnonzero(labels == c)) for c in classes))
         test = records[np.concatenate(test_rows)]
         if not len(test):
@@ -116,6 +115,7 @@ def _assemble(records: np.ndarray, num_tasks: int, seed: int, split) -> TaskStre
             raise ValueError(f"classes {missing} have no training samples")
         train = records[np.concatenate(train_rows)]
         tasks.append(TaskDataset(task_index=t, train=_frozen(train), test=_frozen(test), class_set=classes))
+    order = tuple(c for classes in task_classes for c in classes)
     return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
 
 
@@ -141,14 +141,15 @@ def make_synthetic_stream(
     ``RunConfig.validate``), so they are not checked again here.
     """
     master = SeededRng(seed)
-    means = synthetic_class_means(num_classes, dim, separation, overlap_classes, num_tasks, seed)
+    task_classes = partition_classes(shuffle_class_order(num_classes, seed), num_tasks)
+    means = synthetic_class_means(num_classes, dim, separation, overlap_classes, task_classes, seed)
     records = np.empty(num_classes * samples_per_class, dtype=record_dtype(dim))
     records["label"] = np.repeat(np.arange(num_classes), samples_per_class)
     records["features"] = np.concatenate(
         [means[c] + master.split("samples", c).standard_normal(samples_per_class, dim) for c in range(num_classes)]
     )
     n_train = int(TRAIN_FRACTION * samples_per_class)
-    return _assemble(records, num_tasks, seed, lambda c, rows: (rows[:n_train], rows[n_train:]))
+    return _assemble(records, task_classes, seed, lambda c, rows: (rows[:n_train], rows[n_train:]))
 
 
 def synthetic_class_means(
@@ -156,12 +157,12 @@ def synthetic_class_means(
     dim: int,
     separation: float,
     overlap_classes: int,
-    num_tasks: int,
+    task_classes: list[tuple[int, ...]],
     seed: int,
 ) -> np.ndarray:
-    """The planted cluster means of the synthetic stream (num_classes x dim)."""
+    """The planted cluster means of the synthetic stream (num_classes x dim),
+    its overlap pairs placed by the stream's ``task_classes``."""
     master = SeededRng(seed)
-    task_classes = partition_classes(shuffle_class_order(num_classes, seed), num_tasks)
     mean_rng = master.split("means")
     means = np.zeros((num_classes, dim))
     for c in range(num_classes):
@@ -224,7 +225,8 @@ def load_embedding_stream(path: str | Path, num_tasks: int, seed: int) -> TaskSt
         n_train = max(1, int(TRAIN_FRACTION * len(rows)))
         return rows[:n_train], rows[n_train:]
 
-    return _assemble(records, num_tasks, seed, split)
+    task_classes = partition_classes(shuffle_class_order(num_classes, seed), num_tasks)
+    return _assemble(records, task_classes, seed, split)
 
 
 def _parse_embedding_csv(path: Path) -> np.ndarray:

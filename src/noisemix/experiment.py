@@ -1,10 +1,11 @@
-"""Experiment orchestration: full runs, and ablations, sweeps and multi-seed
-batches as presets of one run planner."""
+"""Experiment orchestration: full runs, and grids of runs over config keys,
+mixing variants and class-order seeds, all through one run planner."""
 
 from __future__ import annotations
 
 import copy
-import string
+import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from .datastream import TaskStream, load_embedding_stream, make_synthetic_stream
 from .model import ContinualModel, build_model
 from .numeric import SeededRng, derive_seed
 from .pinoise import MixtureStrategy
-from .report import RunSummary, SessionReport, emit, render_line_chart, summarize
+from .report import RunSummary, SessionReport, emit, summarize
 from .trainer import cosine_lr, run_session
 
 # no noise, each fixed mixing strategy, then the learned mixture of the full model
@@ -25,11 +26,9 @@ ABLATION_VARIANTS = (
     "full",
 )
 
-SWEEP_PARAMETERS = {
-    "lambda": "classifier.regularization",
-    "buffer_size": "backbone.buffer_size",
-    "d2": "pinoise.latent_dim",
-    "tau": "pinoise.tau",
+# a cell's seed count, then the mean and sample standard deviation of both accuracies
+STAT_COLUMNS = {
+    "seeds": "", "avg_pct_mean": ".2f", "avg_pct_std": ".2f", "last_pct_mean": ".2f", "last_pct_std": ".2f"
 }
 
 
@@ -94,7 +93,7 @@ def _write_run(
         for r in reports
         for e, loss in enumerate(r.epoch_losses)
     ]
-    _write_csv(out / "train_log.csv", "{session},{epoch},{lr:.8f},{mean_loss:.8f}", log)
+    _write_csv(out / "train_log.csv", {"session": "", "epoch": "", "lr": ".8f", "mean_loss": ".8f"}, log)
     ckpt.save_checkpoint(
         out / "checkpoint.nmcp", model, hash_, cfg.train.seed, stream.num_tasks, history=reports
     )
@@ -159,11 +158,12 @@ def _require_distinct(what: str, values) -> None:
         raise ConfigError(f"duplicate {what}: {list(values)}")
 
 
-def _write_csv(path: Path, line: str, rows: list[dict]) -> None:
-    """A header of the fields the format string ``line`` names, then ``line`` filled from each row."""
-    header = ",".join(name for _, name, _, _ in string.Formatter().parse(line) if name)
+def _write_csv(path: Path, columns: dict[str, str], rows: list[dict]) -> None:
+    """A header of the ``columns``' names, then a line per row of its values, each
+    formatted by its column's format spec."""
+    lines = [",".join(columns), *(",".join(format(r[name], spec) for name, spec in columns.items()) for r in rows)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *(line.format(**r) for r in rows)]) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
@@ -186,6 +186,55 @@ def _pct_stats(summaries: list[RunSummary]) -> dict:
     return stats
 
 
+def run_grid(
+    cfg: RunConfig, axes: list[tuple[str, list[str]]], class_seeds: list[int], out_dir: str | Path
+) -> list[dict]:
+    """Run every cell of the axes' product once per class-order seed and emit two CSVs.
+
+    Each axis is ``(key, values)``: a dotted config key, whose values go
+    through :func:`set_key`, or ``variant``, over :data:`ABLATION_VARIANTS`.
+    The ``data.*`` axes go outermost, so the runs of one data section are
+    consecutive and share a stream; in a cell the variant is applied before
+    the keys. Every cell's config is made and validated before the first run.
+    ``grid.csv`` has a row per cell: its axis values and :data:`STAT_COLUMNS`.
+    ``runs.csv`` has a row per run: its axis values, ``class_seed``,
+    ``avg_pct`` and ``last_pct``. Returns the rows of ``grid.csv``.
+    """
+    _require_distinct("axis keys", [key for key, _ in axes])
+    for key, values in axes:
+        if key == "data.class_seed":
+            raise ConfigError("data.class_seed cannot be an axis: the class seeds are the grid's seeds")
+        _require_distinct(f"values of {key}", values)
+    axes = sorted(axes, key=lambda axis: not axis[0].startswith("data."))
+    keys = [key for key, _ in axes]
+    points = [dict(zip(keys, point)) for point in itertools.product(*(values for _, values in axes))]
+    cells = []
+    for i, point in enumerate(points):
+        ccfg = _variant_config(cfg, point["variant"]) if "variant" in point else copy.deepcopy(cfg)
+        for key, value in point.items():
+            if key != "variant":
+                set_key(ccfg, key, value)
+        cells.append((i, ccfg))
+
+    def summary(i, ccfg, stream, model, reports):
+        return i, ccfg.data.class_seed, summarize(reports)
+
+    runs = _plan(cells, class_seeds, summary)
+    rows = [
+        {**point, "seeds": len(class_seeds), **_pct_stats([s for j, _, s in runs if j == i])}
+        for i, point in enumerate(points)
+    ]
+    per_run = [
+        {**points[i], "class_seed": seed, "avg_pct": 100.0 * s.average_accuracy, "last_pct": 100.0 * s.last_accuracy}
+        for i, seed, s in runs
+    ]
+    out = Path(out_dir)
+    axis_columns = dict.fromkeys(keys, "")
+    _write_csv(out / "grid.csv", {**axis_columns, **STAT_COLUMNS}, rows)
+    _write_csv(out / "runs.csv", {**axis_columns, "class_seed": "", "avg_pct": ".2f", "last_pct": ".2f"}, per_run)
+    return rows
+
+
 def run_ablation(
     cfg: RunConfig,
     variants: list[str] | None = None,
@@ -193,115 +242,9 @@ def run_ablation(
     *,
     out_dir: str | Path,
 ) -> list[dict]:
-    """Run every variant on one stream per class-order seed and emit a comparative CSV.
-
-    With several class-order seeds each variant is run once per seed and the
-    table reports mean and sample standard deviation of both metrics. Every
-    variant name is checked before the first run starts.
-    """
-    variants = list(variants) if variants else list(ABLATION_VARIANTS)
-    if len(variants) < 2:
-        raise ValueError("ablation needs at least 2 variants")
-    _require_distinct("variants", variants)
-    seeds = class_seeds or [cfg.data.class_seed]
-    cells = [(variant, _variant_config(cfg, variant)) for variant in variants]
-
-    def summary(variant, vcfg, stream, model, reports):
-        return variant, summarize(reports, config_hash(vcfg))
-
-    summaries = {variant: [] for variant in variants}
-    for variant, run in _plan(cells, seeds, summary):
-        summaries[variant].append(run)
-    rows = [{"variant": variant, "seeds": len(seeds), **_pct_stats(runs)} for variant, runs in summaries.items()]
-
-    _write_csv(
-        Path(out_dir) / "ablation.csv",
-        "{variant},{seeds},{avg_pct_mean:.2f},{avg_pct_std:.2f},{last_pct_mean:.2f},{last_pct_std:.2f}",
-        rows,
-    )
+    """The grid over ``variant`` alone (every variant by default, on the
+    configured class seed by default), its table written as ``ablation.csv``."""
+    axes = [("variant", list(variants or ABLATION_VARIANTS))]
+    rows = run_grid(cfg, axes, class_seeds or [cfg.data.class_seed], out_dir)
+    os.replace(Path(out_dir) / "grid.csv", Path(out_dir) / "ablation.csv")
     return rows
-
-
-def trainable_param_count(cfg: RunConfig, stream: TaskStream, task_index: int = 1) -> int:
-    """Parameters trained in session ``task_index`` of ``stream``.
-
-    The newest generator of every layer and the auxiliary classifier over
-    the classes seen so far; under learned-omega also the mix weights (the
-    groups of :func:`trainer.collect_trainable`).
-    """
-    p = cfg.pinoise
-    if not p.enabled:
-        return 0
-    depth = cfg.backbone.depth
-    classes = sum(len(task.class_set) for task in stream.tasks[:task_index])
-    count = depth * 2 * p.latent_dim * (p.latent_dim + 1) + cfg.backbone.buffer_size * classes
-    if MixtureStrategy(p.strategy) is MixtureStrategy.LEARNED_OMEGA:
-        count += task_index * depth
-    return count
-
-
-def run_sweep(
-    cfg: RunConfig,
-    parameter: str,
-    values: list[float],
-    out_dir: str | Path,
-) -> list[dict]:
-    """One full run per value of a single hyperparameter, all on one stream.
-
-    Every value's config is validated before the first run starts.
-    """
-    if parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r} (valid: {sorted(SWEEP_PARAMETERS)})")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    integral = parameter in ("buffer_size", "d2")
-    if integral and not all(float(v).is_integer() for v in values):
-        raise ConfigError(f"sweep values of {parameter} must be integers, got {list(values)}")
-    _require_distinct(f"sweep values of {parameter}", values)
-    cells = []
-    for value in values:
-        vcfg = copy.deepcopy(cfg)
-        set_key(vcfg, SWEEP_PARAMETERS[parameter], str(int(value)) if integral else str(value))
-        cells.append((value, vcfg))
-
-    def row(value, vcfg, stream, model, reports):
-        summary = summarize(reports, config_hash(vcfg))
-        return {
-            "parameter": parameter,
-            "value": value,
-            "avg_pct": 100.0 * summary.average_accuracy,
-            "last_pct": 100.0 * summary.last_accuracy,
-            "trainable_params": trainable_param_count(vcfg, stream),
-        }
-
-    rows = _plan(cells, [cfg.data.class_seed], row)  # no sweep parameter is a data.* key
-    out = Path(out_dir)
-    _write_csv(out / f"sweep_{parameter}.csv", "{parameter},{value},{avg_pct:.2f},{last_pct:.2f},{trainable_params}", rows)
-    points = [(float(r["value"]), r["avg_pct"]) for r in rows]
-    svg = render_line_chart(
-        parameter,
-        points,
-        x_label=parameter,
-        y_label="average accuracy (%)",
-        annotation=f"sweep {parameter}",
-    )
-    (out / f"sweep_{parameter}.svg").write_text(svg, encoding="utf-8")
-    return rows
-
-
-def run_multi_seed(cfg: RunConfig, class_seeds: list[int], out_dir: str | Path) -> dict:
-    """Independent full runs over class-order seeds, each writing a single
-    run's artifacts into ``seed_<seed>/`` as it ends, aggregated mean and std."""
-    out = Path(out_dir)
-
-    def write(_, scfg, stream, model, reports):
-        return _write_run(out / f"seed_{scfg.data.class_seed}", scfg, stream, model, reports)
-
-    summaries = _plan([("", cfg)], class_seeds, write)
-    agg = {"seeds": class_seeds, **_pct_stats(summaries)}
-    rows = [
-        {"seed": seed, "avg_pct": 100.0 * s.average_accuracy, "last_pct": 100.0 * s.last_accuracy}
-        for seed, s in zip(class_seeds, summaries)
-    ]
-    _write_csv(out / "seeds.csv", "{seed},{avg_pct:.2f},{last_pct:.2f}", rows)
-    return agg

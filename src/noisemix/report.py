@@ -120,60 +120,37 @@ def summary_json_text(summary: RunSummary) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_line_chart(
-    name: str,
-    points: list[tuple[float, float]],
-    x_label: str,
-    y_label: str,
-    annotation: str = "",
-    y_range: tuple[float, float] | None = None,
-) -> str:
-    """Static 800x500 SVG chart of one named line through ``points``, byte-stable
-    for identical inputs."""
+def accuracy_svg_text(summary: RunSummary) -> str:
+    """Static 800x500 SVG line chart of the accuracy after each session, on a
+    0-100% axis, byte-stable for identical summaries."""
     width, height, margin = 800, 500, 60
-    if not points:
-        raise ValueError("chart needs at least one point")
-    xs, ys = zip(*points)
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = y_range if y_range is not None else (min(ys), max(ys))
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+    xs = [float(r.task_index) for r in summary.reports]
+    x_lo, x_span = min(xs), (max(xs) - min(xs)) or 1.0
 
     def sx(x):
         return margin + (x - x_lo) / x_span * (width - 2 * margin)
 
     def sy(y):
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+        return height - margin - y / 100.0 * (height - 2 * margin)
 
     color = "#1f77b4"
-    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+    coords = " ".join(f"{sx(x):.2f},{sy(r.accuracy_seen * 100.0):.2f}" for x, r in zip(xs, summary.reports))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
-        f"<desc>{annotation}</desc>" if annotation else "<desc>line chart</desc>",
+        f"<desc>config {summary.config_hash}</desc>",
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" font-size="16">{x_label}</text>',
-        f'<text x="18" y="{height // 2}" text-anchor="middle" font-size="16" transform="rotate(-90 18 {height // 2})">{y_label}</text>',
-        f'<text x="{margin - 8}" y="{height - margin + 5}" text-anchor="end" font-size="12">{y_lo:.2f}</text>',
-        f'<text x="{margin - 8}" y="{margin + 5}" text-anchor="end" font-size="12">{y_hi:.2f}</text>',
+        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" font-size="16">session</text>',
+        f'<text x="18" y="{height // 2}" text-anchor="middle" font-size="16" '
+        f'transform="rotate(-90 18 {height // 2})">accuracy (%)</text>',
+        f'<text x="{margin - 8}" y="{height - margin + 5}" text-anchor="end" font-size="12">0.00</text>',
+        f'<text x="{margin - 8}" y="{margin + 5}" text-anchor="end" font-size="12">100.00</text>',
         f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>',
-        f'<text x="{width - margin + 5}" y="{margin + 12}" font-size="12" fill="{color}">{name}</text>',
+        f'<text x="{width - margin + 5}" y="{margin + 12}" font-size="12" fill="{color}">accuracy</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"
-
-
-def accuracy_svg_text(summary: RunSummary) -> str:
-    points = [(float(r.task_index), r.accuracy_seen * 100.0) for r in summary.reports]
-    return render_line_chart(
-        "accuracy",
-        points,
-        x_label="session",
-        y_label="accuracy (%)",
-        annotation=f"config {summary.config_hash}",
-        y_range=(0.0, 100.0),
-    )
 
 
 def emit(summary: RunSummary, out_dir: str | Path) -> list[Path]:

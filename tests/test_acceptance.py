@@ -13,7 +13,7 @@ from noisemix.config import RunConfig
 from noisemix.experiment import (
     build_stream,
     run_ablation,
-    run_sweep,
+    run_grid,
     run_training,
 )
 from noisemix.model import build_model
@@ -300,8 +300,8 @@ def test_ablation_ordering_soft(tmp_path):
 
 
 def test_tau_robustness(tmp_path):
-    rows = run_sweep(default_cfg(), "tau", [0.5, 1.0, 1.5, 2.0], out_dir=tmp_path)
-    avgs = [r["avg_pct"] for r in rows]
+    rows = run_grid(default_cfg(), [("pinoise.tau", ["0.5", "1.0", "1.5", "2.0"])], [1993], tmp_path)
+    avgs = [r["avg_pct_mean"] for r in rows]
     spread = max(avgs) - min(avgs)
     ok = spread < 1.0 and len(rows) == 4
     assert report_line(

@@ -85,7 +85,7 @@ def tiny_cfg():
     return cfg
 
 
-@pytest.mark.parametrize("entry", ["ablation", "sweep"])
+@pytest.mark.parametrize("entry", ["ablation", "grid"])
 def test_session_loops_call_the_module_global(entry, tmp_path, monkeypatch):
     calls = []
     original = experiment.run_session
@@ -98,7 +98,7 @@ def test_session_loops_call_the_module_global(entry, tmp_path, monkeypatch):
     if entry == "ablation":
         experiment.run_ablation(tiny_cfg(), ["baseline", "full"], out_dir=tmp_path)
     else:
-        experiment.run_sweep(tiny_cfg(), "tau", [1.0, 2.0], out_dir=tmp_path)
+        experiment.run_grid(tiny_cfg(), [("pinoise.tau", ["1.0", "2.0"])], [1993], tmp_path)
     assert calls == [1, 2, 1, 2]
 
 

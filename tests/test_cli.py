@@ -109,7 +109,8 @@ class TestTrain:
             assert (tmp_path / "full" / name).read_bytes() == (tmp_path / resumes[-1] / name).read_bytes(), name
 
     @pytest.mark.parametrize(
-        "command", [["ablate"], ["train", "--class-seeds", "1", "2"]], ids=["ablate", "train-class-seeds"]
+        "command", [["train"], ["grid", "--axis", "variant=baseline,full", "--class-seeds", "1", "2"]],
+        ids=["train", "grid"],
     )
     def test_unreadable_embedding_leaves_no_directory(self, tmp_path, capsys, command):
         rc = run_cli(
@@ -120,7 +121,7 @@ class TestTrain:
         )
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and "missing.csv" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_resume_rejects_other_config(self, tmp_path, capsys):
@@ -134,7 +135,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "command",
-        [["train"], ["ablate"], ["sweep", "--parameter", "d2", "--values", "4"], ["gradcheck"], ["snapshot"]],
+        [["train"], ["grid", "--axis", "pinoise.latent_dim=4,8"], ["gradcheck"], ["snapshot"]],
         ids=lambda command: command[0],
     )
     def test_print_config_dumps_and_exits(self, tmp_path, capsys, command):
@@ -143,39 +144,6 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "train.epochs = 2" in out
         assert not (tmp_path / "x").exists()
-
-    def test_multi_seed_batch(self, tmp_path, capsys):
-        rc = run_cli(
-            "train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "1993", "1994"
-        )
-        assert rc == 0
-        assert (tmp_path / "ms" / "seeds.csv").exists()
-        assert (tmp_path / "ms" / "seed_1993" / "accuracy.csv").exists()
-        assert "±" in capsys.readouterr().out
-
-    def test_multi_seed_batch_writes_each_seed_as_a_single_run(self, tmp_path):
-        assert run_cli("train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "5", "6") == 0
-        assert run_cli("train", *FAST, "--out", str(tmp_path / "one"), "--set", "data.class_seed=5") == 0
-        artifacts = sorted([*RESUMED_ARTIFACTS, "config.resolved"])
-        assert sorted(p.name for p in (tmp_path / "ms" / "seed_5").iterdir()) == artifacts
-        for name in artifacts:
-            assert (tmp_path / "ms" / "seed_5" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
-
-    @pytest.mark.parametrize("flags", [("--resume", "x.nmcp"), ("--stop-after", "1")])
-    def test_multi_seed_batch_rejects_resume_and_stop_after(self, tmp_path, capsys, flags):
-        rc = run_cli(
-            "train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "1993", "1994", *flags
-        )
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and flags[0] in err[0]
-        assert not (tmp_path / "ms").exists()
-
-    def test_multi_seed_batch_rejects_duplicate_seeds(self, tmp_path, capsys):
-        rc = run_cli("train", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "5", "5")
-        assert rc == 1
-        assert "duplicate class seeds" in capsys.readouterr().err
-        assert not (tmp_path / "ms").exists()
 
     @pytest.mark.parametrize("stop_after", ["0", "-2"])
     def test_stop_after_with_nothing_to_run_rejected(self, tmp_path, capsys, stop_after):
@@ -410,98 +378,98 @@ class TestRestoreChecks:
         assert refusal == f"error: section {section} has non-finite values"
 
 
-class TestAblate:
-    def test_rows_match_variants(self, tmp_path, capsys):
+class TestGrid:
+    def test_variant_rows(self, tmp_path, capsys):
         rc = run_cli(
-            "ablate", *FAST,
+            "grid", *FAST,
             "--set", "data.overlap_classes=4",
-            "--variants", "baseline", "last-task", "full",
+            "--axis", "variant=baseline,last-task,full",
             "--out", str(tmp_path / "abl"),
         )
         assert rc == 0
-        lines = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()
-        assert lines[0].startswith("variant,")
-        assert len(lines) == 4
+        lines = (tmp_path / "abl" / "grid.csv").read_text().splitlines()
+        assert lines[0] == "variant,seeds,avg_pct_mean,avg_pct_std,last_pct_mean,last_pct_std"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["baseline", "1"], ["last-task", "1"], ["full", "1"]]
+        assert (tmp_path / "abl" / "runs.csv").read_text().splitlines()[0] == "variant,class_seed,avg_pct,last_pct"
 
     def test_separable_data_makes_noise_unnecessary(self, tmp_path, capsys):
-        rc = run_cli(
-            "ablate", *FAST, "--variants", "baseline", "full", "--out", str(tmp_path / "sep")
-        )
+        rc = run_cli("grid", *FAST, "--axis", "variant=baseline,full", "--out", str(tmp_path / "sep"))
         assert rc == 0
-        lines = (tmp_path / "sep" / "ablation.csv").read_text().splitlines()[1:]
+        lines = (tmp_path / "sep" / "grid.csv").read_text().splitlines()[1:]
         avgs = {line.split(",")[0]: float(line.split(",")[2]) for line in lines}
         assert abs(avgs["baseline"] - avgs["full"]) < 2.0
 
-    def test_needs_two_variants(self, tmp_path, capsys):
-        rc = run_cli("ablate", *FAST, "--variants", "full", "--out", str(tmp_path / "x"))
-        assert rc == 1
+    def test_data_axis_by_variant_by_seeds(self, tmp_path, capsys):
+        rc = run_cli(
+            "grid", *FAST, "--axis", "variant=baseline,full", "--axis", "data.tasks=2,4",
+            "--class-seeds", "5", "6", "--out", str(tmp_path / "g"),
+        )
+        assert rc == 0
+        # the data.* axis goes outermost, in the table as in the runs
+        cells = [line.split(",")[:3] for line in (tmp_path / "g" / "grid.csv").read_text().splitlines()]
+        assert cells == [
+            ["data.tasks", "variant", "seeds"],
+            ["2", "baseline", "2"], ["2", "full", "2"], ["4", "baseline", "2"], ["4", "full", "2"],
+        ]
+        runs = [line.split(",")[:3] for line in (tmp_path / "g" / "runs.csv").read_text().splitlines()]
+        assert runs[0] == ["data.tasks", "variant", "class_seed"]
+        assert runs[1:] == [[t, v, s] for s in ("5", "6") for t in ("2", "4") for v in ("baseline", "full")]
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 4 and out[0].startswith("data.tasks=2 variant=baseline seeds=2 avg=")
+
+    def test_seeds_alone_give_one_cell(self, tmp_path, capsys):
+        rc = run_cli("grid", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "1993", "1994")
+        assert rc == 0
+        assert len((tmp_path / "ms" / "grid.csv").read_text().splitlines()) == 2
+        assert len((tmp_path / "ms" / "runs.csv").read_text().splitlines()) == 3
+        assert capsys.readouterr().out.startswith("seeds=2 avg=")
+
+    def test_a_run_scores_as_a_single_train_run(self, tmp_path):
+        assert run_cli("grid", *FAST, "--out", str(tmp_path / "ms"), "--class-seeds", "5", "6") == 0
+        assert run_cli("train", *FAST, "--out", str(tmp_path / "one"), "--set", "data.class_seed=5") == 0
+        summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+        one = f"5,{100 * summary['average_accuracy']:.2f},{100 * summary['last_accuracy']:.2f}"
+        assert (tmp_path / "ms" / "runs.csv").read_text().splitlines()[1] == one
+
+    def test_every_value_is_a_run(self, tmp_path, capsys):
+        rc = run_cli(
+            "grid", *FAST, "--axis", "classifier.regularization=10,50,100,500,1000", "--out", str(tmp_path / "sw"),
+        )
+        assert rc == 0
+        lines = (tmp_path / "sw" / "grid.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["classifier.regularization", "10", "50", "100", "500", "1000"]
+        assert len((tmp_path / "sw" / "runs.csv").read_text().splitlines()) == 6
 
     @pytest.mark.parametrize(
-        "flags", [("--class-seeds", "5", "5"), ("--variants", "baseline", "full", "baseline")], ids=["seeds", "variants"]
+        "flags, named",
+        [
+            (("--class-seeds", "5", "5"), "duplicate class seeds"),
+            (("--axis", "variant=baseline,full,baseline"), "duplicate values of variant"),
+            (("--axis", "pinoise.tau=1,1"), "duplicate values of pinoise.tau"),
+            (("--axis", "pinoise.tau=1,2", "--axis", "pinoise.tau=3"), "duplicate axis keys"),
+            (("--axis", "variant=full,bogus"), "bogus"),
+            (("--axis", "pinoise.gamma=1"), "unknown config key 'pinoise.gamma'"),
+            (("--axis", "pinoise.latent_dim=4,2.5"), "expected int, got '2.5'"),
+            (("--axis", "backbone.buffer_size=4,64.9"), "expected int, got '64.9'"),
+            # the first cell's config is valid, the second's buffer is narrower than the features
+            (("--axis", "backbone.buffer_size=128,16"), "buffer_size must be >= feature_dim"),
+            (("--axis", "data.class_seed=1,2"), "data.class_seed cannot be an axis"),
+            (("--axis", "pinoise.tau"), "--axis must look like KEY=V1,V2,..."),
+        ],
+        ids=[
+            "seeds", "variants", "values", "axis-keys", "unknown-variant", "unknown-key", "d2-2.5",
+            "buffer_size-64.9", "buffer_size-16", "class-seed-axis", "no-values",
+        ],
     )
-    def test_duplicates_rejected_before_any_run(self, tmp_path, capsys, flags):
-        rc = run_cli("ablate", *FAST, *flags, "--out", str(tmp_path / "abl"))
-        assert rc == 1
-        assert "duplicate" in capsys.readouterr().err
-        assert not (tmp_path / "abl").exists()
-
-    def test_unknown_variant_rejected(self, tmp_path, capsys, monkeypatch):
+    def test_refused_before_any_run(self, tmp_path, capsys, monkeypatch, flags, named):
         sessions = []
         monkeypatch.setattr(experiment, "run_session", lambda *args: sessions.append(args))
-        rc = run_cli(
-            "ablate", *FAST, "--variants", "full", "bogus", "--out", str(tmp_path / "x")
-        )
+        rc = run_cli("grid", *FAST, *flags, "--out", str(tmp_path / "g"))
         assert rc == 1
-        assert "bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
         assert sessions == []
-        assert not (tmp_path / "x").exists()
-
-
-class TestSweep:
-    def test_lambda_sweep_rows(self, tmp_path, capsys):
-        rc = run_cli(
-            "sweep", *FAST, "--parameter", "lambda",
-            "--values", "10", "50", "100", "500", "1000",
-            "--out", str(tmp_path / "sw"),
-        )
-        assert rc == 0
-        lines = (tmp_path / "sw" / "sweep_lambda.csv").read_text().splitlines()
-        assert len(lines) == 6
-        assert (tmp_path / "sw" / "sweep_lambda.svg").exists()
-
-    def test_d2_sweep_param_count_monotone(self, tmp_path, capsys):
-        rc = run_cli(
-            "sweep", *FAST, "--parameter", "d2", "--values", "4", "8", "16",
-            "--out", str(tmp_path / "sw"),
-        )
-        assert rc == 0
-        lines = (tmp_path / "sw" / "sweep_d2.csv").read_text().splitlines()[1:]
-        counts = [int(line.split(",")[-1]) for line in lines]
-        assert counts == sorted(counts) and counts[0] < counts[-1]
-
-    def test_unknown_parameter_rejected(self, tmp_path):
-        rc = run_cli("sweep", *FAST, "--parameter", "gamma", "--values", "1")
-        assert rc == 1
-
-    @pytest.mark.parametrize(
-        "parameter, values, named",
-        [
-            ("d2", ("4", "2.5"), "integers"),
-            ("buffer_size", ("4", "64.9"), "integers"),
-            # the first run's config is valid, the second's buffer is narrower than the features
-            ("buffer_size", ("128", "16"), "buffer_size must be >= feature_dim"),
-            ("tau", ("1", "1"), "duplicate"),
-        ],
-        ids=["d2-2.5", "buffer_size-64.9", "buffer_size-16", "tau-duplicate"],
-    )
-    def test_non_integral_value_rejected_before_any_run(self, tmp_path, capsys, parameter, values, named):
-        rc = run_cli(
-            "sweep", *FAST, "--parameter", parameter, "--values", *values,
-            "--out", str(tmp_path / "sw"),
-        )
-        assert rc == 1
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "sw").exists()
+        assert not (tmp_path / "g").exists()
 
 
 class TestGradcheckAndSnapshot:

@@ -108,7 +108,7 @@ class TestSyntheticStream:
     def test_empirical_means_converge_to_planted(self):
         n = 200
         stream = default_stream(samples_per_class=n)
-        means = synthetic_class_means(20, 32, 8.0, 0, 5, 1993)
+        means = synthetic_class_means(20, 32, 8.0, 0, [t.class_set for t in stream.tasks], 1993)
         for task in stream.tasks:
             x, y = task.train_arrays()
             xt, yt = task.test_arrays()
@@ -121,7 +121,7 @@ class TestSyntheticStream:
 
     def test_overlap_pairs_are_cross_task_and_nearby(self):
         stream = default_stream(overlap_classes=4)
-        means = synthetic_class_means(20, 32, 8.0, 4, 5, 1993)
+        means = synthetic_class_means(20, 32, 8.0, 4, [t.class_set for t in stream.tasks], 1993)
         task_of = {}
         for task in stream.tasks:
             for c in task.class_set:

@@ -1,5 +1,5 @@
-"""``ablate``, ``sweep`` and ``train --class-seeds`` run through one planner,
-which builds each stream once, runs every cell on it and holds one model at a time."""
+"""Grids and ablations run through one planner, which builds each stream
+once, runs every cell on it and holds one model at a time."""
 
 import gc
 import weakref
@@ -66,19 +66,53 @@ def test_sigma_only_ablation_row_equals_baseline(tmp_path):
     assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
 
 
-def test_sweep_builds_one_stream(tmp_path, spies):
+def test_grid_over_a_key_builds_one_stream(tmp_path, spies):
     built, sessions = spies
-    experiment.run_sweep(tiny_cfg(), "tau", [1.0, 2.0, 4.0], out_dir=tmp_path)
+    experiment.run_grid(tiny_cfg(), [("pinoise.tau", ["1.0", "2.0", "4.0"])], [5], tmp_path)
     assert len(built) == 1
     assert len(sessions) == 6 and all(stream is built[0] for stream, _ in sessions)
 
 
-def test_no_sweep_parameter_changes_the_stream():
-    assert not any(key.startswith("data.") for key in experiment.SWEEP_PARAMETERS.values())
+# data.tasks is given last and still runs outermost, so its two values make two streams per seed
+GRID_AXES = [("variant", ["baseline", "full"]), ("data.tasks", ["2", "4"])]
 
 
+def test_grid_builds_one_stream_per_data_section_per_seed(tmp_path, spies):
+    built, sessions = spies
+    experiment.run_grid(tiny_cfg(), GRID_AXES, [5, 6], tmp_path)
+    assert [(s.seed, s.num_tasks) for s in built] == [(5, 2), (5, 4), (6, 2), (6, 4)]
+    # per seed: baseline then full on the 2-task stream, then both on the 4-task stream
+    expected = [(id(stream), stream.seed) for stream in built for _ in range(2 * stream.num_tasks)]
+    assert [(id(stream), seed) for stream, seed in sessions] == expected
 
-@pytest.mark.parametrize("preset", ["ablate", "class-seeds"])
+
+def test_grid_csv_headers_name_the_axes_verbatim(tmp_path):
+    rows = experiment.run_grid(tiny_cfg(), GRID_AXES, [5, 6], tmp_path)
+    assert [(r["data.tasks"], r["variant"], r["seeds"]) for r in rows] == [
+        ("2", "baseline", 2), ("2", "full", 2), ("4", "baseline", 2), ("4", "full", 2)
+    ]
+    grid = (tmp_path / "grid.csv").read_text().splitlines()
+    assert grid[0] == "data.tasks,variant,seeds,avg_pct_mean,avg_pct_std,last_pct_mean,last_pct_std"
+    assert grid[1].startswith("2,baseline,2,")
+    runs = (tmp_path / "runs.csv").read_text().splitlines()
+    assert runs[0] == "data.tasks,variant,class_seed,avg_pct,last_pct" and len(runs) == 1 + 8
+    assert runs[1].startswith("2,baseline,5,") and runs[-1].startswith("4,full,6,")
+
+
+def test_grid_applies_the_variant_before_the_keys(tmp_path, monkeypatch):
+    # a key axis over the strategy overrides the strategy the variant sets
+    ran, run_session = [], experiment.run_session
+
+    def spy_session(model, stream, cfg, rng):
+        ran.append((cfg.pinoise.enabled, cfg.pinoise.strategy))
+        return run_session(model, stream, cfg, rng)
+
+    monkeypatch.setattr(experiment, "run_session", spy_session)
+    experiment.run_grid(tiny_cfg(), [("variant", ["full"]), ("pinoise.strategy", ["average"])], [5], tmp_path)
+    assert ran == [(True, "average")] * 2
+
+
+@pytest.mark.parametrize("preset", ["ablate", "grid"])
 def test_planner_holds_one_model_at_a_time(preset, tmp_path, monkeypatch):
     built = []
     build_model = experiment.build_model
@@ -94,8 +128,8 @@ def test_planner_holds_one_model_at_a_time(preset, tmp_path, monkeypatch):
     if preset == "ablate":
         experiment.run_ablation(tiny_cfg(), ["baseline", "full"], class_seeds=[5, 6], out_dir=tmp_path)
     else:
-        experiment.run_multi_seed(tiny_cfg(), [5, 6], out_dir=tmp_path)
-    assert len(built) == (4 if preset == "ablate" else 2)
+        experiment.run_grid(tiny_cfg(), GRID_AXES, [5, 6], tmp_path)
+    assert len(built) == (4 if preset == "ablate" else 8)
 
 
 def test_planner_builds_one_stream_per_seed_and_data_section(monkeypatch):

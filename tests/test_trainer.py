@@ -7,7 +7,7 @@ import noisemix.model as model_mod
 import noisemix.trainer as trainer_mod
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
-from noisemix.experiment import build_stream, trainable_param_count
+from noisemix.experiment import build_stream
 from noisemix.model import block0_output, build_model, forward_pass
 from noisemix.numeric import SeededRng, derive_seed, ridge_solve
 from noisemix.pinoise import MixtureStrategy, NoiseGenerator
@@ -464,24 +464,38 @@ class TestVariantTraining:
         assert model.strategy is MixtureStrategy(strategy)
 
 
-
-class TestTrainableParamCount:
+class TestCollectTrainable:
     @pytest.mark.parametrize("strategy", [s.value for s in MixtureStrategy])
     @pytest.mark.parametrize("tasks", [5, 3])  # 20 classes: 4 per task, or 7, 7 and 6
-    def test_matches_collect_trainable(self, monkeypatch, strategy, tasks):
+    def test_a_session_trains_its_generators_and_the_seen_classes(self, monkeypatch, strategy, tasks):
+        # each session trains the newest generator of every layer (mean and
+        # scale maps, latent x latent weights plus a bias each), the auxiliary
+        # classifier over every class seen so far and, under learned-omega
+        # only, one mix weight per layer per generator
         cfg = small_cfg(tasks=tasks)
         cfg.pinoise.strategy = strategy
         cfg.train.epochs = 0
         stream = build_stream(cfg)
         model = build_model(cfg, stream.feature_dim)
-        sizes = []
+        seen = []
 
-        def counted(model, aux):
+        def recorded(model, aux):
             params = collect_trainable(model, aux)
-            sizes.append(sum(p.size for p in params.values()))
+            seen.append({name: p.size for name, p in params.items()})
             return params
 
-        monkeypatch.setattr(trainer_mod, "collect_trainable", counted)
+        monkeypatch.setattr(trainer_mod, "collect_trainable", recorded)
         for t in (1, 2):
             run_session(model, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", t)))
-        assert sizes == [trainable_param_count(cfg, stream, t) for t in (1, 2)]
+        depth, latent = cfg.backbone.depth, cfg.pinoise.latent_dim
+        learned = MixtureStrategy(strategy) is MixtureStrategy.LEARNED_OMEGA
+        for t, sizes in zip((1, 2), seen, strict=True):
+            classes = sum(len(task.class_set) for task in stream.tasks[:t])
+            expected = {"aux": cfg.backbone.buffer_size * classes}
+            for l in range(depth):
+                expected |= {f"gen{l}.{part}_w": latent * latent for part in ("mean", "scale")}
+                expected |= {f"gen{l}.{part}_b": latent for part in ("mean", "scale")}
+                if learned:
+                    expected[f"omega{l}"] = t
+            assert sizes == expected, t
+            assert list(sizes)[-1] == "aux"
