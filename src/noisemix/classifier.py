@@ -269,14 +269,6 @@ class RidgeClassifier:
         lookup = np.array(self.classes_seen, dtype=np.int64)
         return lookup[picks]
 
-    def state_buffers(self) -> tuple[np.ndarray, ...]:
-        """Width, class count, classes, weights, the dense inverse if there is one
-        and the rows, as contiguous buffers, in hash order."""
-        head = np.array([self.feature_dim, self.num_classes], dtype=np.int64)
-        classes = np.array(self.classes_seen, dtype=np.int64)
-        state = [s for s in (self.weights, self._inverse, self._rows) if s is not None]
-        return head, classes, *map(np.ascontiguousarray, state)
-
 
 def _downdate(r: np.ndarray, *blocks: np.ndarray) -> None:
     """``R -= sum K' K`` over the blocks of rows, in place: the lower triangle by

@@ -131,18 +131,19 @@ PROFILES = {
 }
 
 
-def _coerce(raw: str, target_type: type):
+def _coerce(key: str, raw: str, target_type: type):
+    """``raw`` as ``target_type``; refused, naming ``key``, if it is not one."""
     if target_type is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
         return target_type(raw)
     except ValueError:
-        raise ConfigError(f"expected {target_type.__name__}, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {target_type.__name__}, got {raw!r}") from None
 
 
 def set_key(cfg: RunConfig, key: str, raw_value: str) -> None:
@@ -159,7 +160,7 @@ def set_key(cfg: RunConfig, key: str, raw_value: str) -> None:
         raise ConfigError(f"unknown config key {key!r}")
     # field types are inferred from the section defaults, which are all typed
     default = getattr(_SECTIONS[section](), name)
-    setattr(target, name, _coerce(raw_value, type(default)))
+    setattr(target, name, _coerce(key, raw_value, type(default)))
 
 
 def load_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConfig:

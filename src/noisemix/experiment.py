@@ -119,16 +119,17 @@ def _run_sessions(
     return reports
 
 
-def _plan(cells: list[tuple[object, RunConfig]], class_seeds: list[int], finish) -> list:
+def _plan(
+    cells: list[tuple[object, RunConfig]], class_seeds: list[int]
+) -> list[tuple[object, int, RunSummary]]:
     """Run every ``(label, config)`` cell once per class-order seed and return
-    ``finish(label, cfg, stream, model, reports)`` of each run, in run order.
+    ``(label, class seed, summary)`` of each run, in run order.
 
     Every run's config is made and validated before the first run starts.
     Runs go seed-major, the cells in their order within a seed, each a fresh
     model of its config over every task of its stream. Consecutive runs with
     equal ``data`` sections share one stream. One stream and one model are
-    held at a time: a run's model is dropped once ``finish`` returns, so
-    ``finish`` must not keep it.
+    held at a time: a run's model is dropped once it is summarized.
     """
     if not class_seeds:
         raise ValueError("need at least one class seed")
@@ -148,7 +149,7 @@ def _plan(cells: list[tuple[object, RunConfig]], class_seeds: list[int], finish)
             stream, stream_data = build_stream(cfg), cfg.data
         model = build_model(cfg, stream.feature_dim)
         reports = _run_sessions(model, stream, cfg, 1, stream.num_tasks)
-        results.append(finish(label, cfg, stream, model, reports))
+        results.append((label, cfg.data.class_seed, summarize(reports)))
         del model  # and the run's model before the next run builds its own
     return results
 
@@ -215,11 +216,7 @@ def run_grid(
             if key != "variant":
                 set_key(ccfg, key, value)
         cells.append((i, ccfg))
-
-    def summary(i, ccfg, stream, model, reports):
-        return i, ccfg.data.class_seed, summarize(reports)
-
-    runs = _plan(cells, class_seeds, summary)
+    runs = _plan(cells, class_seeds)
     rows = [
         {**point, "seeds": len(class_seeds), **_pct_stats([s for j, _, s in runs if j == i])}
         for i, point in enumerate(points)

@@ -83,21 +83,6 @@ class ContinualModel:
             h.update(np.ascontiguousarray(layer.up_proj))
         return h.hexdigest()
 
-    def state_hash(self) -> str:
-        """Hash of all mutable state; used to prove evaluation is read-only."""
-        h = hashlib.sha256()
-        for buf in self.classifier.state_buffers():
-            h.update(buf)
-        h.update(np.int64(self.sessions_completed).tobytes())
-        if self.layers is not None:
-            for layer in self.layers:
-                for i, row in enumerate(layer.bank):
-                    h.update(row.tobytes())
-                    h.update(np.int64(i < self.sessions_completed).tobytes())
-                h.update(layer.prototypes.tobytes())
-                h.update(layer.mix_weights.tobytes())
-        return h.hexdigest()
-
 
 def build_model(cfg: RunConfig, input_dim: int) -> ContinualModel:
     """A fresh model of the ``backbone``, ``pinoise`` and ``classifier`` sections of ``cfg``."""

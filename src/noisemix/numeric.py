@@ -1,4 +1,12 @@
-"""Dense float64 linear algebra and seeded randomness shared by every module.
+"""Array checks, seeded randomness and the gradient oracle shared by every module.
+
+:func:`as_matrix` and :func:`require_finite` check arrays where they enter
+and leave a computation (:class:`NumericalError` for non-finite values);
+:func:`softmax` is the temperature softmax of the mix-weight init;
+:func:`derive_seed` and :class:`SeededRng` are the only source of
+randomness; :func:`finite_difference_gradient` is the oracle of the
+gradient checks. The ridge solution lives in :mod:`noisemix.classifier`,
+which updates it batch by batch.
 
 All randomness flows through :class:`SeededRng` instances that are passed
 explicitly; nothing in this package reads global RNG state. Matrices are
@@ -27,27 +35,6 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericalError(f"non-finite values in {what}")
     return a
-
-
-def ridge_solve(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """L2-regularized least squares weights for ``targets ~ features @ W``.
-
-    Minimizes ``||targets - features @ W||^2 + lam * ||W||^2`` and returns W
-    of shape ``(features.shape[1], targets.shape[1])``. The regularized
-    normal equations ``(F'F + lam I) W = F'Y`` are solved directly by
-    ``np.linalg.solve``, never through an explicit inverse.
-    """
-    f = as_matrix(features, "features")
-    y = as_matrix(targets, "targets")
-    if f.shape[0] != y.shape[0]:
-        raise ValueError(f"row mismatch: features {f.shape[0]} vs targets {y.shape[0]}")
-    if f.shape[0] < 1:
-        raise ValueError("need at least one sample")
-    if not lam > 0:
-        raise ValueError(f"regularization must be positive, got {lam}")
-    gram = f.T @ f + lam * np.eye(f.shape[1])
-    w = np.linalg.solve(gram, f.T @ y)
-    return require_finite(np.atleast_2d(w), "ridge solution")
 
 
 def softmax(values, tau: float = 1.0) -> np.ndarray:
@@ -101,18 +88,16 @@ class SeededRng:
 
     The output stream depends only on (seed, call sequence) and is stable
     across platforms and library versions because every step is fixed-width
-    integer arithmetic or elementary float64 math defined here. Instances
-    are single-owner: share seeds via :meth:`split`, never the object.
+    integer arithmetic or elementary float64 math defined here. Every draw
+    takes the next words of one SplitMix64 sequence, so two instances of
+    one seed that have taken the same number of words give the same draws
+    from then on. Instances are single-owner: share seeds via
+    :meth:`split`, never the object.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._state = self.seed
-
-    @property
-    def state(self) -> int:
-        """Current stream cursor (for checkpoint audits)."""
-        return self._state
 
     def split(self, *keys) -> "SeededRng":
         """Independent child stream keyed off this rng's original seed."""
@@ -140,8 +125,8 @@ class SeededRng:
         call takes ceil(size / 2) words for the radii, then as many for the
         angles, so an odd size wastes one word. With ``blocks`` it returns
         that many such arrays stacked on a new first axis, each made from its
-        own radius and angle words in turn: the values and the final
-        :attr:`state` equal ``blocks`` separate calls.
+        own radius and angle words in turn: the values and the words taken
+        equal ``blocks`` separate calls, so the draws after it do too.
         """
         shape = (rows,) if cols is None else (rows, cols)
         count = int(np.prod(shape))

@@ -63,7 +63,6 @@ class NoiseGenerator:
         d2 = latent_dim
         if vector.shape != (2 * d2 * (d2 + 1),):
             raise ValueError(f"generator vector for d2={d2} has shape {vector.shape}")
-        self.vector = vector
         w, half = d2 * d2, d2 * (d2 + 1)
         self._maps = (
             vector[:w].reshape(d2, d2),

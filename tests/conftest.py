@@ -1,5 +1,6 @@
 import os
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -17,8 +18,48 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402  (after the BLAS thread settings)
 
-from noisemix.config import RunConfig  # noqa: E402  (needs SRC on the path)
+from noisemix.checkpoint import save_checkpoint  # noqa: E402  (needs SRC on the path)
+from noisemix.config import RunConfig  # noqa: E402
+from noisemix.numeric import SeededRng, as_matrix, require_finite  # noqa: E402
 from noisemix.report import SessionReport  # noqa: E402
+
+
+def ridge_solve(features, targets, lam: float) -> np.ndarray:
+    """The tests' reference ridge: the weights W minimizing
+    ``||targets - features @ W||^2 + lam * ||W||^2``, of shape
+    ``(features.shape[1], targets.shape[1])``.
+
+    The regularized normal equations ``(F'F + lam I) W = F'Y`` are solved
+    directly by ``np.linalg.solve``, never through an explicit inverse.
+    """
+    f = as_matrix(features, "features")
+    y = as_matrix(targets, "targets")
+    if f.shape[0] != y.shape[0]:
+        raise ValueError(f"row mismatch: features {f.shape[0]} vs targets {y.shape[0]}")
+    if f.shape[0] < 1:
+        raise ValueError("need at least one sample")
+    if not lam > 0:
+        raise ValueError(f"regularization must be positive, got {lam}")
+    gram = f.T @ f + lam * np.eye(f.shape[1])
+    w = np.linalg.solve(gram, f.T @ y)
+    return require_finite(np.atleast_2d(w), "ridge solution")
+
+
+def checkpoint_bytes(model) -> bytes:
+    """The bytes of ``model``'s checkpoint, written with fixed arguments and no
+    history: every array and counter of the model's state, and the meta, all
+    of which a restore must reproduce."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.nmcp"
+        save_checkpoint(path, model, "state", 0, 0)
+        return path.read_bytes()
+
+
+def next_word(rng: SeededRng) -> int:
+    """The next word of ``rng``'s stream. SplitMix64's output is a bijection of
+    its cursor, so two rngs of one seed give the same word exactly when they
+    have taken the same number of words."""
+    return int(rng.next_uint64(1)[0])
 
 
 def placeholder_history(sessions: int) -> list[SessionReport]:

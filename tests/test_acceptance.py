@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 import noisemix.trainer as trainer_mod
+from conftest import ridge_solve
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
 from noisemix.experiment import (
@@ -17,7 +18,7 @@ from noisemix.experiment import (
     run_training,
 )
 from noisemix.model import build_model
-from noisemix.numeric import SeededRng, derive_seed, ridge_solve, softmax
+from noisemix.numeric import SeededRng, derive_seed, softmax
 from noisemix.pinoise import init_mix_weights
 from noisemix.trainer import gradient_check, make_gradcheck_instance, run_session
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NON_FINITE_ENTRIES, placeholder_history, set_last_entry
+from conftest import NON_FINITE_ENTRIES, checkpoint_bytes, placeholder_history, set_last_entry
 from noisemix import checkpoint
 from noisemix.checkpoint import CheckpointError, read_container, restore, save_checkpoint, write_container
 from noisemix.cli import main
@@ -191,7 +191,7 @@ class TestModelCheckpoint:
         fresh = build_model(cfg, stream.feature_dim)
         assert restore(fresh, path, "deadbeef", stream) == reports
         assert fresh.sessions_completed == 2
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
     def test_restored_model_continues_identically(self, tmp_path):
         cfg = small_cfg()
@@ -205,7 +205,7 @@ class TestModelCheckpoint:
         rep_direct = run_session(model, stream, cfg, rng_a)
         rep_resumed = run_session(fresh, stream, cfg, rng_b)
         assert rep_direct == rep_resumed
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
     def test_frozen_hash_mismatch_rejected(self, tmp_path):
         cfg = small_cfg()
@@ -252,6 +252,7 @@ class TestModelCheckpoint:
             ("table-past-end", "truncated section table"),
             ("meta-not-json", "section meta is not UTF-8 JSON"),
             ("history-not-json", "section history is not UTF-8 JSON"),
+            ("version-2", "unsupported checkpoint version 2"),
         ],
     )
     def test_malformed_file_is_one_error_line(self, tmp_path, capsys, damage, named):
@@ -283,6 +284,10 @@ class TestModelCheckpoint:
             with open(bad, "r+b") as fh:
                 fh.seek(8)
                 fh.write(struct.pack("<I", 0xFFFFFFFF))
+        elif damage == "version-2":  # the header's container version, at offset 4
+            with open(bad, "r+b") as fh:
+                fh.seek(4)
+                fh.write(struct.pack("<I", 2))
         stream = build_stream(cfg)
         with pytest.raises(CheckpointError, match=named):
             restore(build_model(cfg, stream.feature_dim), bad, config_hash(cfg), stream)
@@ -333,7 +338,7 @@ class TestModelCheckpoint:
         save_checkpoint(path, model, "h", cfg.train.seed, 3, history=reports)
         fresh = build_model(cfg, stream.feature_dim)
         restore(fresh, path, "h", stream)
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
 
 class TestArraySections:
@@ -396,14 +401,14 @@ class TestClassifierForms:
         fresh = build_model(cfg, stream.feature_dim)
         restore(fresh, path, "h", stream)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
         reports = [
             run_session(m, stream, cfg, SeededRng(derive_seed(cfg.train.seed, "session", 3)))
             for m in (model, fresh)
         ]
         assert reports[0] == reports[1]
         assert (fresh.classifier.rows is None) == (buffer_size == 128)
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
     def test_rows_appended_in_place_round_trip_and_keep_growing(self, tmp_path):
         # three sessions of 32 rows at d = 256 leave 96 rows in a store with room for 128
@@ -417,7 +422,7 @@ class TestClassifierForms:
         restore(fresh, path, "h", stream)
         assert fresh.classifier.rows.shape == model.classifier.rows.shape == (96, 256)
         assert np.array_equal(fresh.classifier.rows, model.classifier.rows)
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
         rng = SeededRng(9)
         z = rng.standard_normal(24, 256)
         labels = [model.classifier.classes_seen[rng.integer(6)] for _ in range(24)]
@@ -427,7 +432,7 @@ class TestClassifierForms:
         assert fresh.classifier.rows.shape == (120, 256)
         # the store had room, so the commit wrote the 24 new rows straight into it
         assert store.shape == (128, 256) and np.shares_memory(model.classifier.rows[96:], store)
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
     def test_dense_form_is_stored_as_the_inverse(self, tmp_path):
         cfg, stream, model, path = self.checkpoint(tmp_path, 96)
@@ -436,7 +441,7 @@ class TestClassifierForms:
         assert "clf.graminv" in sections and "clf.rows" not in sections
         fresh = build_model(cfg, stream.feature_dim)
         restore(fresh, path, "h", stream)
-        assert fresh.classifier.rows is None and fresh.state_hash() == model.state_hash()
+        assert fresh.classifier.rows is None and checkpoint_bytes(fresh) == checkpoint_bytes(model)
 
     @pytest.mark.parametrize(
         "damage, named",
@@ -486,11 +491,10 @@ class TestFormatPinned:
         model = handmade_model(tiny_cfg())
         path = tmp_path / "pinned.nmcp"
         save_checkpoint(path, model, "pinned", 2024, 3)
-        # both digests were computed with the writer that joined each array into one payload
+        # computed with the writer that joined each array into one payload
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "4a70c63123f27c0c4318bea2f82cf6855ea1eb18b8c05e94739f5590d7b52c9d"
         )
-        assert model.state_hash() == "25be09845926046b045f1958298f9621f41acfe63cd174d03a5d559d40f8913a"
 
     def test_reads_v1_fixture_and_writes_it_back_identically(self, tmp_path):
         cfg = tiny_cfg()
@@ -498,7 +502,6 @@ class TestFormatPinned:
         model = build_model(cfg, stream.feature_dim)
         history = restore(model, V1_FIXTURE, "parent", stream)
         assert model.sessions_completed == 2
-        assert model.state_hash() == "0302a57c2024e88cdbdd6af85fc0898a73bcce5fd0c7ca6d66582a2028feb4cd"
         assert [r.task_index for r in history] == [1, 2]
         meta = json.loads(read_container(V1_FIXTURE, names={"meta"})["meta"])
         path = tmp_path / "again.nmcp"
@@ -538,7 +541,7 @@ class TestLoadMemory:
         cfg, stream, model, path = self.wide_checkpoint(tmp_path)
         fresh = build_model(cfg, stream.feature_dim)
         peak = traced_peak(lambda: restore(fresh, path, "h", stream))
-        assert fresh.state_hash() == model.state_hash()
+        assert checkpoint_bytes(fresh) == checkpoint_bytes(model)
         assert peak < 1.5 * model.classifier.gram_inv.nbytes
 
     @pytest.mark.parametrize(

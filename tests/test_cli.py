@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -79,6 +80,21 @@ class TestTrain:
 
     def test_unknown_flag_gives_validation_exit(self, capsys):
         assert run_cli("train", "--bogus-flag") == 1
+
+    # grid's --axis and a config file's line name the key too (TestGrid, TestEval)
+    @pytest.mark.parametrize(
+        "override, refusal",
+        [
+            ("pinoise.latent_dim=2.5", "pinoise.latent_dim: expected int, got '2.5'"),
+            ("pinoise.enabled=maybe", "pinoise.enabled: expected a boolean, got 'maybe'"),
+        ],
+        ids=["int", "bool"],
+    )
+    def test_set_value_of_the_wrong_type_names_its_key(self, tmp_path, capsys, override, refusal):
+        rc = run_cli("train", *FAST, "--set", override, "--out", str(tmp_path / "x"))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {refusal}"]
+        assert not (tmp_path / "x").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_cli("train", *FAST, "--out", str(tmp_path / "a"))
@@ -254,7 +270,8 @@ class TestEval:
         config.write_text("train.epochs = 2\npinoise.enabled = maybe\n", encoding="utf-8")
         rc = run_cli("train", *FAST, "--config", str(config), "--out", str(tmp_path / "x"))
         assert rc == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {config}:2: expected a boolean, got 'maybe'"]
+        refusal = f"error: {config}:2: pinoise.enabled: expected a boolean, got 'maybe'"
+        assert capsys.readouterr().err.splitlines() == [refusal]
         assert not (tmp_path / "x").exists()
 
 
@@ -352,17 +369,24 @@ class TestRestoreChecks:
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
-        "key, named",
-        [("classes_seen", "classes_seen does not match"), ("eval_seed", "eval_seed 12345 is not")],
-        ids=["classes-reversed", "other-eval-seed"],
+        "key, change, named",
+        [
+            ("classes_seen", lambda classes: classes[::-1], "classes_seen does not match"),
+            ("eval_seed", lambda seed: 12345, "eval_seed 12345 is not"),
+            ("has_noise", lambda has_noise: not has_noise, "noise layer presence mismatch"),
+            ("num_layers", lambda layers: layers + 1, "layer count mismatch"),
+        ],
+        ids=["classes-reversed", "other-eval-seed", "no-noise-layers", "one-layer-more"],
     )
-    def test_meta_at_odds_with_the_configuration_refused(self, tmp_path, capsys, stopped_run, command, key, named):
-        # both once ran with exit 0: the reversed classes scored 0.00% under eval,
-        # and the eval seed took the place of the one the configuration fixes
+    def test_meta_at_odds_with_the_configuration_refused(
+        self, tmp_path, capsys, stopped_run, command, key, change, named
+    ):
+        # the first two once ran with exit 0: the reversed classes scored 0.00% under
+        # eval, and the eval seed took the place of the one the configuration fixes
         run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
         sections = read_container(run_dir / "checkpoint.nmcp")
         meta = json.loads(sections["meta"])
-        meta[key] = meta[key][::-1] if key == "classes_seen" else 12345
+        meta[key] = change(meta[key])
         sections["meta"] = json.dumps(meta, sort_keys=True).encode("utf-8")
         write_container(run_dir / "checkpoint.nmcp", sections)
         assert named in self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
@@ -449,8 +473,8 @@ class TestGrid:
             (("--axis", "pinoise.tau=1,2", "--axis", "pinoise.tau=3"), "duplicate axis keys"),
             (("--axis", "variant=full,bogus"), "bogus"),
             (("--axis", "pinoise.gamma=1"), "unknown config key 'pinoise.gamma'"),
-            (("--axis", "pinoise.latent_dim=4,2.5"), "expected int, got '2.5'"),
-            (("--axis", "backbone.buffer_size=4,64.9"), "expected int, got '64.9'"),
+            (("--axis", "pinoise.latent_dim=4,2.5"), "pinoise.latent_dim: expected int, got '2.5'"),
+            (("--axis", "backbone.buffer_size=4,64.9"), "backbone.buffer_size: expected int, got '64.9'"),
             # the first cell's config is valid, the second's buffer is narrower than the features
             (("--axis", "backbone.buffer_size=128,16"), "buffer_size must be >= feature_dim"),
             (("--axis", "data.class_seed=1,2"), "data.class_seed cannot be an axis"),
@@ -528,3 +552,19 @@ class TestGradcheckAndSnapshot:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("config ")
         assert (tmp_path / "snap" / "snapshot.txt").read_text().splitlines() == done.stdout.splitlines()
+
+
+def test_readme_synopsis_lists_every_subcommand_and_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("noisemix "):
+            command = documented.setdefault(line.split()[1], [])
+        command += re.findall(r"--[a-z-]+", line)
+    [subcommands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: [flag for a in sub._actions if not isinstance(a, argparse._HelpAction) for flag in a.option_strings]
+        for name, sub in subcommands.choices.items()
+    }
+    assert documented == defined

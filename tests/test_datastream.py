@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ridge_solve
 from noisemix.datastream import (
     _parse_embedding_csv,
     load_embedding_stream,
@@ -10,7 +11,7 @@ from noisemix.datastream import (
     shuffle_class_order,
     synthetic_class_means,
 )
-from noisemix.numeric import SeededRng, ridge_solve
+from noisemix.numeric import SeededRng
 
 
 def default_stream(**overrides):

@@ -154,10 +154,8 @@ def test_planner_builds_one_stream_per_seed_and_data_section(monkeypatch):
     a, b, c = tiny_cfg(), tiny_cfg(), tiny_cfg()
     b.pinoise.tau = 1.0
     c.data.tasks = 4
-    runs = experiment._plan(
-        [("a", a), ("b", b), ("c", c)],
-        [5, 6],
-        lambda label, cfg, stream, model, reports: (label, cfg.data.class_seed, len(reports)),
-    )
-    assert runs == [("a", 5, 2), ("b", 5, 2), ("c", 5, 4), ("a", 6, 2), ("b", 6, 2), ("c", 6, 4)]
+    runs = experiment._plan([("a", a), ("b", b), ("c", c)], [5, 6])
+    assert [(label, seed, len(summary.reports)) for label, seed, summary in runs] == [
+        ("a", 5, 2), ("b", 5, 2), ("c", 5, 4), ("a", 6, 2), ("b", 6, 2), ("c", 6, 4)
+    ]
     assert len(built) == 4

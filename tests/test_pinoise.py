@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_config, placeholder_history
+from conftest import checkpoint_bytes, model_config, placeholder_history
 from noisemix.datastream import make_synthetic_stream
 from noisemix.model import block0_output, build_model, forward_pass
 from noisemix.numeric import SeededRng
@@ -22,6 +22,11 @@ from noisemix.pinoise import (
 from noisemix.trainer import collect_trainable
 
 STRATEGIES = list(MixtureStrategy)
+
+
+def joined(gen):
+    """A generator's parameters as one vector, its four maps in params() order."""
+    return np.concatenate([a.ravel() for a in gen.params()])
 
 
 def make_vector(d2, seed=1, scale=1.0):
@@ -378,28 +383,30 @@ class TestGeneratorVector:
     """A generator's four maps are views of its one vector, in params() order."""
 
     @staticmethod
-    def assert_views(gen):
+    def assert_views(gen, vector):
+        """``gen``'s maps are views of ``vector``, the one it was built from."""
         d2 = gen.mean_bias.shape[0]
-        joined = b"".join(np.ascontiguousarray(a).tobytes() for a in gen.params())
-        assert joined == gen.vector.tobytes()
-        assert gen.vector.shape == (2 * d2 * (d2 + 1),) and gen.vector.flags.c_contiguous
+        assert joined(gen).tobytes() == vector.tobytes()
+        assert vector.shape == (2 * d2 * (d2 + 1),) and vector.flags.c_contiguous
         assert [a.shape for a in gen.params()] == [(d2, d2), (d2,), (d2, d2), (d2,)]
         for a in gen.params():
-            assert np.shares_memory(a, gen.vector)
+            assert np.shares_memory(a, vector)
         gen.scale_weight[-1, 0] += 1.0  # in place, through a map
-        assert gen.vector[-d2 - d2] == gen.scale_weight[-1, 0]
-        gen.vector[d2 * d2] -= 2.0  # in place, through the vector
-        assert gen.mean_bias[0] == gen.vector[d2 * d2]
-        assert gen.vector.tobytes() == b"".join(a.tobytes() for a in gen.params())
+        assert vector[-d2 - d2] == gen.scale_weight[-1, 0]
+        vector[d2 * d2] -= 2.0  # in place, through the vector
+        assert gen.mean_bias[0] == vector[d2 * d2]
+        assert vector.tobytes() == b"".join(a.tobytes() for a in gen.params())
         for name in ("mean_weight", "mean_bias", "scale_weight", "scale_bias"):
             with pytest.raises(AttributeError):
                 setattr(gen, name, np.zeros_like(getattr(gen, name)))
 
     def test_built_directly(self):
-        self.assert_views(NoiseGenerator(make_vector(3), 3))
+        vector = make_vector(3)
+        self.assert_views(NoiseGenerator(vector, 3), vector)
 
     def test_new_generator(self):
-        self.assert_views(NoiseGenerator(new_generator(5, SeededRng(4), init_scale=1.0), 5))
+        vector = new_generator(5, SeededRng(4), init_scale=1.0)
+        self.assert_views(NoiseGenerator(vector, 5), vector)
 
     def test_loaded_from_checkpoint(self, tmp_path):
         from noisemix.checkpoint import restore, save_checkpoint
@@ -419,7 +426,7 @@ class TestGeneratorVector:
         restore(loaded, tmp_path / "g.nmcp", "h", stream)
         for before, layer in zip(saved.layers, loaded.layers):
             assert layer.bank[0].tobytes() == before.bank[0].tobytes()
-            self.assert_views(NoiseGenerator(layer.bank[0], 4))
+            self.assert_views(NoiseGenerator(layer.bank[0], 4), layer.bank[0])
 
     def test_vector_of_another_width_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -431,7 +438,7 @@ class TestGeneratorVector:
         vector = make_vector(4)
         layer = layer_of([vector], weights=[1.0], d2=4)
         _, cache = run_layer(layer, np.ones((2, 6)), MixtureStrategy.LEARNED_OMEGA, None, collect=True)
-        assert cache.generator.vector.tobytes() == vector.tobytes()
+        assert joined(cache.generator).tobytes() == vector.tobytes()
 
 
 class TestGeneratorBank:
@@ -455,7 +462,7 @@ class TestGeneratorBank:
             assert np.array_equal(layer.bank[0], frozen[l])
             feats = np.zeros((1, 24))
             _, cache = run_layer(layer, feats, MixtureStrategy.AVERAGE, None, collect=True)
-            np.testing.assert_allclose(cache.generator.vector, (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
+            np.testing.assert_allclose(joined(cache.generator), (frozen[l] + newest) / 2.0, rtol=1e-15, atol=1e-18)
 
     def test_checkpoint_round_trip_rebuilds_the_bank(self, tmp_path):
         from noisemix.checkpoint import restore, save_checkpoint
@@ -477,4 +484,4 @@ class TestGeneratorBank:
             assert layer.bank.shape == (3, 40) and layer.bank.flags.c_contiguous
             assert layer.bank.tobytes() == before.bank.tobytes()
             assert layer.prototypes.tobytes() == before.prototypes.tobytes()
-        assert loaded.state_hash() == saved.state_hash()
+        assert checkpoint_bytes(loaded) == checkpoint_bytes(saved)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import noisemix.model as model_mod
+from conftest import ridge_solve
 import noisemix.trainer as trainer_mod
 from noisemix.classifier import RidgeClassifier
 from noisemix.config import RunConfig
 from noisemix.experiment import build_stream
 from noisemix.model import block0_output, build_model, forward_pass
-from noisemix.numeric import SeededRng, derive_seed, ridge_solve
+from noisemix.numeric import SeededRng, derive_seed
 from noisemix.pinoise import MixtureStrategy, NoiseGenerator
 from noisemix.report import SessionReport
 from noisemix.trainer import (
