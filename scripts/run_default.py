@@ -6,13 +6,14 @@ import argparse
 import sys
 
 from noisemix.cli import main as cli_main
+from noisemix.config import PROFILES
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/default")
     parser.add_argument("--class-seed", type=int, default=1993)
-    parser.add_argument("--profile", choices=["desk", "paper-dims"], default="desk")
+    parser.add_argument("--profile", choices=list(PROFILES), default="desk")
     args = parser.parse_args()
     return cli_main(
         [

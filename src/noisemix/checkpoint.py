@@ -317,7 +317,8 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
     at most as many completed sessions as ``stream`` has tasks, the history
     entries, which must be sessions 1..k in order for the k >= 0 completed
     sessions, and ``classes_seen`` equal to the class sets of the stream's
-    first completed tasks, in order. Only then is the model's own classifier
+    first completed tasks, in order, and the history's values, which
+    :func:`report.report_from_dict` checks. Only then is the model's own classifier
     state dropped and the whole container read once, so a refused checkpoint
     costs no array read and the two classifier states are never held at once.
 
@@ -359,7 +360,10 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
         raise CheckpointError("checkpoint history does not match completed sessions")
     if meta["classes_seen"] != [c for task in stream.tasks[:sessions] for c in task.class_set]:
         raise CheckpointError(f"checkpoint classes_seen does not match the stream's first {sessions} tasks")
-    reports = [report_from_dict(d) for d in entries]
+    try:
+        reports = [report_from_dict(d) for d in entries]
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint history: {exc}") from None
 
     clf = model.classifier
     clf.gram_inv = None

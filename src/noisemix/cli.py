@@ -19,7 +19,7 @@ from .config import (
     ConfigError,
     RunConfig,
     apply_overrides,
-    apply_profile,
+    apply_preset,
     config_hash,
     load_config_file,
     resolved_text,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
-    apply_profile(cfg, args.profile)
+    apply_preset(cfg, PROFILES, args.profile, "profile")
     if args.config:
         load_config_file(args.config, cfg)
     apply_overrides(cfg, args.set)
@@ -135,6 +135,8 @@ def cmd_grid(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
+    if not cfg.pinoise.enabled:
+        raise ConfigError("gradcheck checks the noise layers' gradients, and pinoise.enabled=false has none")
     # small dimensions keep the finite-difference sweep fast and well-conditioned
     dims = {
         "feature_dim": min(cfg.backbone.feature_dim, 16),

@@ -1,10 +1,16 @@
-"""Run configuration: dataclasses, flat key-value config files, hashing.
+"""Run configuration: dataclasses, flat key-value config files, presets, hashing.
 
-Config files are flat ``key = value`` text (``#`` comments allowed); keys use
-dotted section names, e.g. ``train.epochs = 10``. Unknown keys are rejected,
-and so is a string value holding ``#`` or a line break, which a config file
-could not hold.
-Command-line ``--set key=value`` overrides file values.
+The dataclasses are the one description of the configuration: :func:`_keys`
+derives the table of settable keys from them, a dotted ``section.field`` per
+section field and then ``output_dir``, and setting, validating and rendering
+a configuration all walk that table. A key's type is its field's default's.
+
+Config files are flat ``key = value`` text (``#`` comments allowed), e.g.
+``train.epochs = 10``. Unknown keys are rejected, and so is a string value
+holding ``#`` or a line break, which a config file could not hold.
+Command-line ``--set key=value`` overrides file values. A preset is a named
+table of such values (:data:`PROFILES`, and the grid's variants), applied by
+:func:`apply_preset`.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ class RunConfig:
     output_dir: str = "runs"
 
     def validate(self) -> "RunConfig":
-        for key, value in [*_section_items(self), ("output_dir", self.output_dir)]:
+        for key, owner, f in _keys(self):
+            value = getattr(owner, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
             # a config file ends a value at '#' or a line break, so it could not read it back
@@ -117,14 +124,6 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {
-    "data": DataConfig,
-    "backbone": BackboneConfig,
-    "pinoise": PiNoiseConfig,
-    "classifier": ClassifierConfig,
-    "train": TrainSection,
-}
-
 PROFILES = {
     "desk": {},
     "paper-dims": {"pinoise.latent_dim": "192", "backbone.buffer_size": "16384"},
@@ -146,21 +145,24 @@ def _coerce(key: str, raw: str, target_type: type):
         raise ConfigError(f"{key}: expected {target_type.__name__}, got {raw!r}") from None
 
 
+def _keys(cfg: RunConfig):
+    """``(dotted key, owner, field)`` of every settable key of ``cfg``: each
+    section's fields as ``section.field``, sections and fields in name order,
+    then the fields of ``cfg`` itself (``output_dir``)."""
+    by_name = lambda obj: sorted(dataclasses.fields(obj), key=lambda f: f.name)
+    sections = [f.name for f in by_name(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))]
+    for name in sections:
+        yield from ((f"{name}.{f.name}", getattr(cfg, name), f) for f in by_name(getattr(cfg, name)))
+    yield from ((f.name, cfg, f) for f in by_name(cfg) if f.name not in sections)
+
+
 def set_key(cfg: RunConfig, key: str, raw_value: str) -> None:
-    if key == "output_dir":
-        cfg.output_dir = raw_value
-        return
-    if "." not in key:
-        raise ConfigError(f"unknown config key {key!r}")
-    section, _, name = key.partition(".")
-    if section not in _SECTIONS:
-        raise ConfigError(f"unknown config section {section!r}")
-    target = getattr(cfg, section)
-    if name not in {f.name for f in dataclasses.fields(target)}:
-        raise ConfigError(f"unknown config key {key!r}")
-    # field types are inferred from the section defaults, which are all typed
-    default = getattr(_SECTIONS[section](), name)
-    setattr(target, name, _coerce(key, raw_value, type(default)))
+    for name, owner, f in _keys(cfg):
+        if name == key:
+            # every field has a default, of the type the field holds
+            setattr(owner, f.name, _coerce(key, raw_value, type(f.default)))
+            return
+    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConfig:
@@ -188,28 +190,20 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     return cfg
 
 
-def apply_profile(cfg: RunConfig, profile: str) -> RunConfig:
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r} (valid: {', '.join(PROFILES)})")
-    for key, value in PROFILES[profile].items():
+def apply_preset(cfg: RunConfig, presets: dict[str, dict[str, str]], name: str, what: str) -> RunConfig:
+    """Set every key of the preset ``presets[name]``; an unknown ``name`` is
+    refused as an unknown ``what``."""
+    if name not in presets:
+        raise ConfigError(f"unknown {what} {name!r} (valid: {', '.join(presets)})")
+    for key, value in presets[name].items():
         set_key(cfg, key, value)
     return cfg
-
-
-def _section_items(cfg: RunConfig):
-    """``(dotted key, value)`` of every section field, sections and fields in name order."""
-    for section in sorted(_SECTIONS):
-        obj = getattr(cfg, section)
-        for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):
-            yield f"{section}.{f.name}", getattr(obj, f.name)
 
 
 def resolved_text(cfg: RunConfig) -> str:
     """Canonical flat rendering of the configuration, parseable by
     :func:`load_config_file` and stable for hashing."""
-    lines = [f"{key} = {value}" for key, value in _section_items(cfg)]
-    lines.append(f"output_dir = {cfg.output_dir}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(owner, f.name)}\n" for key, owner, f in _keys(cfg))
 
 
 def config_hash(cfg: RunConfig) -> str:

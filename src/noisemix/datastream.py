@@ -5,9 +5,12 @@ split of a task is one read-only record array of ``record_dtype(d)`` rows, an
 int64 label followed by d float64 features, packed. Streams are immutable
 after construction and fully determined by their seed.
 
-Both sources make one record array of labelled rows and a rule that splits a
-class's rows into train and test; one assembly turns them into a stream. It
-shuffles the classes by the seed (``data.class_seed``), cuts the order into
+Two sources, each selected by ``data.source``: the synthetic source reads
+the whole ``data`` section (:func:`make_synthetic_stream`), and the embedding
+source reads a CSV file into ``data.tasks`` tasks under ``data.class_seed``
+(:func:`load_embedding_stream`). Both make one record array of labelled rows
+and a rule that splits a class's rows into train and test; one assembly turns
+them into a stream. It shuffles the classes by the seed, cuts the order into
 contiguous groups with the extra classes first, and splits each class.
 """
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DataConfig
 from .numeric import SeededRng, derive_seed
 
 TRAIN_FRACTION = 0.8
@@ -119,58 +123,48 @@ def _assemble(records: np.ndarray, task_classes: list[tuple[int, ...]], seed: in
     return TaskStream(tasks=tuple(tasks), class_order=order, seed=seed)
 
 
-def make_synthetic_stream(
-    num_classes: int,
-    samples_per_class: int,
-    dim: int,
-    separation: float,
-    overlap_classes: int = 0,
-    num_tasks: int = 1,
-    seed: int = 1993,
-) -> TaskStream:
-    """Gaussian cluster stream with optional cross-task confusable class pairs.
+def make_synthetic_stream(d: DataConfig) -> TaskStream:
+    """The Gaussian cluster stream of the ``data`` section ``d``, with optional
+    cross-task confusable class pairs.
 
-    Each class is an isotropic unit-variance Gaussian whose mean lies on a
-    sphere of radius ``separation``. ``overlap_classes`` classes are arranged
-    into pairs assigned to different tasks whose means sit close together
-    (see OVERLAP_OFFSET_FRACTION), creating features that confuse a linear
-    classifier across task boundaries. Per class the first 80% of draws are
-    the train split, the rest the test split. Fully determined by ``seed``.
+    Each of ``d.num_classes`` classes is an isotropic unit-variance Gaussian
+    in ``d.dim`` dimensions whose mean lies on a sphere of radius
+    ``d.separation``. ``d.overlap_classes`` classes are arranged into pairs
+    assigned to different tasks whose means sit close together (see
+    OVERLAP_OFFSET_FRACTION), creating features that confuse a linear
+    classifier across task boundaries. Per class the first 80% of its
+    ``d.samples_per_class`` draws are the train split, the rest the test
+    split. The classes go into ``d.tasks`` tasks, and the stream is fully
+    determined by ``d.class_seed``.
 
-    The arguments come from a validated ``DataConfig`` (see
-    ``RunConfig.validate``), so they are not checked again here.
+    ``d`` is validated (see ``RunConfig.validate``), so it is not checked
+    again here; its ``source`` and ``embedding_path`` are not read.
     """
-    master = SeededRng(seed)
-    task_classes = partition_classes(shuffle_class_order(num_classes, seed), num_tasks)
-    means = synthetic_class_means(num_classes, dim, separation, overlap_classes, task_classes, seed)
-    records = np.empty(num_classes * samples_per_class, dtype=record_dtype(dim))
-    records["label"] = np.repeat(np.arange(num_classes), samples_per_class)
+    master = SeededRng(d.class_seed)
+    task_classes = partition_classes(shuffle_class_order(d.num_classes, d.class_seed), d.tasks)
+    means = synthetic_class_means(d, task_classes)
+    n = d.samples_per_class
+    records = np.empty(d.num_classes * n, dtype=record_dtype(d.dim))
+    records["label"] = np.repeat(np.arange(d.num_classes), n)
     records["features"] = np.concatenate(
-        [means[c] + master.split("samples", c).standard_normal(samples_per_class, dim) for c in range(num_classes)]
+        [means[c] + master.split("samples", c).standard_normal(n, d.dim) for c in range(d.num_classes)]
     )
-    n_train = int(TRAIN_FRACTION * samples_per_class)
-    return _assemble(records, task_classes, seed, lambda c, rows: (rows[:n_train], rows[n_train:]))
+    n_train = int(TRAIN_FRACTION * n)
+    return _assemble(records, task_classes, d.class_seed, lambda c, rows: (rows[:n_train], rows[n_train:]))
 
 
-def synthetic_class_means(
-    num_classes: int,
-    dim: int,
-    separation: float,
-    overlap_classes: int,
-    task_classes: list[tuple[int, ...]],
-    seed: int,
-) -> np.ndarray:
-    """The planted cluster means of the synthetic stream (num_classes x dim),
-    its overlap pairs placed by the stream's ``task_classes``."""
-    master = SeededRng(seed)
+def synthetic_class_means(d: DataConfig, task_classes: list[tuple[int, ...]]) -> np.ndarray:
+    """The planted cluster means of the synthetic stream of ``d``
+    (num_classes x dim), its overlap pairs placed by the stream's ``task_classes``."""
+    master = SeededRng(d.class_seed)
     mean_rng = master.split("means")
-    means = np.zeros((num_classes, dim))
-    for c in range(num_classes):
-        v = mean_rng.standard_normal(dim)
+    means = np.zeros((d.num_classes, d.dim))
+    for c in range(d.num_classes):
+        v = mean_rng.standard_normal(d.dim)
         norm = float(np.linalg.norm(v))
-        if separation > 0 and norm > 0:
-            means[c] = v * (separation / norm)
-    _plant_overlap_pairs(means, task_classes, overlap_classes, separation, master.split("overlap"))
+        if d.separation > 0 and norm > 0:
+            means[c] = v * (d.separation / norm)
+    _plant_overlap_pairs(means, task_classes, d.overlap_classes, d.separation, master.split("overlap"))
     return means
 
 

@@ -5,26 +5,33 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import os
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import ConfigError, RunConfig, config_hash, resolved_text, set_key
+from .config import ConfigError, RunConfig, apply_preset, config_hash, resolved_text, set_key
 from .datastream import TaskStream, load_embedding_stream, make_synthetic_stream
 from .model import ContinualModel, build_model
 from .numeric import SeededRng, derive_seed
 from .pinoise import MixtureStrategy
-from .report import RunSummary, SessionReport, emit, summarize
+from .report import RunSummary, SessionReport, emit, summarize, write_csv
 from .trainer import cosine_lr, run_session
 
-# no noise, each fixed mixing strategy, then the learned mixture of the full model
-ABLATION_VARIANTS = (
-    "baseline",
-    *(s.value for s in MixtureStrategy if s is not MixtureStrategy.LEARNED_OMEGA),
-    "full",
-)
+# a grid's variants as key presets: no noise, each fixed mixing strategy, then
+# the learned mixture of the full model
+VARIANTS = {
+    "baseline": {"pinoise.enabled": "false"},
+    **{
+        s.value: {"pinoise.enabled": "true", "pinoise.strategy": s.value}
+        for s in MixtureStrategy
+        if s is not MixtureStrategy.LEARNED_OMEGA
+    },
+    "full": {"pinoise.enabled": "true", "pinoise.strategy": MixtureStrategy.LEARNED_OMEGA.value},
+}
+ABLATION_VARIANTS = tuple(VARIANTS)
 
 # a cell's seed count, then the mean and sample standard deviation of both accuracies
 STAT_COLUMNS = {
@@ -36,15 +43,7 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     d = cfg.data
     if d.source == "embedding":
         return load_embedding_stream(d.embedding_path, d.tasks, d.class_seed)
-    return make_synthetic_stream(
-        num_classes=d.num_classes,
-        samples_per_class=d.samples_per_class,
-        dim=d.dim,
-        separation=d.separation,
-        overlap_classes=d.overlap_classes,
-        num_tasks=d.tasks,
-        seed=d.class_seed,
-    )
+    return make_synthetic_stream(d)
 
 
 def run_training(
@@ -93,16 +92,12 @@ def _write_run(
         for r in reports
         for e, loss in enumerate(r.epoch_losses)
     ]
-    _write_csv(out / "train_log.csv", {"session": "", "epoch": "", "lr": ".8f", "mean_loss": ".8f"}, log)
+    write_csv(out / "train_log.csv", {"session": "", "epoch": "", "lr": ".8f", "mean_loss": ".8f"}, log)
     ckpt.save_checkpoint(
         out / "checkpoint.nmcp", model, hash_, cfg.train.seed, stream.num_tasks, history=reports
     )
-    manifest = out / "run.json"
-    manifest.write_text(
-        '{"config_hash": "%s", "stream_hash": "%s", "sessions": %d}\n'
-        % (hash_, stream.content_hash(), model.sessions_completed),
-        encoding="utf-8",
-    )
+    manifest = {"config_hash": hash_, "stream_hash": stream.content_hash(), "sessions": model.sessions_completed}
+    (out / "run.json").write_text(json.dumps(manifest) + "\n", encoding="utf-8")
     (out / "config.resolved").write_text(resolved_text(cfg), encoding="utf-8")
     return summary
 
@@ -159,24 +154,6 @@ def _require_distinct(what: str, values) -> None:
         raise ConfigError(f"duplicate {what}: {list(values)}")
 
 
-def _write_csv(path: Path, columns: dict[str, str], rows: list[dict]) -> None:
-    """A header of the ``columns``' names, then a line per row of its values, each
-    formatted by its column's format spec."""
-    lines = [",".join(columns), *(",".join(format(r[name], spec) for name, spec in columns.items()) for r in rows)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _variant_config(cfg: RunConfig, variant: str) -> RunConfig:
-    if variant not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {variant!r} (valid: {ABLATION_VARIANTS})")
-    v = copy.deepcopy(cfg)
-    v.pinoise.enabled = variant != "baseline"
-    if v.pinoise.enabled:
-        v.pinoise.strategy = MixtureStrategy.LEARNED_OMEGA.value if variant == "full" else variant
-    return v
-
-
 def _pct_stats(summaries: list[RunSummary]) -> dict:
     """Mean and sample standard deviation of both accuracies in percent, 0 deviation for one run."""
     stats = {}
@@ -193,7 +170,7 @@ def run_grid(
     """Run every cell of the axes' product once per class-order seed and emit two CSVs.
 
     Each axis is ``(key, values)``: a dotted config key, whose values go
-    through :func:`set_key`, or ``variant``, over :data:`ABLATION_VARIANTS`.
+    through :func:`set_key`, or ``variant``, a preset of :data:`VARIANTS`.
     The ``data.*`` axes go outermost, so the runs of one data section are
     consecutive and share a stream; in a cell the variant is applied before
     the keys. Every cell's config is made and validated before the first run.
@@ -211,7 +188,9 @@ def run_grid(
     points = [dict(zip(keys, point)) for point in itertools.product(*(values for _, values in axes))]
     cells = []
     for i, point in enumerate(points):
-        ccfg = _variant_config(cfg, point["variant"]) if "variant" in point else copy.deepcopy(cfg)
+        ccfg = copy.deepcopy(cfg)
+        if "variant" in point:
+            apply_preset(ccfg, VARIANTS, point["variant"], "variant")
         for key, value in point.items():
             if key != "variant":
                 set_key(ccfg, key, value)
@@ -227,8 +206,8 @@ def run_grid(
     ]
     out = Path(out_dir)
     axis_columns = dict.fromkeys(keys, "")
-    _write_csv(out / "grid.csv", {**axis_columns, **STAT_COLUMNS}, rows)
-    _write_csv(out / "runs.csv", {**axis_columns, "class_seed": "", "avg_pct": ".2f", "last_pct": ".2f"}, per_run)
+    write_csv(out / "grid.csv", {**axis_columns, **STAT_COLUMNS}, rows)
+    write_csv(out / "runs.csv", {**axis_columns, "class_seed": "", "avg_pct": ".2f", "last_pct": ".2f"}, per_run)
     return rows
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,13 +79,31 @@ def report_to_dict(rep: SessionReport) -> dict:
 
 
 def report_from_dict(d: dict) -> SessionReport:
-    return SessionReport(
-        task_index=int(d["task_index"]),
+    """The report :func:`report_to_dict` made ``d`` from; a ValueError naming
+    the session refuses values no evaluation makes: an accuracy that is not
+    in [0, 1], an ``n_test`` below 1, a non-finite epoch loss or a per-class
+    key that is not an integer."""
+    t = d["task_index"]
+    try:
+        per_class = {int(c): float(v) for c, v in d["per_class_accuracy"].items()}
+    except ValueError:
+        raise ValueError(f"session {t}: a per-class key is not an integer") from None
+    rep = SessionReport(
+        task_index=int(t),
         accuracy_seen=float(d["accuracy_seen"]),
-        per_class_accuracy={int(c): float(v) for c, v in d["per_class_accuracy"].items()},
+        per_class_accuracy=per_class,
         epoch_losses=tuple(float(v) for v in d["epoch_losses"]),
         n_test=int(d["n_test"]),
     )
+    # written so that a NaN fails
+    bad = [a for a in (rep.accuracy_seen, *rep.per_class_accuracy.values()) if not 0.0 <= a <= 1.0]
+    if bad:
+        raise ValueError(f"session {t}: accuracy {bad[0]} is not in [0, 1]")
+    if rep.n_test < 1:
+        raise ValueError(f"session {t}: n_test {rep.n_test} is below 1")
+    if not all(math.isfinite(v) for v in rep.epoch_losses):
+        raise ValueError(f"session {t}: an epoch loss is not finite")
+    return rep
 
 
 def summarize(reports, config_hash: str = "") -> RunSummary:
@@ -103,11 +122,12 @@ def summarize(reports, config_hash: str = "") -> RunSummary:
     )
 
 
-def accuracy_csv_text(summary: RunSummary) -> str:
-    lines = ["task,accuracy_pct"]
-    for rep in summary.reports:
-        lines.append(f"{rep.task_index},{rep.accuracy_seen * 100.0:.2f}")
-    return "\n".join(lines) + "\n"
+def write_csv(path: Path, columns: dict[str, str], rows: list[dict]) -> None:
+    """A header of the ``columns``' names, then a line per row of its values, each
+    formatted by its column's format spec."""
+    lines = [",".join(columns), *(",".join(format(r[name], spec) for name, spec in columns.items()) for r in rows)]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def summary_json_text(summary: RunSummary) -> str:
@@ -153,17 +173,10 @@ def accuracy_svg_text(summary: RunSummary) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit(summary: RunSummary, out_dir: str | Path) -> list[Path]:
-    """Write ``accuracy.csv``, ``summary.json`` and ``accuracy.svg`` for one run; returns the paths."""
+def emit(summary: RunSummary, out_dir: str | Path) -> None:
+    """Write ``accuracy.csv``, ``summary.json`` and ``accuracy.svg`` for one run."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, text in (
-        ("accuracy.csv", accuracy_csv_text(summary)),
-        ("summary.json", summary_json_text(summary)),
-        ("accuracy.svg", accuracy_svg_text(summary)),
-    ):
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
-    return paths
+    rows = [{"task": r.task_index, "accuracy_pct": 100.0 * r.accuracy_seen} for r in summary.reports]
+    write_csv(out / "accuracy.csv", {"task": "", "accuracy_pct": ".2f"}, rows)
+    (out / "summary.json").write_text(summary_json_text(summary), encoding="utf-8")
+    (out / "accuracy.svg").write_text(accuracy_svg_text(summary), encoding="utf-8")

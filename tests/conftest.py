@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import sys
 import tempfile
@@ -13,6 +15,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH_DIR = SRC.parent / "bench"
+# the benchmark's workloads, as BENCHMARK.json names them
+WORKLOADS = [w["name"] for w in json.loads((SRC.parent / "BENCHMARK.json").read_text())["workloads"]]
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
@@ -45,6 +50,14 @@ def ridge_solve(features, targets, lam: float) -> np.ndarray:
     return require_finite(np.atleast_2d(w), "ridge solution")
 
 
+def load_bench(stem):
+    """The module ``bench/<stem>.py``, loaded from its file as ``bench_<stem>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH_DIR / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def checkpoint_bytes(model) -> bytes:
     """The bytes of ``model``'s checkpoint, written with fixed arguments and no
     history: every array and counter of the model's state, and the meta, all
@@ -64,7 +77,7 @@ def next_word(rng: SeededRng) -> int:
 
 def placeholder_history(sessions: int) -> list[SessionReport]:
     """One made-up report per session, the history a checkpoint of ``sessions`` sessions must hold."""
-    return [SessionReport(t, 1.0, {}) for t in range(1, sessions + 1)]
+    return [SessionReport(t, 1.0, {}, n_test=1) for t in range(1, sessions + 1)]
 
 
 # one entry of each kind of array section a 3-task checkpoint saved after session 2

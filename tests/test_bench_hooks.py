@@ -9,7 +9,6 @@ giving a valid config, so a renamed or tightened key fails here first.
 """
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -18,20 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BENCH_DIR, WORKLOADS, load_bench
 from noisemix import experiment
 from noisemix.config import RunConfig, apply_overrides
 from noisemix.model import build_model
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 TRACER_PATH = BENCH_DIR / "tracer.py"
-WORKLOADS = [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
-
-
-def load_bench(stem):
-    spec = importlib.util.spec_from_file_location(f"bench_{stem}", BENCH_DIR / f"{stem}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_functions_resolve():

@@ -57,7 +57,7 @@ def tiny_cfg():
 
 def history_of(*task_indices) -> bytes:
     """A history section of placeholder reports with these task indices."""
-    return json.dumps([report_to_dict(SessionReport(t, 1.0, {})) for t in task_indices]).encode("utf-8")
+    return json.dumps([report_to_dict(SessionReport(t, 1.0, {}, n_test=1)) for t in task_indices]).encode("utf-8")
 
 
 def handmade_model(cfg):

@@ -352,6 +352,39 @@ class TestRestoreChecks:
 
     @pytest.mark.parametrize("command", ["eval", "resume"])
     @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("accuracy_seen", float("nan"), "accuracy nan is not in [0, 1]"),
+            ("accuracy_seen", 1.5, "accuracy 1.5 is not in [0, 1]"),
+            ("per_class_accuracy", {"0": -0.25}, "accuracy -0.25 is not in [0, 1]"),
+            ("n_test", -5, "n_test -5 is below 1"),
+            ("epoch_losses", [0.5, float("inf")], "an epoch loss is not finite"),
+            ("per_class_accuracy", {"abc": 1.0}, "a per-class key is not an integer"),
+        ],
+        ids=["accuracy-nan", "accuracy-above-1", "class-accuracy-negative", "n_test-negative", "loss-inf", "key-abc"],
+    )
+    def test_history_value_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, stopped_run, command, key, value, named
+    ):
+        # the first once passed eval and resume with exit 0, and resume wrote "average nan%";
+        # the last printed int()'s message, which did not name the history
+        run_dir = shutil.copytree(stopped_run[0], tmp_path / "run")
+        sections = read_container(run_dir / "checkpoint.nmcp")
+        history = json.loads(sections["history"])
+        history[-1][key] = value
+        sections["history"] = json.dumps(history, sort_keys=True).encode("utf-8")
+        write_container(run_dir / "checkpoint.nmcp", sections)
+        reads, sessions_run = [], []
+        monkeypatch.setattr(
+            checkpoint, "read_container", lambda *a, **k: reads.append(k.get("names")) or read_container(*a, **k)
+        )
+        monkeypatch.setattr(experiment, "run_session", lambda *args: sessions_run.append(args))
+        refusal = self.refusal(tmp_path, capsys, command, run_dir, stopped_run[1])
+        assert refusal == f"error: checkpoint history: session 2: {named}"
+        assert sessions_run == [] and reads == [{"meta", "history"}]
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize(
         "section, shape",
         [("L00.proto", (2,)), ("L00.proto", (2, 5)), ("L00.omega", (2, 1)), ("L01.omega", None)],
         ids=["proto-1d", "proto-narrow", "omega-2d", "omega-missing"],
@@ -516,6 +549,14 @@ class TestGradcheckAndSnapshot:
     def test_gradcheck_passes_for_every_strategy(self, strategy, capsys):
         assert run_cli("gradcheck", "--set", f"pinoise.strategy={strategy}") == 0
         assert "gradcheck: PASS" in capsys.readouterr().out
+
+    def test_gradcheck_refuses_a_baseline(self, capsys):
+        # a baseline has no noise layer, so no gradient to check; it once printed PASS for gen0.*, omega0, omega1
+        assert run_cli("gradcheck", "--set", "pinoise.enabled=false") == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+        assert "pinoise.enabled=false" in err[0]
 
     def test_gradcheck_corruption_fails(self, capsys, monkeypatch):
         # perturb the analytic "aux" gradient; the finite differences never call gradient_step

@@ -1,20 +1,24 @@
 import itertools
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import WORKLOADS, load_bench
 from noisemix.config import (
+    PROFILES,
     ConfigError,
     RunConfig,
     apply_overrides,
-    apply_profile,
+    apply_preset,
     config_hash,
     load_config_file,
     resolved_text,
     set_key,
 )
+from noisemix.experiment import VARIANTS
 
 
 class TestValidation:
@@ -186,11 +190,39 @@ output_dir = out/here
 
     def test_profiles(self):
         cfg = RunConfig()
-        apply_profile(cfg, "paper-dims")
+        apply_preset(cfg, PROFILES, "paper-dims", "profile")
         assert cfg.pinoise.latent_dim == 192
         assert cfg.backbone.buffer_size == 16384
         with pytest.raises(ConfigError):
-            apply_profile(cfg, "huge")
+            apply_preset(cfg, PROFILES, "huge", "profile")
+
+
+class TestPinnedHashes:
+    """The ``config_hash`` of the configurations runs are made of: the default,
+    each profile, each benchmark workload's and each grid variant's. A change
+    to how the configuration is described or rendered must leave them all."""
+
+    def test_default_and_profiles(self):
+        assert config_hash(RunConfig()) == "f86542042b97ee97"
+        assert config_hash(apply_preset(RunConfig(), PROFILES, "desk", "profile")) == "f86542042b97ee97"
+        assert config_hash(apply_preset(RunConfig(), PROFILES, "paper-dims", "profile")) == "5487846066ce6022"
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_benchmark_workloads(self, workload, monkeypatch):
+        # child.py imports its sibling as ``tracer``; that name is given the loaded file for this test only
+        monkeypatch.setitem(sys.modules, "tracer", load_bench("tracer"))
+        overrides = load_bench("child").overrides(workload, 1, "embedding.csv")
+        pinned = {"desk": "ea95db1bb2b88aef", "wide-buffer": "b142972c61fa180d", "embedding-20task": "56efb27b45f1c1ec"}
+        assert config_hash(apply_overrides(RunConfig(), overrides)) == pinned[workload]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_variants(self, variant):
+        pinned = {
+            "baseline": "103972751e0ec419", "average": "374d7e6cea9a157a", "mu-only": "217837dc9b8aa958",
+            "sigma-only": "f7dd8af3d9b07e58", "last-task": "92d712fcbdc47caf", "random-task": "dc5ef1d2c4f5aa69",
+            "full": "f86542042b97ee97",
+        }
+        assert config_hash(apply_preset(RunConfig(), VARIANTS, variant, "variant")) == pinned[variant]
 
 
 def test_readme_table_lists_every_key():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ridge_solve
+from noisemix.config import DataConfig
 from noisemix.datastream import (
     _parse_embedding_csv,
     load_embedding_stream,
@@ -15,17 +16,10 @@ from noisemix.numeric import SeededRng
 
 
 def default_stream(**overrides):
-    kwargs = dict(
-        num_classes=20,
-        samples_per_class=50,
-        dim=32,
-        separation=8.0,
-        overlap_classes=0,
-        num_tasks=5,
-        seed=1993,
-    )
-    kwargs.update(overrides)
-    return make_synthetic_stream(**kwargs)
+    """The synthetic stream of the default ``data`` section (20 classes of 50
+    samples in 32 dimensions, separation 8, 5 tasks, class seed 1993) with
+    ``overrides`` of its fields."""
+    return make_synthetic_stream(DataConfig(**overrides))
 
 
 class TestSyntheticStream:
@@ -55,7 +49,7 @@ class TestSyntheticStream:
                 "218ef50785f3337255969291dc4492a2e35045707eeaacfadc11808d27c4c676",
             ),
             # an uneven partition: the first task takes the extra class
-            (dict(num_classes=7, num_tasks=3), "d351fbfc0fa826c9f67a7549815915bc1df2cb81fc6b7e2b73cb7cba97e7774a"),
+            (dict(num_classes=7, tasks=3), "d351fbfc0fa826c9f67a7549815915bc1df2cb81fc6b7e2b73cb7cba97e7774a"),
         ],
         ids=["acceptance-ablation", "uneven-7-in-3"],
     )
@@ -74,7 +68,7 @@ class TestSyntheticStream:
         assert task.train.features[0, 0] != 1.0 and task.train.label[0] != 99
 
     def test_seed_changes_stream(self):
-        assert default_stream().content_hash() != default_stream(seed=2024).content_hash()
+        assert default_stream().content_hash() != default_stream(class_seed=2024).content_hash()
 
     def test_class_sets_disjoint_and_exhaustive(self):
         stream = default_stream()
@@ -109,7 +103,7 @@ class TestSyntheticStream:
     def test_empirical_means_converge_to_planted(self):
         n = 200
         stream = default_stream(samples_per_class=n)
-        means = synthetic_class_means(20, 32, 8.0, 0, [t.class_set for t in stream.tasks], 1993)
+        means = synthetic_class_means(DataConfig(), [t.class_set for t in stream.tasks])
         for task in stream.tasks:
             x, y = task.train_arrays()
             xt, yt = task.test_arrays()
@@ -122,7 +116,7 @@ class TestSyntheticStream:
 
     def test_overlap_pairs_are_cross_task_and_nearby(self):
         stream = default_stream(overlap_classes=4)
-        means = synthetic_class_means(20, 32, 8.0, 4, [t.class_set for t in stream.tasks], 1993)
+        means = synthetic_class_means(DataConfig(overlap_classes=4), [t.class_set for t in stream.tasks])
         task_of = {}
         for task in stream.tasks:
             for c in task.class_set:
@@ -272,7 +266,7 @@ class TestEmbeddingStream:
     def test_synthetic_rows_load_to_the_same_stream(self, tmp_path):
         # both sources assemble their rows in one layout: the synthetic stream, written
         # class by class at full precision with its test rows named, loads back unchanged
-        stream = default_stream(overlap_classes=4, num_classes=7, num_tasks=3, samples_per_class=12)
+        stream = default_stream(overlap_classes=4, num_classes=7, tasks=3, samples_per_class=12)
         lines = ["label," + ",".join(f"f{i}" for i in range(stream.feature_dim))]
         test_rows = []
         for c in range(stream.num_classes):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import checkpoint_bytes, model_config, placeholder_history
+from noisemix.config import DataConfig
 from noisemix.datastream import make_synthetic_stream
 from noisemix.model import block0_output, build_model, forward_pass
 from noisemix.numeric import SeededRng
@@ -58,7 +59,9 @@ def stream_seen_by(model, sessions, num_tasks):
     """A stream of ``num_tasks`` one-class tasks, the first ``sessions`` of
     whose classes ``model``'s classifier is given, as a checkpoint of that
     many sessions must hold."""
-    stream = make_synthetic_stream(num_tasks, 5, 6, 4.0, num_tasks=num_tasks, seed=1)
+    stream = make_synthetic_stream(
+        DataConfig(num_classes=num_tasks, samples_per_class=5, dim=6, separation=4.0, tasks=num_tasks, class_seed=1)
+    )
     for task in stream.tasks[:sessions]:
         model.classifier.expand_classes(task.class_set)
     return stream

@@ -11,7 +11,6 @@ from noisemix.numeric import SeededRng, derive_seed
 from noisemix.report import (
     EVAL_BATCH,
     SessionReport,
-    accuracy_csv_text,
     emit,
     evaluate,
     report_from_dict,
@@ -186,7 +185,8 @@ class TestEmit:
         rep = self.summary().reports[2]
         assert report_from_dict(report_to_dict(rep)) == rep
 
-    def test_csv_percent_rendering(self):
-        text = accuracy_csv_text(self.summary())
+    def test_csv_percent_rendering(self, tmp_path):
+        emit(self.summary(), tmp_path)
+        text = (tmp_path / "accuracy.csv").read_text()
         assert "4,87.50" in text
         assert "5,86.00" in text
