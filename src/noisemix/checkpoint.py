@@ -317,8 +317,10 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
     at most as many completed sessions as ``stream`` has tasks, the history
     entries, which must be sessions 1..k in order for the k >= 0 completed
     sessions, and ``classes_seen`` equal to the class sets of the stream's
-    first completed tasks, in order, and the history's values, which
-    :func:`report.report_from_dict` checks. Only then is the model's own classifier
+    first completed tasks, in order, the history's values, which
+    :func:`report.report_from_dict` checks, and each session k's per-class
+    keys and ``n_test``, which must be the classes and the row count of the
+    stream's first k test sets. Only then is the model's own classifier
     state dropped and the whole container read once, so a refused checkpoint
     costs no array read and the two classifier states are never held at once.
 
@@ -364,6 +366,14 @@ def restore(model: ContinualModel, path: str | Path, cfg_hash: str, stream: Task
         reports = [report_from_dict(d) for d in entries]
     except ValueError as exc:
         raise CheckpointError(f"checkpoint history: {exc}") from None
+    labels = []  # the test labels of the tasks up to each entry's session
+    for task, rep in zip(stream.tasks, reports):
+        labels += task.test.label.tolist()
+        what = f"checkpoint history: session {rep.task_index}:"
+        if set(rep.per_class_accuracy) != set(labels):
+            raise CheckpointError(f"{what} per-class keys are not the classes of the stream's test sets")
+        if rep.n_test != len(labels):
+            raise CheckpointError(f"{what} n_test {rep.n_test} is not the stream's {len(labels)} test rows")
 
     clf = model.classifier
     clf.gram_inv = None

@@ -86,9 +86,12 @@ def derive_seed(seed: int, *keys) -> int:
 class SeededRng:
     """Deterministic random stream: SplitMix64 integers, Box-Muller normals.
 
-    The output stream depends only on (seed, call sequence) and is stable
-    across platforms and library versions because every step is fixed-width
-    integer arithmetic or elementary float64 math defined here. Every draw
+    The output stream depends only on (seed, call sequence). The integer
+    words are fixed-width integer arithmetic, the same everywhere. The
+    normals also pass through numpy's float64 ``log``, whose code numpy
+    picks by the CPU's SIMD features, so they are reproducible for the same
+    numpy build at the same SIMD level, not across platforms: disabling
+    AVX-512 through ``NPY_DISABLE_CPU_FEATURES`` changes them. Every draw
     takes the next words of one SplitMix64 sequence, so two instances of
     one seed that have taken the same number of words give the same draws
     from then on. Instances are single-owner: share seeds via

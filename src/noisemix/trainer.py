@@ -20,10 +20,10 @@ starts from block 0's output (:func:`noisemix.model.block0_output`), and
 nothing before noise layer 0 trains, so the session computes it once for
 its rows; the passes for the trial update, every training step and the
 commit all start from it. Each epoch's noise is drawn
-in one go (:func:`noisemix.model.draw_noise`). A layer's trainable
-generator is a view of its bank's newest row, so SGD on it writes the bank
-the next step mixes from. The backward pass writes each gradient once and
-reuses the feature gradient in place.
+in one go (:func:`noisemix.model.draw_noise`). A generator trains as its
+bank row: a layer's one generator parameter is a view of its bank's newest
+row, so SGD on it writes the bank the next step mixes from. The backward
+pass writes each gradient once and reuses the feature gradient in place.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ import numpy as np
 from .config import RunConfig
 from .model import ContinualModel, ForwardTape, block0_output, build_model, draw_noise, forward_pass
 from .numeric import NumericalError, SeededRng, derive_seed, finite_difference_gradient
-from .pinoise import (
-    MixtureStrategy,
-    NoiseGenerator,
-    compute_prototype,
-    init_mix_weights,
-    new_generator,
-)
+from .pinoise import MixtureStrategy, compute_prototype, init_mix_weights, new_generator
 from .report import SessionReport, evaluate
 
 
@@ -132,22 +126,18 @@ def direct_ce_grads(
 def collect_trainable(model: ContinualModel, aux_weights: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> array view of everything the current session may update.
 
-    The newest generator of every layer, a view of its bank's last row,
-    trains while the bank holds more rows than the model has completed
-    sessions; the mix weights train only under learned-omega; the auxiliary
-    classifier trains under every strategy and comes last.
+    A generator trains as its bank row: ``gen<l>`` is a view of layer l's
+    newest bank row, and trains while the bank holds more rows than the
+    model has completed sessions. ``omega<l>``, the mix weights, train only
+    under learned-omega; the auxiliary classifier trains under every
+    strategy and comes last.
     """
     if model.layers is None:
         raise ValueError("baseline model has nothing to train")
     params: dict[str, np.ndarray] = {}
     for l, layer in enumerate(model.layers):
-        if len(layer.bank) <= model.sessions_completed:
-            continue
-        gen = NoiseGenerator(layer.bank[-1], layer.latent_dim)
-        params[f"gen{l}.mean_w"] = gen.mean_weight
-        params[f"gen{l}.mean_b"] = gen.mean_bias
-        params[f"gen{l}.scale_w"] = gen.scale_weight
-        params[f"gen{l}.scale_b"] = gen.scale_bias
+        if len(layer.bank) > model.sessions_completed:
+            params[f"gen{l}"] = layer.bank[-1]
     if model.strategy is MixtureStrategy.LEARNED_OMEGA:
         for l, layer in enumerate(model.layers):
             params[f"omega{l}"] = layer.mix_weights
@@ -181,7 +171,11 @@ def backward(
 
     Gradients flow through every frozen map (buffer projection, blocks,
     up/down projections, old generators) but are kept only for the arrays
-    named in ``params``: the newest generator per layer and the mix weights.
+    named in ``params``: the newest generator per layer, which trains as its
+    bank row, and the mix weights. Per layer the effective generator's
+    gradient is built once, as one vector in the bank-row layout: the newest
+    row's gradient is that vector with its mean half times ``c_mean[-1]``
+    and its scale half times ``c_scale[-1]``, and ω's is the bank times it.
     The auxiliary classifier's gradient comes from the loss, not from here.
     Nothing below the lowest noise layer trains, so the pass stops once that
     layer's generator and mix-weight gradients are taken.
@@ -203,18 +197,19 @@ def backward(
             layer = model.layers[l]
             d_mean = d_cur @ layer.up_proj.T
             d_scale = d_mean * cache.epsilon if cache.epsilon is not None else np.zeros_like(d_mean)
-            gen = cache.generator
-            d_h = d_mean @ gen.mean_weight.T + d_scale @ gen.scale_weight.T
-            # gradients of the effective generator's four parameters; task i
-            # receives them scaled by its coefficient on that map
-            d_gen = (cache.h.T @ d_mean, d_mean.sum(axis=0), cache.h.T @ d_scale, d_scale.sum(axis=0))
-            if f"gen{l}.mean_w" in params:
-                coeffs = (cache.c_mean[-1], cache.c_mean[-1], cache.c_scale[-1], cache.c_scale[-1])
-                for name, c, d in zip(("mean_w", "mean_b", "scale_w", "scale_b"), coeffs, d_gen):
-                    grads[f"gen{l}.{name}"] = c * d
+            w_mean, _, w_scale, _ = cache.generator.params()
+            d_h = d_mean @ w_mean.T + d_scale @ w_scale.T
+            # the effective generator's gradient in the bank-row layout; task
+            # i's row receives its mean half times c_mean[i], its scale half
+            # times c_scale[i]
+            d_gen = np.concatenate(
+                [(cache.h.T @ d_mean).ravel(), d_mean.sum(axis=0), (cache.h.T @ d_scale).ravel(), d_scale.sum(axis=0)]
+            )
+            if f"gen{l}" in params:
+                grads[f"gen{l}"] = d_gen * np.repeat([cache.c_mean[-1], cache.c_scale[-1]], d_gen.size // 2)
             # omega is trainable only under learned-omega, where it is both c_mean and c_scale
             if f"omega{l}" in params:
-                grads[f"omega{l}"] = layer.bank @ np.concatenate([d.ravel() for d in d_gen])
+                grads[f"omega{l}"] = layer.bank @ d_gen
             if l == lowest:
                 break
             d_r = d_r + d_h @ layer.down_proj.T

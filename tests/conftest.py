@@ -75,9 +75,15 @@ def next_word(rng: SeededRng) -> int:
     return int(rng.next_uint64(1)[0])
 
 
-def placeholder_history(sessions: int) -> list[SessionReport]:
-    """One made-up report per session, the history a checkpoint of ``sessions`` sessions must hold."""
-    return [SessionReport(t, 1.0, {}, n_test=1) for t in range(1, sessions + 1)]
+def placeholder_history(stream, sessions: int) -> list[SessionReport]:
+    """One made-up report per session, the history a checkpoint of ``sessions``
+    sessions of ``stream`` must hold: session t's per-class keys and ``n_test``
+    are the classes and the row count of the stream's first t test sets."""
+    history = []
+    for t in range(1, sessions + 1):
+        labels = np.concatenate([task.test.label for task in stream.tasks[:t]])
+        history.append(SessionReport(t, 1.0, dict.fromkeys(np.unique(labels).tolist(), 1.0), n_test=len(labels)))
+    return history
 
 
 # one entry of each kind of array section a 3-task checkpoint saved after session 2

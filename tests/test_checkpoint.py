@@ -470,7 +470,7 @@ class TestClassifierForms:
         clf.rows = rows
         if damage == "other-regularization":
             clf.regularization *= 2.0
-        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(stream, 2))
         if damage in ("both-forms", "neither-form"):
             sections = read_container(path)
             if damage == "neither-form":
@@ -563,13 +563,13 @@ class TestLoadMemory:
         if refusal == "sessions-past-tasks":
             given = replace(stream, tasks=stream.tasks[:1])
         elif refusal == "history-one-short":
-            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(1))
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(stream, 1))
         elif refusal == "classes-reversed":
             model.classifier.classes_seen.reverse()
-            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(stream, 2))
         elif refusal == "other-eval-seed":
             model.eval_seed = 12345
-            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+            save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(stream, 2))
         elif refusal in OUT_OF_ORDER:
             model.sessions_completed, indices = OUT_OF_ORDER[refusal]
             history = [SessionReport(t, 1.0, {}) for t in indices]
@@ -616,6 +616,6 @@ class TestLoadMemory:
             clf.gram_inv[row, col] = clf.gram_inv[col, row] = np.nan
         else:
             clf.gram_inv[row, row] = np.nan
-        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(2))
+        save_checkpoint(path, model, "h", cfg.train.seed, 3, history=placeholder_history(stream, 2))
         with pytest.raises(CheckpointError, match="symmetry"):
             restore(build_model(cfg, stream.feature_dim), path, "h", stream)

@@ -370,14 +370,12 @@ class TestFreezeSemantics:
         aux = np.zeros((48, 2))
         model.sessions_completed = 1
         params = collect_trainable(model, aux)
-        maps = ("mean_b", "mean_w", "scale_b", "scale_w")
-        assert sorted(params) == ["aux"] + [f"gen{l}.{m}" for l in range(2) for m in maps]
+        assert list(params) == ["gen0", "gen1", "aux"]
         assert params["aux"] is aux
         for l, layer in enumerate(model.layers):
-            for m in maps:
-                assert np.shares_memory(params[f"gen{l}.{m}"], layer.bank[1])
-                assert not np.shares_memory(params[f"gen{l}.{m}"], layer.bank[0])
-            assert np.array_equal(params[f"gen{l}.mean_w"], layer.bank[1][:16].reshape(4, 4))
+            assert np.shares_memory(params[f"gen{l}"], layer.bank[1])
+            assert not np.shares_memory(params[f"gen{l}"], layer.bank[0])
+            assert np.array_equal(params[f"gen{l}"], layer.bank[1])
         model.sessions_completed = 2
         assert list(collect_trainable(model, aux)) == ["aux"]
 
@@ -424,7 +422,7 @@ class TestGeneratorVector:
             layer.mix_weights = np.ones(1)
         saved.sessions_completed = 1
         stream = stream_seen_by(saved, 1, 2)
-        save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2, history=placeholder_history(1))
+        save_checkpoint(tmp_path / "g.nmcp", saved, "h", 1, 2, history=placeholder_history(stream, 1))
         loaded = model()
         restore(loaded, tmp_path / "g.nmcp", "h", stream)
         for before, layer in zip(saved.layers, loaded.layers):
@@ -456,12 +454,12 @@ class TestGeneratorBank:
         model.sessions_completed = 1
         params = collect_trainable(model, np.zeros((48, 2)))
         frozen = [layer.bank[0].copy() for layer in model.layers]
+        expected = [layer.bank[-1] - 0.25 * (1.0 + np.arange(layer.bank.shape[1])) for layer in model.layers]
         for key, p in params.items():
             p -= 0.25 * (1.0 + np.arange(p.size).reshape(p.shape))
-        maps = ("mean_w", "mean_b", "scale_w", "scale_b")
         for l, layer in enumerate(model.layers):
             newest = layer.bank[-1]
-            assert np.array_equal(newest, np.concatenate([params[f"gen{l}.{m}"].ravel() for m in maps]))
+            assert np.array_equal(newest, expected[l])
             assert np.array_equal(layer.bank[0], frozen[l])
             feats = np.zeros((1, 24))
             _, cache = run_layer(layer, feats, MixtureStrategy.AVERAGE, None, collect=True)
@@ -480,7 +478,7 @@ class TestGeneratorBank:
             layer.mix_weights = np.full(3, 1.0 / 3.0)
         saved.sessions_completed = 3
         stream = stream_seen_by(saved, 3, 3)
-        save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3, history=placeholder_history(3))
+        save_checkpoint(tmp_path / "b.nmcp", saved, "h", 1, 3, history=placeholder_history(stream, 3))
         loaded = model()
         restore(loaded, tmp_path / "b.nmcp", "h", stream)
         for before, layer in zip(saved.layers, loaded.layers):

@@ -156,8 +156,8 @@ class TestBackward:
         # perturb one analytic group; the finite differences never call gradient_step
         def corrupted(*args, **kwargs):
             loss, grads, z = gradient_step(*args, **kwargs)
-            grads["gen0.mean_w"] = grads["gen0.mean_w"] * 1.5
-            grads["gen0.mean_w"].ravel()[0] += 1e-3
+            grads["gen0"] = grads["gen0"] * 1.5
+            grads["gen0"][0] += 1e-3
             return loss, grads, z
 
         monkeypatch.setattr(trainer_mod, "gradient_step", corrupted)
@@ -165,13 +165,14 @@ class TestBackward:
         report = gradient_check(*inst)
         assert not report.passed
         failing = [g.name for g in report.groups if not g.passed]
-        assert failing == ["gen0.mean_w"]
+        assert failing == ["gen0"]
 
     def test_report_lists_every_group(self):
+        # each generator is one group, its whole bank row
         inst = make_gradcheck_instance()
         report = gradient_check(*inst)
-        names = {g.name for g in report.groups}
-        assert {"aux", "omega0", "omega1", "gen0.mean_w", "gen1.scale_b"} <= names
+        sizes = {g.name: g.size for g in report.groups}
+        assert sizes == {"aux": 16 * 4, "gen0": 2 * 4 * 5, "gen1": 2 * 4 * 5, "omega0": 2, "omega1": 2}
 
     def test_frozen_generators_receive_no_gradient(self):
         model, aux, x, targets, frozen_w, eps, picks = make_gradcheck_instance()
@@ -183,24 +184,26 @@ class TestBackward:
         grads["aux"] = d_aux
         velocity = {k: np.zeros_like(v) for k, v in params.items()}
         sgd_step(params, grads, velocity, lr=0.5, momentum=0.0)
-        for layer, before in zip(model.layers, frozen_before):
+        for l, (layer, before) in enumerate(zip(model.layers, frozen_before)):
             assert layer.bank[0].tobytes() == before
-        assert not any(k.startswith("gen") and ".0." in k for k in grads)
+            assert grads[f"gen{l}"].shape == layer.bank[-1].shape
+            assert np.shares_memory(params[f"gen{l}"], layer.bank[-1])
+            assert not np.shares_memory(params[f"gen{l}"], layer.bank[0])
+        assert [k for k in grads if k.startswith("gen")] == ["gen0", "gen1"]
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_omega_gradient_equals_per_generator_inner_products(self, k):
         # the reference is the per-generator sum the bank product replaced:
         # omega_i gets sum over the four maps of <generator i's map, d_gen map>,
         # where d_gen is the effective generator's gradient; under learned-omega
-        # the newest generator's gradient is omega[-1] * d_gen
+        # the newest generator's gradient is omega[-1] * d_gen, both halves
         model, aux, x, targets, frozen_w, eps, _ = make_gradcheck_instance(num_tasks=k)
         params = collect_trainable(model, aux)
         z, _, tape = forward_pass(model, block0_output(model, x), eps_per_layer=eps, collect=True)
         _, _, d_z = residual_loss_grads(z, aux, targets, z @ frozen_w)
         grads = backward(model, tape, d_z, params)
         for l, layer in enumerate(model.layers):
-            names = ("mean_w", "mean_b", "scale_w", "scale_b")
-            d_gen = [grads[f"gen{l}.{name}"] / layer.mix_weights[-1] for name in names]
+            d_gen = NoiseGenerator(grads[f"gen{l}"] / layer.mix_weights[-1], layer.latent_dim).params()
             generators = [NoiseGenerator(row, layer.latent_dim) for row in layer.bank]
             reference = np.array(
                 [sum(float(np.vdot(p, d)) for p, d in zip(g.params(), d_gen)) for g in generators]
@@ -244,8 +247,7 @@ class TestBackward:
     def test_classifier_weights_never_trainable(self):
         model, aux, *_ = make_gradcheck_instance()
         params = collect_trainable(model, aux)
-        expected_prefixes = ("gen0.", "gen1.", "omega", "aux")
-        assert all(k.startswith(expected_prefixes) for k in params)
+        assert list(params) == ["gen0", "gen1", "omega0", "omega1", "aux"]
 
 
 class TestSession:
@@ -469,8 +471,8 @@ class TestCollectTrainable:
     @pytest.mark.parametrize("strategy", [s.value for s in MixtureStrategy])
     @pytest.mark.parametrize("tasks", [5, 3])  # 20 classes: 4 per task, or 7, 7 and 6
     def test_a_session_trains_its_generators_and_the_seen_classes(self, monkeypatch, strategy, tasks):
-        # each session trains the newest generator of every layer (mean and
-        # scale maps, latent x latent weights plus a bias each), the auxiliary
+        # each session trains the newest generator of every layer as one bank
+        # row (mean and scale maps, latent x latent weights plus a bias each), the auxiliary
         # classifier over every class seen so far and, under learned-omega
         # only, one mix weight per layer per generator
         cfg = small_cfg(tasks=tasks)
@@ -494,8 +496,7 @@ class TestCollectTrainable:
             classes = sum(len(task.class_set) for task in stream.tasks[:t])
             expected = {"aux": cfg.backbone.buffer_size * classes}
             for l in range(depth):
-                expected |= {f"gen{l}.{part}_w": latent * latent for part in ("mean", "scale")}
-                expected |= {f"gen{l}.{part}_b": latent for part in ("mean", "scale")}
+                expected[f"gen{l}"] = 2 * (latent * latent + latent)
                 if learned:
                     expected[f"omega{l}"] = t
             assert sizes == expected, t
